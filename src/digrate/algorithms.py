@@ -1,6 +1,7 @@
-"""Iteration engines: DIGing, its adapt-then-combine variant, Push-DIGing,
-two baselines (distributed gradient descent, subgradient-push), and a
-centralized inexact gradient method.
+"""Iteration engines: one step function, configured per method by the
+`METHODS` table, runs DIGing, its adapt-then-combine variant, Push-DIGing
+and two baselines (distributed gradient descent, subgradient-push); a
+centralized inexact gradient method sits beside it.
 
 Every step is a pure function from explicit state to the next state; no
 randomness lives inside a step, so runs replay bit-for-bit.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -39,37 +41,37 @@ class PushSumViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DigingState:
+class Method:
+    """The switches that tell the five recursions apart."""
+
+    tracking: bool      # descend along the tracker y, not the raw gradient
+    push: bool          # column stochastic mixing with push-sum weights v
+    atc: bool           # adapt then combine: mix after the local step
+    diminishing: bool   # step sizes follow a schedule k -> alpha_k
+
+
+METHODS = {
+    "diging": Method(tracking=True, push=False, atc=False, diminishing=False),
+    "diging-atc": Method(tracking=True, push=False, atc=True, diminishing=False),
+    "push-diging": Method(tracking=True, push=True, atc=False, diminishing=False),
+    "dgd": Method(tracking=False, push=False, atc=False, diminishing=False),
+    "subgradient-push": Method(tracking=False, push=True, atc=False,
+                               diminishing=True),
+}
+ALGORITHMS = tuple(METHODS)
+
+
+@dataclass(frozen=True)
+class State:
+    """Iterates of any method. Without push the weights v stay at ones and
+    the mass u is the readout x; without tracking y is the raw gradient."""
+
     k: int
-    x: np.ndarray        # n x p iterates
+    u: np.ndarray        # n x p push-sum mass
+    v: np.ndarray        # positive push-sum weights, sum preserved at n
+    x: np.ndarray        # n x p readout u / v
     y: np.ndarray        # n x p gradient trackers
     grad: np.ndarray     # cached block gradient at x
-
-
-@dataclass(frozen=True)
-class PushDigingState:
-    k: int
-    u: np.ndarray
-    v: np.ndarray        # positive push-sum weights, sum preserved at n
-    x: np.ndarray        # readout u / v
-    y: np.ndarray
-    grad: np.ndarray
-
-
-@dataclass(frozen=True)
-class DgdState:
-    k: int
-    x: np.ndarray
-    grad: np.ndarray
-
-
-@dataclass(frozen=True)
-class SubgradientPushState:
-    k: int
-    u: np.ndarray
-    v: np.ndarray
-    x: np.ndarray
-    grad: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,97 +99,56 @@ def _check_block(x: np.ndarray, suite: ObjectiveSuite) -> np.ndarray:
     return x
 
 
-def diging_init(suite: ObjectiveSuite, x0: np.ndarray) -> DigingState:
-    """Tracker starts at the initial block gradient."""
+def init(suite: ObjectiveSuite, x0: np.ndarray) -> State:
+    """Unit weights, mass and readout at x0, tracker at the initial block
+    gradient."""
     x0 = _check_block(x0, suite)
     g = block_gradient(suite, x0)
-    return DigingState(0, x0, g.copy(), g)
+    return State(0, x0.copy(), np.ones(suite.n), x0.copy(), g.copy(), g)
 
 
-def diging_step(state: DigingState, w: MixingMatrix, suite: ObjectiveSuite,
-                alpha: float) -> DigingState:
-    """Mix, descend along the tracker, then refresh the tracker with the
-    newest gradient difference."""
-    _require(w, (DOUBLY,))
-    if alpha <= 0:
+def step(method: Method, state: State, mat: MixingMatrix, suite: ObjectiveSuite,
+         alpha: float, v_floor: float | None = None) -> State:
+    """One iteration of `method`.
+
+    The local step descends along the tracker, or along the raw gradient
+    without tracking. Mixing follows the local step under push-sum or
+    adapt-then-combine and precedes it otherwise. Push-sum also mixes the
+    weights and reads out x = u / v, undoing the uneven mass distribution
+    of column stochastic mixing; a nonpositive (or under-floor) weight is
+    fatal by design. The tracker then adds the newest gradient difference,
+    mixed after it under adapt-then-combine.
+    """
+    _require(mat, (COLUMN, DOUBLY) if method.push else (DOUBLY,))
+    if method.tracking and alpha <= 0:
         raise ValueError("step size must be positive")
-    x1 = w.entries @ state.x - alpha * state.y
+    w = mat.entries
+    d = state.y if method.tracking else state.grad
+    if method.push:
+        u1 = w @ (state.u - alpha * d)
+        v1 = w @ state.v
+        if np.any(v1 <= 0) or (v_floor is not None and v1.min() < v_floor):
+            raise PushSumViolation(state.k + 1, v1, v_floor)
+        x1 = u1 / v1[:, None]
+    else:
+        x1 = w @ (state.x - alpha * d) if method.atc else w @ state.x - alpha * d
+        u1, v1 = x1, state.v
     g1 = block_gradient(suite, x1)
-    y1 = w.entries @ state.y + g1 - state.grad
-    return DigingState(state.k + 1, x1, y1, g1)
+    if not method.tracking:
+        y1 = g1
+    elif method.atc:
+        y1 = w @ (state.y + g1 - state.grad)
+    else:
+        y1 = w @ state.y + g1 - state.grad
+    return State(state.k + 1, u1, v1, x1, y1, g1)
 
 
-def diging_atc_step(state: DigingState, w: MixingMatrix, suite: ObjectiveSuite,
-                    alpha: float) -> DigingState:
-    """Adapt-then-combine ordering: the local correction is applied before
-    neighbor mixing, on both the iterate and the tracker."""
-    _require(w, (DOUBLY,))
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
-    x1 = w.entries @ (state.x - alpha * state.y)
-    g1 = block_gradient(suite, x1)
-    y1 = w.entries @ (state.y + g1 - state.grad)
-    return DigingState(state.k + 1, x1, y1, g1)
-
-
-def push_diging_init(suite: ObjectiveSuite, x0: np.ndarray) -> PushDigingState:
-    x0 = _check_block(x0, suite)
-    g = block_gradient(suite, x0)
-    v = np.ones(suite.n)
-    return PushDigingState(0, x0.copy(), v, x0.copy(), g.copy(), g)
-
-
-def push_diging_step(state: PushDigingState, c: MixingMatrix,
-                     suite: ObjectiveSuite, alpha: float,
-                     v_floor: float | None = None) -> PushDigingState:
-    """Push-sum pairing of a mass iterate u with weights v; the readout
-    x = u / v undoes the uneven mass distribution of column stochastic
-    mixing. A nonpositive (or under-floor) weight is fatal by design."""
-    _require(c, (COLUMN, DOUBLY))
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
-    u1 = c.entries @ (state.u - alpha * state.y)
-    v1 = c.entries @ state.v
-    if np.any(v1 <= 0) or (v_floor is not None and v1.min() < v_floor):
-        raise PushSumViolation(state.k + 1, v1, v_floor)
-    x1 = u1 / v1[:, None]
-    g1 = block_gradient(suite, x1)
-    y1 = c.entries @ state.y + g1 - state.grad
-    return PushDigingState(state.k + 1, u1, v1, x1, y1, g1)
-
-
-def dgd_init(suite: ObjectiveSuite, x0: np.ndarray) -> DgdState:
-    x0 = _check_block(x0, suite)
-    return DgdState(0, x0, block_gradient(suite, x0))
-
-
-def dgd_step(state: DgdState, w: MixingMatrix, suite: ObjectiveSuite,
-             alpha: float) -> DgdState:
-    """Plain distributed gradient descent; with a fixed step it stalls at a
-    neighborhood of the solution, which is what the exact methods fix."""
-    _require(w, (DOUBLY,))
-    x1 = w.entries @ state.x - alpha * state.grad
-    return DgdState(state.k + 1, x1, block_gradient(suite, x1))
-
-
-def subgradient_push_init(suite: ObjectiveSuite, x0: np.ndarray) -> SubgradientPushState:
-    x0 = _check_block(x0, suite)
-    return SubgradientPushState(0, x0.copy(), np.ones(suite.n), x0.copy(),
-                                block_gradient(suite, x0))
-
-
-def subgradient_push_step(state: SubgradientPushState, c: MixingMatrix,
-                          suite: ObjectiveSuite, alpha_k: float,
-                          v_floor: float | None = None) -> SubgradientPushState:
-    """Diminishing-step baseline: push-sum averaging applied directly to the
-    gradient step, no tracker."""
-    _require(c, (COLUMN, DOUBLY))
-    u1 = c.entries @ (state.u - alpha_k * state.grad)
-    v1 = c.entries @ state.v
-    if np.any(v1 <= 0) or (v_floor is not None and v1.min() < v_floor):
-        raise PushSumViolation(state.k + 1, v1, v_floor)
-    x1 = u1 / v1[:, None]
-    return SubgradientPushState(state.k + 1, u1, v1, x1, block_gradient(suite, x1))
+# one preset per method; `run` reaches every iteration through these names
+diging_step = partial(step, METHODS["diging"])
+diging_atc_step = partial(step, METHODS["diging-atc"])
+push_diging_step = partial(step, METHODS["push-diging"])
+dgd_step = partial(step, METHODS["dgd"])
+subgradient_push_step = partial(step, METHODS["subgradient-push"])
 
 
 def sqrt_schedule(a: float) -> Callable[[int], float]:
@@ -262,7 +223,7 @@ class EquivalentRecursionReport:
     max_rowsum_deviation: float
 
 
-def equivalent_recursion_check(states: list[PushDigingState],
+def equivalent_recursion_check(states: list[State],
                                mixers: list[MixingMatrix],
                                alpha: float) -> EquivalentRecursionReport:
     """Replay a recorded Push-DIGing run through its weighted row stochastic
@@ -292,9 +253,6 @@ def equivalent_recursion_check(states: list[PushDigingState],
     return EquivalentRecursionReport(max_dev, max_row)
 
 
-ALGORITHMS = ("diging", "diging-atc", "push-diging", "dgd", "subgradient-push")
-
-
 def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
         alpha, iterations: int, seed: int = 0, x0: np.ndarray | None = None,
         x_star: np.ndarray | None = None, record_audit: bool = False,
@@ -302,19 +260,23 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
     """Drive one algorithm over a graph sequence and record per-iteration
     metrics; deterministic in all inputs.
 
-    `alpha` is a float for fixed-step methods or a callable k -> alpha_k for
-    subgradient-push. `rule` maps a snapshot to a MixingMatrix. When `x0` is
+    `alpha` is a float for fixed-step methods; a diminishing method also
+    takes a callable k -> alpha_k, and turns a float a into a / sqrt(k+1).
+    `rule` maps a snapshot to a MixingMatrix. `v_floor` is the fatal lower
+    bound on push-sum weights; methods without push ignore it. When `x0` is
     None the run starts from zeros; the string "random" draws a standard
     normal block from `seed`.
     """
-    if algorithm not in ALGORITHMS:
+    method = METHODS.get(algorithm)
+    if method is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    push = algorithm in ("push-diging", "subgradient-push")
-    if push and seq.kind != DIRECTED:
+    if method.push and seq.kind != DIRECTED:
         raise ValueError(f"{algorithm} needs a directed graph sequence "
                          "(convert undirected snapshots to arc pairs first)")
-    if not push and seq.kind == DIRECTED:
+    if not method.push and seq.kind == DIRECTED:
         raise ValueError(f"{algorithm} needs an undirected graph sequence")
+    if callable(alpha) and not method.diminishing:
+        raise ValueError(f"{algorithm} takes a fixed step size, not a schedule")
 
     n, p = suite.n, suite.p
     if seq.n != n:
@@ -334,18 +296,9 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
             x_star = solve_reference(suite).x_star
     x_star = np.asarray(x_star, dtype=float).reshape(p)
 
-    if algorithm in ("diging", "diging-atc"):
-        state = diging_init(suite, x0)
-        step = diging_step if algorithm == "diging" else diging_atc_step
-    elif algorithm == "push-diging":
-        state = push_diging_init(suite, x0)
-        step = push_diging_step
-    elif algorithm == "dgd":
-        state = dgd_init(suite, x0)
-        step = dgd_step
-    else:
-        state = subgradient_push_init(suite, x0)
-        step = subgradient_push_step
+    state = init(suite, x0)
+    # the preset is looked up per call, so a rebound module name takes effect
+    advance = globals()[algorithm.replace("-", "_") + "_step"]
 
     r0 = float(np.linalg.norm(x0 - x_star[None, :]))
     rows = {name: [] for name in ("k", "residual", "cons_viol_x", "cons_viol_y",
@@ -362,21 +315,15 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
         rows["k"].append(st.k)
         rows["residual"].append(q / r0 if r0 > 0 else q)
         rows["cons_viol_x"].append(consensus_violation(st.x))
-        if isinstance(st, DigingState):
-            rows["cons_viol_y"].append(consensus_violation(st.y))
-        elif isinstance(st, PushDigingState):
-            rows["cons_viol_y"].append(consensus_violation(st.y / st.v[:, None]))
-        else:
-            rows["cons_viol_y"].append(float("nan"))
-        if isinstance(st, (DigingState, PushDigingState)):
+        if method.tracking:
+            y = st.y / st.v[:, None] if method.push else st.y
+            rows["cons_viol_y"].append(consensus_violation(y))
             drift = st.y.sum(axis=0) - st.grad.sum(axis=0)
             rows["conservation_err"].append(float(np.linalg.norm(drift)))
         else:
+            rows["cons_viol_y"].append(float("nan"))
             rows["conservation_err"].append(float("nan"))
-        if isinstance(st, (PushDigingState, SubgradientPushState)):
-            rows["v_min"].append(float(st.v.min()))
-        else:
-            rows["v_min"].append(float("nan"))
+        rows["v_min"].append(float(st.v.min()) if method.push else float("nan"))
         q_norms.append(q)
         z_norms.append(0.0 if prev_grad is None
                        else float(np.linalg.norm(st.grad - prev_grad)))
@@ -386,14 +333,11 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
     record(state)
     for k in range(iterations):
         mat = rule(seq.snapshot(k))
+        a_k = alpha
+        if method.diminishing:
+            a_k = alpha(k) if callable(alpha) else alpha / math.sqrt(k + 1)
         try:
-            if algorithm == "subgradient-push":
-                a_k = alpha(k) if callable(alpha) else alpha / math.sqrt(k + 1)
-                state = step(state, mat, suite, a_k, v_floor=v_floor)
-            elif push:
-                state = step(state, mat, suite, alpha, v_floor=v_floor)
-            else:
-                state = step(state, mat, suite, alpha)
+            state = advance(state, mat, suite, a_k, v_floor=v_floor)
         except PushSumViolation as exc:
             terminated = str(exc)
             break

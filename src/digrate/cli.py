@@ -123,8 +123,8 @@ def _cmd_bounds(args) -> int:
     else:
         raise ConfigError("params need L or kappa_bar")
     params = rates.TheoryParams(n=n, B=B, delta=delta, mu_bar=mu_bar, L=L,
-                                mu_hat=raw.get("mu_hat"), tau=raw.get("tau"),
-                                beta=raw.get("beta"), eta=raw.get("eta", 1.0))
+                                mu_hat=raw.get("mu_hat"), beta=raw.get("beta"),
+                                eta=raw.get("eta", 1.0))
     kappa = params.kappa_bar
     print(f"inputs: n={n} B={B} delta={delta:g} mu_bar={mu_bar:g} L={L:g} "
           f"kappa_bar={kappa:g}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms, graphs, mixing, objectives
-from .rates import TheoryParams, diging_rate, diging_step_size_window
+from .rates import AUDITED, TheoryParams, diging_rate, diging_step_size_window
 from .traces import RunTrace
 
 
@@ -271,15 +271,22 @@ def validate_config(config: ExperimentConfig, horizon: int | None = None) -> lis
     except (ConfigError, ValueError, OSError) as exc:
         return [f"mixing: {exc}"]
 
-    if config.algorithm not in algorithms.ALGORITHMS:
+    method = algorithms.METHODS.get(config.algorithm)
+    if method is None:
         problems.append(f"algorithm: unknown tag {config.algorithm!r}")
         return problems
-    push = config.algorithm in ("push-diging", "subgradient-push")
-    if push and seq.kind != graphs.DIRECTED:
+    if method.push and seq.kind != graphs.DIRECTED:
         problems.append(f"kind: {config.algorithm} needs a directed sequence; "
                         "set graph.directed_view for undirected bases")
-    if not push and seq.kind == graphs.DIRECTED:
+    if not method.push and seq.kind == graphs.DIRECTED:
         problems.append(f"kind: {config.algorithm} needs an undirected sequence")
+    if isinstance(config.alpha, dict) and not method.diminishing:
+        problems.append(f"alpha: {config.algorithm} takes a fixed step size, "
+                        "not a schedule")
+    if config.theory_audit is not None and config.algorithm not in AUDITED:
+        problems.append(f"theory_audit: no audited gain cycle for "
+                        f"{config.algorithm}; audited methods are "
+                        f"{', '.join(AUDITED)}")
     if seq.n != suite.n:
         problems.append(f"size: graph has {seq.n} vertices, objective has "
                         f"{suite.n} agents")
@@ -295,7 +302,7 @@ def validate_config(config: ExperimentConfig, horizon: int | None = None) -> lis
                         f"{check.first_failure * B + B - 1}) is not "
                         "connected")
 
-    mode = mixing.COLUMN if push else mixing.DOUBLY
+    mode = mixing.COLUMN if method.push else mixing.DOUBLY
     for k in range(min(horizon, 4)):
         mat = rule(seq.snapshot(k))
         report = mixing.validate_stochasticity(mat.entries, mode)
@@ -323,13 +330,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     suite = build_suite(config.objective)
     rule = build_rule(config.mixing)
     alpha = build_alpha(config.alpha)
-    push = config.algorithm in ("push-diging", "subgradient-push")
     trace = algorithms.run(
         config.algorithm, seq, rule, suite, alpha,
         iterations=config.iterations, seed=seed,
         x0="random" if config.x0 == "random" else None,
         record_audit=config.theory_audit is not None,
-        v_floor=push_weight_floor(seq) if push else None)
+        v_floor=push_weight_floor(seq))
     if config.theory_audit is not None:
         trace.metadata["theory_audit"] = _audit_params(config, seq, suite, trace)
     if config.output is not None:
@@ -506,7 +512,7 @@ def reproduce_section6(case: str, seed: int = 0,
     summary: dict[str, dict] = {}
     for algo, seq, rule in jobs:
         alpha = (algorithms.sqrt_schedule(params[algo])
-                 if algo == "subgradient-push" else params[algo])
+                 if algorithms.METHODS[algo].diminishing else params[algo])
         trace = algorithms.run(algo, seq, rule, suite, alpha, iterations=iters,
                                seed=seed, x_star=x_star, record_audit=True)
         trace.metadata["case"] = case

@@ -71,34 +71,30 @@ class ContractionEstimate:
 def metropolis(snapshot: GraphSnapshot) -> MixingMatrix:
     """Metropolis weights: 1/(1+max(d_i,d_j)) on edges, diagonal completing
     each row to 1. Doubly stochastic; every nonzero entry is >= 1/n."""
-    if snapshot.kind != UNDIRECTED:
-        raise ValueError("Metropolis weights need an undirected snapshot")
-    n = snapshot.n
-    d = snapshot.degrees()
-    w = np.zeros((n, n))
-    for a, b in snapshot.links:
-        v = 1.0 / (1 + max(d[a - 1], d[b - 1]))
-        w[a - 1, b - 1] = v
-        w[b - 1, a - 1] = v
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return MixingMatrix(n, w, "metropolis", snapshot, validate_stochasticity(w, DOUBLY))
+    return _metropolis(snapshot, lazy=False)
 
 
 def lazy_metropolis(snapshot: GraphSnapshot) -> MixingMatrix:
     """Half-weight Metropolis variant: 1/(2 max(d_i,d_j)) on edges, so the
     diagonal stays at least 1/2."""
+    return _metropolis(snapshot, lazy=True)
+
+
+def _metropolis(snapshot: GraphSnapshot, lazy: bool) -> MixingMatrix:
     if snapshot.kind != UNDIRECTED:
-        raise ValueError("lazy Metropolis weights need an undirected snapshot")
+        raise ValueError(("lazy " if lazy else "")
+                         + "Metropolis weights need an undirected snapshot")
     n = snapshot.n
     d = snapshot.degrees()
     w = np.zeros((n, n))
     for a, b in snapshot.links:
-        v = 1.0 / (2 * max(d[a - 1], d[b - 1]))
+        m = max(d[a - 1], d[b - 1])
+        v = 1.0 / (2 * m) if lazy else 1.0 / (1 + m)
         w[a - 1, b - 1] = v
         w[b - 1, a - 1] = v
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return MixingMatrix(n, w, "lazy-metropolis", snapshot,
-                        validate_stochasticity(w, DOUBLY))
+    return MixingMatrix(n, w, "lazy-metropolis" if lazy else "metropolis",
+                        snapshot, validate_stochasticity(w, DOUBLY))
 
 
 def out_degree_column(snapshot: GraphSnapshot) -> MixingMatrix:

@@ -100,8 +100,6 @@ class TheoryParams:
     mu_bar: float
     L: float
     mu_hat: float | None = None
-    tau: float | None = None
-    B_minus: int | None = None
     q1: "float | LogValue | None" = None
     vinv_bound: "float | LogValue | None" = None
     beta: float | None = None
@@ -477,10 +475,16 @@ class GainLedger:
         return all(self.arrow_ok) and self.product_ok
 
 
+# methods whose runs the small-gain cycle audits
+AUDITED = ("diging", "push-diging")
+
+
 def cycle_gains(params: TheoryParams, lam: float, alpha: float,
                 family: str) -> tuple[float, float, float, float]:
-    """The four gain constants of the small-gain cycle for the given family
-    ("diging" or "push-diging")."""
+    """The four gain constants of the small-gain cycle for the given family,
+    one of AUDITED."""
+    if family not in AUDITED:
+        raise ValueError(f"no audited gain cycle for algorithm {family!r}")
     B, d = params.B, params.delta
     lam_b = lam ** B
     if not d < lam_b < 1:
@@ -492,7 +496,7 @@ def cycle_gains(params: TheoryParams, lam: float, alpha: float,
     if family == "diging":
         g2 = lam * geo / (lam_b - d)
         g3 = alpha * geo / (lam_b - d)
-    elif family == "push-diging":
+    else:
         q1 = float(params.q1) if params.q1 is not None else None
         vinv = float(params.vinv_bound) if params.vinv_bound is not None else None
         if q1 is None or vinv is None:
@@ -501,8 +505,6 @@ def cycle_gains(params: TheoryParams, lam: float, alpha: float,
         geo_short = (1 - lam ** (B - 1)) / (1 - lam)
         g3 = alpha / (lam_b - d) * (d + q1 * geo_short)
         g4 *= 1 + math.sqrt(params.n)
-    else:
-        raise ValueError(f"no audited gain cycle for algorithm {family!r}")
     return g1, g2, g3, g4
 
 

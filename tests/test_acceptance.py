@@ -160,7 +160,7 @@ def test_criterion_5_extra_elimination():
         suite = objectives.quadratic_suite(rng.normal(size=(n, 2)),
                                            rng.uniform(0.5, 2.0, n))
         alpha = 0.1
-        st = alg.diging_init(suite, rng.normal(size=(n, 2)))
+        st = alg.init(suite, rng.normal(size=(n, 2)))
         hist = [st]
         for _ in range(500):
             st = alg.diging_step(st, w, suite, alpha)

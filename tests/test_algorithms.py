@@ -72,7 +72,7 @@ class TestDigingStep:
         suite = quadratic_suite(np.array([[0.0], [2.0]]), np.array([1.0, 1.0]))
         w = mixing.metropolis(graphs.undirected(2, [(1, 2)]))
         alpha = 0.3
-        st = alg.diging_init(suite, np.array([[0.0], [2.0]]))
+        st = alg.init(suite, np.array([[0.0], [2.0]]))
         assert np.allclose(st.y, [[0.0], [0.0]], atol=0)
         st = alg.diging_step(st, w, suite, alpha)
         assert np.allclose(st.x, [[1.0], [1.0]], atol=1e-15)
@@ -84,7 +84,7 @@ class TestDigingStep:
     def test_requires_doubly_certificate(self):
         suite = quadratic_suite(np.zeros((2, 1)), np.ones(2))
         c = mixing.out_degree_column(graphs.directed(2, [(1, 2)]))
-        st = alg.diging_init(suite, np.zeros((2, 1)))
+        st = alg.init(suite, np.zeros((2, 1)))
         with pytest.raises(alg.CertificateError):
             alg.diging_step(st, c, suite, 0.1)
 
@@ -95,7 +95,7 @@ class TestDigingStep:
         snap = graphs.random_connected_graph(5, 3, seed=1)
         w = mixing.metropolis(snap)
         suite = quadratic_suite(rng.normal(size=(5, 2)), rng.uniform(0.5, 2, 5))
-        st = alg.diging_init(suite, rng.normal(size=(5, 2)))
+        st = alg.init(suite, rng.normal(size=(5, 2)))
         alpha = 0.1
         hist = [st]
         for _ in range(60):
@@ -118,7 +118,7 @@ class TestAtcStep:
         snap = graphs.undirected(3, [(1, 2), (1, 3), (2, 3)])
         w = mixing.custom_mixing(np.full((3, 3), 1 / 3), mixing.DOUBLY, snap)
         x0 = np.array([[1.0], [5.0], [0.0]])
-        st = alg.diging_init(suite, x0)
+        st = alg.init(suite, x0)
         alpha = 0.25
         expected = x0.mean() - alpha * st.y.mean()
         st = alg.diging_atc_step(st, w, suite, alpha)
@@ -129,7 +129,7 @@ class TestAtcStep:
         snap = graphs.random_connected_graph(4, 2, seed=3)
         w = mixing.metropolis(snap)
         suite = quadratic_suite(rng.normal(size=(4, 3)), rng.uniform(0.5, 2, 4))
-        st = alg.diging_init(suite, rng.normal(size=(4, 3)))
+        st = alg.init(suite, rng.normal(size=(4, 3)))
         for _ in range(30):
             st = alg.diging_atc_step(st, w, suite, 0.15)
             drift = st.y.sum(axis=0) - st.grad.sum(axis=0)
@@ -140,7 +140,7 @@ class TestPushDiging:
     def test_one_step_average_on_zero_objective(self):
         suite = zero_suite(2, 1)
         c = mixing.out_degree_column(graphs.directed(2, [(1, 2), (2, 1)]))
-        st = alg.push_diging_init(suite, np.array([[0.0], [2.0]]))
+        st = alg.init(suite, np.array([[0.0], [2.0]]))
         st = alg.push_diging_step(st, c, suite, 0.7)
         assert np.allclose(st.u, [[1.0], [1.0]], atol=0)
         assert np.allclose(st.v, [1.0, 1.0], atol=0)
@@ -151,7 +151,7 @@ class TestPushDiging:
         snap = graphs.random_strongly_connected_digraph(5, 11, seed=5)
         c = mixing.out_degree_column(snap)
         suite = quadratic_suite(rng.normal(size=(5, 2)), rng.uniform(0.5, 2, 5))
-        st = alg.push_diging_init(suite, rng.normal(size=(5, 2)))
+        st = alg.init(suite, rng.normal(size=(5, 2)))
         alpha = 0.05
         for _ in range(25):
             before = st.u.sum(axis=0) - alpha * st.y.sum(axis=0)
@@ -165,7 +165,7 @@ class TestPushDiging:
             snap = graphs.random_strongly_connected_digraph(n, 2 * n, seed=seed)
             c = mixing.out_degree_column(snap)
             suite = zero_suite(n, 1)
-            st = alg.push_diging_init(suite, np.zeros((n, 1)))
+            st = alg.init(suite, np.zeros((n, 1)))
             floor = n ** (-n)
             for _ in range(200):
                 st = alg.push_diging_step(st, c, suite, 0.1, v_floor=floor)
@@ -174,7 +174,7 @@ class TestPushDiging:
     def test_fatal_on_floor_crossing(self):
         suite = zero_suite(2, 1)
         c = mixing.out_degree_column(graphs.directed(2, [(1, 2)]))
-        st = alg.push_diging_init(suite, np.zeros((2, 1)))
+        st = alg.init(suite, np.zeros((2, 1)))
         with pytest.raises(alg.PushSumViolation):
             for _ in range(2000):
                 st = alg.push_diging_step(st, c, suite, 0.1, v_floor=0.4)
@@ -184,8 +184,8 @@ class TestDgd:
     def test_consensual_point_moves_off_consensus(self):
         suite = quadratic_suite(np.array([[0.0], [2.0]]), np.array([1.0, 1.0]))
         w = mixing.metropolis(graphs.undirected(2, [(1, 2)]))
-        st = alg.DgdState(0, np.array([[1.0], [1.0]]),
-                          np.array([[1.0], [-1.0]]))
+        x, g = np.array([[1.0], [1.0]]), np.array([[1.0], [-1.0]])
+        st = alg.State(0, x, np.ones(2), x, g, g)
         alpha = 0.1
         st = alg.dgd_step(st, w, suite, alpha)
         assert np.allclose(st.x, [[1 - alpha], [1 + alpha]], atol=1e-15)
@@ -195,7 +195,7 @@ class TestDgd:
     def test_zero_gradient_consensus_is_fixed_point(self):
         suite = quadratic_suite(np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
         w = mixing.metropolis(graphs.undirected(2, [(1, 2)]))
-        st = alg.dgd_init(suite, np.array([[1.0], [1.0]]))
+        st = alg.init(suite, np.array([[1.0], [1.0]]))
         st = alg.dgd_step(st, w, suite, 0.3)
         assert np.allclose(st.x, 1.0, atol=1e-15)
 
@@ -206,7 +206,7 @@ class TestSubgradientPush:
         snap = graphs.random_strongly_connected_digraph(3, 5, seed=6)
         c = mixing.out_degree_column(snap)
         x0 = np.array([[1.0], [2.0], [6.0]])
-        st = alg.subgradient_push_init(suite, x0)
+        st = alg.init(suite, x0)
         u, v = x0.copy(), np.ones(3)
         for k in range(30):
             st = alg.subgradient_push_step(st, c, suite, alg.sqrt_schedule(1.0)(k))
@@ -259,7 +259,7 @@ class TestInvariantsAlongRuns:
 
     def test_equivalent_recursion_needs_history(self):
         suite = zero_suite(2, 1)
-        st = alg.push_diging_init(suite, np.zeros((2, 1)))
+        st = alg.init(suite, np.zeros((2, 1)))
         with pytest.raises(ValueError):
             alg.equivalent_recursion_check([st], [], 0.1)
 
@@ -367,6 +367,12 @@ class TestRunDriver:
         with pytest.raises(ValueError):
             alg.run("push-diging", two_clique_seq(), mixing.metropolis, suite,
                     0.1, 3)
+
+    def test_schedule_rejected_on_fixed_step_method(self):
+        suite = quadratic_suite(np.array([[0.0], [2.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="fixed step size"):
+            alg.run("diging", two_clique_seq(), mixing.metropolis, suite,
+                    alg.sqrt_schedule(0.1), 3)
 
     def test_early_termination_recorded(self):
         suite = zero_suite(2, 1)

@@ -70,6 +70,12 @@ class TestValidate:
         config = write_config(tmp_path, algorithm="push-diging")
         assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION
 
+    def test_schedule_on_fixed_step_method(self, tmp_path, capsys):
+        config = write_config(tmp_path, alpha={"schedule": "sqrt"})
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert "fixed step size" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_formula_values_printed(self, tmp_path, capsys):

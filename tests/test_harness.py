@@ -239,6 +239,20 @@ class TestExperimentConfig:
         assert 0 < audit["delta"] < 1 or audit["delta"] == 0.0
         assert 0 < audit["lambda"] < 1
 
+    @pytest.mark.parametrize("algorithm", ["dgd", "diging-atc"])
+    def test_theory_audit_needs_audited_method(self, tmp_path, algorithm):
+        path, _ = quadratic_config(
+            tmp_path, algorithm=algorithm,
+            theory_audit={"B": 1, "delta": "empirical", "lambda": "certified"})
+        problems = validate_config(ExperimentConfig.load(path))
+        assert any(p.startswith("theory_audit:") and algorithm in p
+                   for p in problems)
+
+    def test_schedule_on_fixed_step_method_flagged(self, tmp_path):
+        path, _ = quadratic_config(tmp_path, alpha={"schedule": "sqrt"})
+        problems = validate_config(ExperimentConfig.load(path))
+        assert any(p.startswith("alpha:") for p in problems)
+
 
 class TestBuilders:
     def test_path_and_clique(self):
