@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import DIRECTED, GraphSequence
-from .mixing import COLUMN, DOUBLY, MixingMatrix, consensus_violation
+from .mixing import COLUMN, DOUBLY, MixingMatrix
 from .objectives import ObjectiveSuite, block_gradient, solve_reference
 from .traces import RunTrace
 
@@ -253,6 +253,13 @@ def equivalent_recursion_check(states: list[State],
     return EquivalentRecursionReport(max_dev, max_row)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """np.linalg.norm(a) without its argument handling: the same ddot over
+    the raveled block, then the square root."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
+
+
 def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
         alpha, iterations: int, seed: int = 0, x0: np.ndarray | None = None,
         x_star: np.ndarray | None = None, record_audit: bool = False,
@@ -262,10 +269,13 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
 
     `alpha` is a float for fixed-step methods; a diminishing method also
     takes a callable k -> alpha_k, and turns a float a into a / sqrt(k+1).
-    `rule` maps a snapshot to a MixingMatrix. `v_floor` is the fatal lower
-    bound on push-sum weights; methods without push ignore it. When `x0` is
-    None the run starts from zeros; the string "random" draws a standard
-    normal block from `seed`.
+    `rule` maps a snapshot to a MixingMatrix; it is called again only when
+    the snapshot differs from the previous iteration's. `v_floor` is the
+    fatal lower bound on push-sum weights; methods without push ignore it.
+    When `x0` is None the run starts from zeros; the string "random" draws a
+    standard normal block from `seed`. A push-sum violation or the first
+    non-finite residual ends the run early; that row is kept and
+    `metadata["terminated"]` says why.
     """
     method = METHODS.get(algorithm)
     if method is None:
@@ -309,30 +319,39 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
     prev_grad = None
     terminated = None
 
-    def record(st):
+    def record(st) -> float:
+        """Append one metrics row (each value as np.linalg.norm and
+        consensus_violation compute it) and return the residual."""
         nonlocal prev_grad
-        q = float(np.linalg.norm(st.x - x_star[None, :]))
+        q = _frobenius(st.x - x_star)
+        residual = q / r0 if r0 > 0 else q
         rows["k"].append(st.k)
-        rows["residual"].append(q / r0 if r0 > 0 else q)
-        rows["cons_viol_x"].append(consensus_violation(st.x))
+        rows["residual"].append(residual)
+        rows["cons_viol_x"].append(_frobenius(st.x - st.x.sum(axis=0) / n))
         if method.tracking:
             y = st.y / st.v[:, None] if method.push else st.y
-            rows["cons_viol_y"].append(consensus_violation(y))
+            rows["cons_viol_y"].append(_frobenius(y - y.sum(axis=0) / n))
             drift = st.y.sum(axis=0) - st.grad.sum(axis=0)
-            rows["conservation_err"].append(float(np.linalg.norm(drift)))
+            rows["conservation_err"].append(_frobenius(drift))
         else:
             rows["cons_viol_y"].append(float("nan"))
             rows["conservation_err"].append(float("nan"))
         rows["v_min"].append(float(st.v.min()) if method.push else float("nan"))
         q_norms.append(q)
-        z_norms.append(0.0 if prev_grad is None
-                       else float(np.linalg.norm(st.grad - prev_grad)))
-        grad_norms.append(float(np.linalg.norm(st.grad)))
+        z_norms.append(0.0 if prev_grad is None else _frobenius(st.grad - prev_grad))
+        grad_norms.append(_frobenius(st.grad))
         prev_grad = st.grad
+        return residual
 
-    record(state)
+    residual = record(state)
+    snap = mat = None
     for k in range(iterations):
-        mat = rule(seq.snapshot(k))
+        if not math.isfinite(residual):
+            break
+        current = seq.snapshot(k)
+        # a rule is a function of the snapshot: rebuild only on a change
+        if current is not snap and current != snap:
+            snap, mat = current, rule(current)
         a_k = alpha
         if method.diminishing:
             a_k = alpha(k) if callable(alpha) else alpha / math.sqrt(k + 1)
@@ -344,7 +363,9 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
         if record_states:
             states.append(state)
             mixers.append(mat)
-        record(state)
+        residual = record(state)
+    if not math.isfinite(residual):
+        terminated = f"residual is not finite at iteration {state.k}"
 
     trace = RunTrace(
         k=np.array(rows["k"], dtype=int),

@@ -2,13 +2,15 @@
 
 Doubly stochastic rules (Metropolis, lazy Metropolis) serve undirected
 snapshots; the out-degree rule builds column stochastic matrices for
-directed snapshots. Contraction is measured as the largest singular value
-of the windowed product minus the uniform averaging matrix.
+directed snapshots. Builders assemble each matrix from the snapshot's link
+index arrays. Contraction is measured as the largest singular value of the
+windowed product minus the uniform averaging matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -80,18 +82,25 @@ def lazy_metropolis(snapshot: GraphSnapshot) -> MixingMatrix:
     return _metropolis(snapshot, lazy=True)
 
 
+def _link_index(snapshot: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based (first, second) endpoint arrays of the snapshot's links."""
+    flat = np.fromiter(chain.from_iterable(snapshot.links), dtype=np.intp,
+                       count=2 * len(snapshot.links)) - 1
+    return flat[0::2], flat[1::2]
+
+
 def _metropolis(snapshot: GraphSnapshot, lazy: bool) -> MixingMatrix:
     if snapshot.kind != UNDIRECTED:
         raise ValueError(("lazy " if lazy else "")
                          + "Metropolis weights need an undirected snapshot")
     n = snapshot.n
-    d = snapshot.degrees()
+    a, b = _link_index(snapshot)
+    d = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    m = np.maximum(d[a], d[b])
+    v = 1.0 / (2 * m) if lazy else 1.0 / (1 + m)
     w = np.zeros((n, n))
-    for a, b in snapshot.links:
-        m = max(d[a - 1], d[b - 1])
-        v = 1.0 / (2 * m) if lazy else 1.0 / (1 + m)
-        w[a - 1, b - 1] = v
-        w[b - 1, a - 1] = v
+    w[a, b] = v
+    w[b, a] = v
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix(n, w, "lazy-metropolis" if lazy else "metropolis",
                         snapshot, validate_stochasticity(w, DOUBLY))
@@ -103,11 +112,11 @@ def out_degree_column(snapshot: GraphSnapshot) -> MixingMatrix:
     if snapshot.kind != DIRECTED:
         raise ValueError("out-degree weights need a directed snapshot")
     n = snapshot.n
-    share = 1.0 / (snapshot.out_degrees() + 1)
+    tail, head = _link_index(snapshot)
+    share = 1.0 / (np.bincount(tail, minlength=n) + 1)
     c = np.zeros((n, n))
     np.fill_diagonal(c, share)
-    for j, i in snapshot.links:
-        c[i - 1, j - 1] = share[j - 1]
+    c[head, tail] = share[tail]
     return MixingMatrix(n, c, "out-degree-column", snapshot,
                         validate_stochasticity(c, COLUMN))
 

@@ -3,6 +3,10 @@
 Each agent i holds f_i with a Lipschitz gradient constant L_i and a strong
 convexity modulus mu_i >= 0. Suite-level constants (max/mean Lipschitz,
 mean/max modulus, condition number) feed every rate bound.
+
+The built-in families also carry a stacked oracle that evaluates all n
+gradients on the n x p block at once, bit for bit equal to the per-agent
+loop, which stays the reference path for every other suite.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ class ObjectiveSuite:
     `mu_bar_override` lets a caller substitute an effective mean modulus
     (e.g. the restricted strong convexity constant near the solution) when
     the per-component moduli are zero but rate bounds are still wanted.
+    `stacked_grad`, when set, maps the n x p block to all n gradients at
+    once and must agree bit for bit with the components' oracles.
     """
 
     components: tuple[ComponentFunction, ...]
@@ -51,6 +57,7 @@ class ObjectiveSuite:
     mu_bar_override: float | None = None
     family: str = "custom"
     data: dict = field(default_factory=dict)
+    stacked_grad: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.components:
@@ -112,10 +119,13 @@ class ObjectiveSuite:
 
 
 def block_gradient(suite: ObjectiveSuite, x: np.ndarray) -> np.ndarray:
-    """Stack per-agent gradients: row i is grad f_i at row i of x."""
+    """Stack per-agent gradients: row i is grad f_i at row i of x. Uses the
+    suite's stacked oracle when it has one, the per-agent loop otherwise."""
     x = np.asarray(x, dtype=float)
     if x.shape != (suite.n, suite.p):
         raise ValueError(f"iterate block must be {suite.n}x{suite.p}, got {x.shape}")
+    if suite.stacked_grad is not None:
+        return suite.stacked_grad(x)
     out = np.empty_like(x)
     for i, c in enumerate(suite.components):
         out[i] = c.grad(x[i])
@@ -141,15 +151,18 @@ def quadratic_suite(targets: np.ndarray, curvatures: np.ndarray) -> ObjectiveSui
             L=ai, mu=ai)
 
     x_star = (a[:, None] * b).sum(axis=0) / a.sum()
+    b_all, a_col = b.copy(), a[:, None].copy()
     return ObjectiveSuite(tuple(make(i) for i in range(len(a))), x_star=x_star,
-                          family="quadratic", data={"targets": b, "curvatures": a})
+                          family="quadratic", data={"targets": b, "curvatures": a},
+                          stacked_grad=lambda x: a_col * (x - b_all))
 
 
 def zero_suite(n: int, p: int) -> ObjectiveSuite:
     """All-zero objectives; turns the optimizers into pure consensus runs."""
     comp = ComponentFunction(p, value=lambda x: 0.0,
                              grad=lambda x: np.zeros(p), L=0.0, mu=0.0)
-    return ObjectiveSuite((comp,) * n, family="zero", data={"n": n, "p": p})
+    return ObjectiveSuite((comp,) * n, family="zero", data={"n": n, "p": p},
+                          stacked_grad=lambda x: np.zeros((n, p)))
 
 
 def huber_value(a: float, xi: float) -> float:
@@ -188,8 +201,20 @@ def huber_regression_suite(rows: list[np.ndarray], targets: list[np.ndarray],
             return m.T @ r
 
         comps.append(ComponentFunction(p, value=value, grad=grad, L=L_i, mu=0.0))
+    stacked = None
+    if len({m.shape[0] for m in mats}) == 1:
+        # batched matmul runs the same BLAS call per agent as the loop does;
+        # the transposed view hands it each m.T exactly as `grad` does
+        m_all = np.stack(mats)
+        m_all_t = m_all.transpose(0, 2, 1)
+        y_all = np.stack(ys)[:, :, None]
+
+        def stacked(x):
+            r = np.clip(np.matmul(m_all, x[:, :, None]) - y_all, -xi, xi)
+            return np.matmul(m_all_t, r)[:, :, 0]
     return ObjectiveSuite(tuple(comps), family="huber",
-                          data={"rows": mats, "targets": ys, "xi": xi})
+                          data={"rows": mats, "targets": ys, "xi": xi},
+                          stacked_grad=stacked)
 
 
 @dataclass(frozen=True)

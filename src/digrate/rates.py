@@ -163,7 +163,10 @@ def diging_step_size_window(params: TheoryParams) -> StepSizeWindow:
     d = params.delta
     alpha_max = 1.5 * (1 - d) ** 2 / (params.mu_bar * j)
     root = math.sqrt(j * j + (1 - d * d) * j)
-    breakpoint = 1.5 * (root - d * j) ** 2 / (params.mu_bar * j * (j + 1) ** 2)
+    # root - d*j, rationalized: the plain difference cancels as delta -> 1
+    # and can push the branch point above alpha_max
+    gap = (1 - d) * (1 + d) * j * (j + 1) / (root + d * j)
+    breakpoint = 1.5 * gap ** 2 / (params.mu_bar * j * (j + 1) ** 2)
     return StepSizeWindow(alpha_max, breakpoint)
 
 

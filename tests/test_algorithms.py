@@ -381,3 +381,59 @@ class TestRunDriver:
                         0.1, 3000, x0="random", seed=1, v_floor=0.4)
         assert trace.metadata["terminated"] is not None
         assert len(trace) < 3001
+
+    def test_diverging_run_stops_at_first_nonfinite_residual(self):
+        rng = np.random.default_rng(5)
+        suite = quadratic_suite(rng.normal(size=(4, 2)), rng.uniform(0.5, 2.0, 4))
+        seq = graphs.static_sequence(
+            graphs.undirected(4, [(1, 2), (2, 3), (3, 4)]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = alg.run("diging", seq, mixing.metropolis, suite, 50.0, 2000,
+                            x0="random", seed=1)
+        assert not math.isfinite(trace.residual[-1])
+        assert np.all(np.isfinite(trace.residual[:-1]))
+        assert len(trace) < 2001
+        assert trace.metadata["terminated"] == (
+            f"residual is not finite at iteration {trace.k[-1]}")
+
+
+class TestMatrixReuse:
+    """`run` asks the rule for a matrix only when the snapshot changes."""
+
+    @staticmethod
+    def counting(rule):
+        calls = []
+
+        def counted(snap):
+            calls.append(snap)
+            return rule(snap)
+        return counted, calls
+
+    def test_static_sequence_builds_once_per_run(self):
+        suite = quadratic_suite(np.array([[0.0], [2.0], [1.0]]), np.ones(3))
+        seq = graphs.static_sequence(graphs.undirected(3, [(1, 2), (2, 3)]))
+        rule, calls = self.counting(mixing.metropolis)
+        for algorithm in ("diging", "diging-atc", "dgd"):
+            before = len(calls)
+            alg.run(algorithm, seq, rule, suite, 0.1, 50)
+            assert len(calls) - before == 1
+
+    def test_equal_snapshots_share_a_build(self):
+        # a directed view makes a new but equal snapshot at every iteration
+        suite = zero_suite(3, 1)
+        base = graphs.static_sequence(graphs.undirected(3, [(1, 2), (2, 3)]))
+        seq = graphs.GraphSequence(3, graphs.DIRECTED,
+                                   lambda k, s: base.snapshot(k).as_directed())
+        rule, calls = self.counting(mixing.out_degree_column)
+        trace = alg.run("push-diging", seq, rule, suite, 0.1, 40, x0="random")
+        assert len(calls) == 1
+        assert len(trace) == 41
+
+    def test_changing_snapshots_rebuild_each_change(self):
+        suite = zero_suite(3, 1)
+        a = graphs.undirected(3, [(1, 2)])
+        b = graphs.undirected(3, [(2, 3)])
+        seq = graphs.periodic_sequence([a, a, b], declared_B=3)
+        rule, calls = self.counting(mixing.metropolis)
+        alg.run("diging", seq, rule, suite, 0.1, 9, x0="random")
+        assert calls == [a, b, a, b, a, b]

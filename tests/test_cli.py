@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from digrate import cli
 
 
@@ -132,3 +134,34 @@ class TestAuditAndReproduce:
         out = capsys.readouterr().out
         assert "push-diging" in out and "subgradient-push" in out
         assert (tmp_path / "tv-directed-push-diging.csv").exists()
+
+
+class TestFailureExits:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_run_exits_runtime(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        config = write_config(
+            tmp_path, graph={"type": "static-path", "n": 4}, alpha=50.0,
+            iterations=2000)
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+        assert code == cli.EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "residual is not finite" in captured.err
+        assert "final residual nan" not in captured.out
+
+    def test_audit_window_near_delta_one_runs(self, tmp_path, capsys, monkeypatch):
+        # two-slot windows straddle blocks, so the empirical delta is about
+        # 1 - 3e-12 and the run falls back to the certified branch point
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        config = write_config(
+            tmp_path,
+            graph={"type": "block-connected", "n": 12, "window": 2, "seed": 1},
+            objective={"family": "quadratic", "n": 12, "p": 4, "seed": 1},
+            alpha=0.3, iterations=4000, seed=1,
+            theory_audit={"B": 2, "delta": "empirical", "lambda": "certified"})
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        audit = json.loads((tmp_path / "trace.csv.audit.json").read_text())
+        params = audit["metadata"]["theory_audit"]
+        assert 1 - 1e-11 < params["delta"] < 1
+        assert params["lambda_source"] == "certified-at-breakpoint"

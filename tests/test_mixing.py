@@ -239,3 +239,65 @@ class TestMatrixCsv:
         w = mixing.metropolis(path3()).entries
         back = mixing.matrix_from_csv(mixing.matrix_to_csv(w))
         assert np.array_equal(back, w)
+
+
+def loop_metropolis(snapshot, lazy):
+    """Reference Metropolis build, one link at a time."""
+    n = snapshot.n
+    d = snapshot.degrees()
+    w = np.zeros((n, n))
+    for a, b in snapshot.links:
+        m = max(d[a - 1], d[b - 1])
+        v = 1.0 / (2 * m) if lazy else 1.0 / (1 + m)
+        w[a - 1, b - 1] = v
+        w[b - 1, a - 1] = v
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def loop_out_degree(snapshot):
+    """Reference out-degree build, one arc at a time."""
+    n = snapshot.n
+    share = 1.0 / (snapshot.out_degrees() + 1)
+    c = np.zeros((n, n))
+    np.fill_diagonal(c, share)
+    for j, i in snapshot.links:
+        c[i - 1, j - 1] = share[j - 1]
+    return c
+
+
+def random_snapshots(count=40):
+    rng = np.random.default_rng(31)
+    for t in range(count):
+        n = int(rng.integers(1, 16))
+        density = 0.0 if t == 0 else float(rng.uniform(0, 1))
+        edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if rng.uniform() < density]
+        arcs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1)
+                if j != i and rng.uniform() < density]
+        yield graphs.undirected(n, edges), graphs.directed(n, arcs)
+
+
+class TestVectorizedBuilders:
+    """The index-array builders give the loop builders' entries exactly."""
+
+    def test_against_loop_reference(self):
+        seen_empty = False
+        for und, dig in random_snapshots():
+            seen_empty |= not und.links and not dig.links
+            for rule, lazy in ((mixing.metropolis, False),
+                               (mixing.lazy_metropolis, True)):
+                mat = rule(und)
+                assert np.array_equal(mat.entries, loop_metropolis(und, lazy))
+                assert mat.certificate.ok and mat.certificate.mode == mixing.DOUBLY
+            mat = mixing.out_degree_column(dig)
+            assert np.array_equal(mat.entries, loop_out_degree(dig))
+            assert mat.certificate.ok and mat.certificate.mode == mixing.COLUMN
+        assert seen_empty
+
+    def test_no_links_is_identity(self):
+        for rule, kind in ((mixing.metropolis, graphs.UNDIRECTED),
+                           (mixing.lazy_metropolis, graphs.UNDIRECTED),
+                           (mixing.out_degree_column, graphs.DIRECTED)):
+            mat = rule(graphs.empty_snapshot(5, kind))
+            assert np.array_equal(mat.entries, np.eye(5))

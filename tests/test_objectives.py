@@ -1,9 +1,11 @@
 """Objective suites: constants, gradient oracles, reference solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from digrate import objectives
+from digrate import harness, objectives
 from digrate.objectives import (block_gradient, check_gradients, huber_value,
                                 huber_regression_suite, quadratic_suite,
                                 solve_reference, zero_suite)
@@ -211,3 +213,59 @@ class TestSuiteSerialization:
         for c1, c2 in zip(suite.components, back.components):
             assert c1.value(x) == pytest.approx(c2.value(x), rel=1e-15)
             assert c1.grad(x) == pytest.approx(c2.grad(x), rel=1e-15)
+
+
+def loop_reference(suite, x):
+    """The per-agent reference path: the same suite without its stacked
+    oracle."""
+    return block_gradient(dataclasses.replace(suite, stacked_grad=None), x)
+
+
+class TestStackedOracle:
+    """The stacked oracles agree with the per-agent loop bit for bit."""
+
+    def suites(self):
+        rng = np.random.default_rng(21)
+        n, p = 7, 4
+        return {
+            "section6": harness.section6_problem(0).suite,
+            "huber-r3": huber_regression_suite(
+                [rng.normal(size=(3, p)) for _ in range(n)],
+                [3.0 * rng.normal(size=3) for _ in range(n)], xi=1.0),
+            "quadratic": quadratic_suite(rng.normal(size=(n, p)),
+                                         rng.uniform(0.5, 2.0, n)),
+            "zero": zero_suite(n, p),
+        }
+
+    @pytest.mark.parametrize("name", ["section6", "huber-r3", "quadratic", "zero"])
+    def test_matches_loop(self, name):
+        suite = self.suites()[name]
+        assert suite.stacked_grad is not None
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            x = 50.0 * rng.normal(size=(suite.n, suite.p))
+            assert np.array_equal(block_gradient(suite, x), loop_reference(suite, x))
+
+    @pytest.mark.parametrize("name", ["section6", "huber-r3", "quadratic", "zero"])
+    def test_non_contiguous_block(self, name):
+        suite = self.suites()[name]
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            x = 50.0 * rng.normal(size=(suite.p, suite.n)).T
+            assert not x.flags.c_contiguous
+            assert np.array_equal(block_gradient(suite, x), loop_reference(suite, x))
+
+    def test_ragged_huber_uses_loop(self):
+        rng = np.random.default_rng(24)
+        sizes = (1, 3, 2)
+        suite = huber_regression_suite([rng.normal(size=(r, 2)) for r in sizes],
+                                       [rng.normal(size=r) for r in sizes], xi=0.5)
+        assert suite.stacked_grad is None
+        x = rng.normal(size=(3, 2))
+        want = np.vstack([c.grad(x[i]) for i, c in enumerate(suite.components)])
+        assert np.array_equal(block_gradient(suite, x), want)
+
+    def test_loaded_suites_keep_stacked_oracle(self, tmp_path):
+        suite = self.suites()["huber-r3"]
+        objectives.save_suite(suite, tmp_path)
+        assert objectives.load_suite(tmp_path).stacked_grad is not None

@@ -59,6 +59,14 @@ class TestStepSizeWindow:
             w = diging_step_size_window(p)
             assert 0 < w.breakpoint <= w.alpha_max * (1 + 1e-12)
 
+    def test_breakpoint_below_alpha_max_near_delta_one(self):
+        # the audit-cli window that straddles blocks: delta = 1 - 3e-12
+        for delta in (1 - 3e-12, 0.9999999999969476, 1 - 1e-15):
+            p = params(n=12, B=2, delta=delta, mu_bar=1.2994954043582434,
+                       L=1.925695544488903)
+            w = diging_step_size_window(p)
+            assert 0 < w.breakpoint <= w.alpha_max * (1 + 1e-12)
+
     def test_no_guarantee_at_delta_one(self):
         with pytest.raises(rates.NoGuaranteeError):
             diging_step_size_window(params(delta=1.0))
