@@ -345,25 +345,28 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
 
     residual = record(state)
     snap = mat = None
-    for k in range(iterations):
-        if not math.isfinite(residual):
-            break
-        current = seq.snapshot(k)
-        # a rule is a function of the snapshot: rebuild only on a change
-        if current is not snap and current != snap:
-            snap, mat = current, rule(current)
-        a_k = alpha
-        if method.diminishing:
-            a_k = alpha(k) if callable(alpha) else alpha / math.sqrt(k + 1)
-        try:
-            state = advance(state, mat, suite, a_k, v_floor=v_floor)
-        except PushSumViolation as exc:
-            terminated = str(exc)
-            break
-        if record_states:
-            states.append(state)
-            mixers.append(mat)
-        residual = record(state)
+    # a diverging run overflows on its way to the first non-finite residual,
+    # where the loop stops and says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iterations):
+            if not math.isfinite(residual):
+                break
+            current = seq.snapshot(k)
+            # a rule is a function of the snapshot: rebuild only on a change
+            if current is not snap and current != snap:
+                snap, mat = current, rule(current)
+            a_k = alpha
+            if method.diminishing:
+                a_k = alpha(k) if callable(alpha) else alpha / math.sqrt(k + 1)
+            try:
+                state = advance(state, mat, suite, a_k, v_floor=v_floor)
+            except PushSumViolation as exc:
+                terminated = str(exc)
+                break
+            if record_states:
+                states.append(state)
+                mixers.append(mat)
+            residual = record(state)
     if not math.isfinite(residual):
         terminated = f"residual is not finite at iteration {state.k}"
 

@@ -8,6 +8,7 @@ regenerated at random access without replaying the stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -42,18 +43,6 @@ class GraphSnapshot:
                 raise ValueError(f"self-loop ({j},{i}) not allowed")
             if self.kind == UNDIRECTED and j > i:
                 raise ValueError(f"undirected link ({j},{i}) not canonical (min,max)")
-
-    def neighbors(self, i: int) -> set[int]:
-        """Undirected neighbor set of vertex i."""
-        if self.kind != UNDIRECTED:
-            raise ValueError("neighbors() is for undirected snapshots")
-        out = set()
-        for a, b in self.links:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees, index 0 holding vertex 1."""
@@ -91,10 +80,13 @@ class GraphSnapshot:
         return undirected(self.n, ((min(j, i), max(j, i)) for j, i in self.links))
 
     def is_connected(self) -> bool:
-        """Single BFS component (undirected) or single SCC (directed)."""
+        """Connected (undirected) or strongly connected (directed): vertex 1
+        reaches every vertex along the links and, for arcs, also against
+        them."""
+        back = [(i, j) for j, i in self.links]
         if self.kind == UNDIRECTED:
-            return _bfs_connected(self)
-        return _scc_count(self) == 1
+            return _reaches_all(self.n, chain(self.links, back))
+        return _reaches_all(self.n, self.links) and _reaches_all(self.n, back)
 
 
 def undirected(n: int, edges: Iterable[Link]) -> GraphSnapshot:
@@ -113,68 +105,20 @@ def empty_snapshot(n: int, kind: str = UNDIRECTED) -> GraphSnapshot:
     return GraphSnapshot(n, kind, frozenset())
 
 
-def _bfs_connected(snap: GraphSnapshot) -> bool:
-    if snap.n == 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(1, snap.n + 1)}
-    for a, b in snap.links:
-        adj[a].append(b)
-        adj[b].append(a)
+def _reaches_all(n: int, arcs: Iterable[Link]) -> bool:
+    """Whether a search from vertex 1 along (tail, head) arcs reaches all n
+    vertices."""
+    out: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for j, i in arcs:
+        out[j].append(i)
     seen = {1}
     frontier = [1]
     while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
+        for w in out[frontier.pop()]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return len(seen) == snap.n
-
-
-def _scc_count(snap: GraphSnapshot) -> int:
-    """Number of strongly connected components (Kosaraju, iterative DFS)."""
-    n = snap.n
-    fwd: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    rev: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for j, i in snap.links:
-        fwd[j].append(i)
-        rev[i].append(j)
-
-    order: list[int] = []
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        stack = [(start, iter(fwd[start]))]
-        seen[start] = True
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(fwd[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(v)
-                stack.pop()
-
-    count = 0
-    seen = [False] * (n + 1)
-    for start in reversed(order):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for w in rev[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
+    return len(seen) == n
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms, graphs, mixing, objectives
-from .rates import AUDITED, TheoryParams, diging_rate, diging_step_size_window
+from .rates import (AUDITED, NoGuaranteeError, TheoryParams, diging_rate,
+                    diging_step_size_window)
 from .traces import RunTrace
 
 
@@ -312,6 +313,12 @@ def validate_config(config: ExperimentConfig, horizon: int | None = None) -> lis
                             f"by {dev:.3e}")
             break
 
+    if config.theory_audit is not None:
+        try:
+            _audit_params(config, seq, suite, build_alpha(config.alpha))
+        except NoGuaranteeError as exc:
+            problems.append(f"theory_audit: {exc}")
+
     fd = objectives.check_gradients(suite, seed=config.seed)
     if fd > 1e-4:
         problems.append(f"gradients: finite-difference mismatch {fd:.3e}")
@@ -330,14 +337,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     suite = build_suite(config.objective)
     rule = build_rule(config.mixing)
     alpha = build_alpha(config.alpha)
+    # an audit block that certifies nothing fails here, before any iteration
+    audit = None
+    if config.theory_audit is not None:
+        audit = _audit_params(config, seq, suite,
+                              None if callable(alpha) else alpha)
     trace = algorithms.run(
         config.algorithm, seq, rule, suite, alpha,
         iterations=config.iterations, seed=seed,
         x0="random" if config.x0 == "random" else None,
-        record_audit=config.theory_audit is not None,
+        record_audit=audit is not None,
         v_floor=push_weight_floor(seq))
-    if config.theory_audit is not None:
-        trace.metadata["theory_audit"] = _audit_params(config, seq, suite, trace)
+    if audit is not None:
+        trace.metadata["theory_audit"] = audit
     if config.output is not None:
         path = Path(config.output)
         if out_dir is not None:
@@ -348,8 +360,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     return trace
 
 
-def _audit_params(config: ExperimentConfig, seq, suite, trace) -> dict:
-    """Resolve the theory-audit block into concrete audit parameters."""
+def _audit_params(config: ExperimentConfig, seq, suite,
+                  alpha: float | None) -> dict:
+    """Resolve the theory-audit block into concrete audit parameters for a
+    run at fixed step `alpha` (None: 0.9 times the certified branch point).
+    Raises NoGuaranteeError when the contraction certifies nothing."""
     block = dict(config.theory_audit)
     B = int(block.get("B", seq.declared_B or 1))
     delta = block.get("delta", "empirical")
@@ -373,7 +388,7 @@ def _audit_params(config: ExperimentConfig, seq, suite, trace) -> dict:
                           L=suite.L, mu_hat=suite.mu_hat or None,
                           beta=block.get("beta"), eta=block.get("eta", 1.0))
         window = diging_step_size_window(tp)
-        alpha = trace.metadata.get("alpha") or 0.9 * window.breakpoint
+        alpha = alpha or 0.9 * window.breakpoint
         if alpha <= window.alpha_max:
             params["lambda"] = diging_rate(alpha, tp).lam
             params["lambda_source"] = "certified"

@@ -4,7 +4,9 @@ Doubly stochastic rules (Metropolis, lazy Metropolis) serve undirected
 snapshots; the out-degree rule builds column stochastic matrices for
 directed snapshots. Builders assemble each matrix from the snapshot's link
 index arrays. Contraction is measured as the largest singular value of the
-windowed product minus the uniform averaging matrix.
+windowed product minus the uniform averaging matrix, by LAPACK's SVD; a
+window whose union graph is not connected contracts nothing and has
+delta = 1.
 """
 
 from __future__ import annotations
@@ -14,20 +16,13 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import DIRECTED, UNDIRECTED, GraphSequence, GraphSnapshot
+from .graphs import (DIRECTED, UNDIRECTED, GraphSequence, GraphSnapshot,
+                     union_graph)
 
 DOUBLY = "doubly"
 COLUMN = "column"
 
 STOCHASTICITY_TOL = 1e-12
-
-
-class PowerIterationError(RuntimeError):
-    """Spectral estimate failed to settle within the iteration cap."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
 
 
 @dataclass(frozen=True)
@@ -176,44 +171,11 @@ def averaging_gap(matrix: np.ndarray) -> np.ndarray:
     return m - np.full((n, n), 1.0 / n)
 
 
-def spectral_deviation(matrix: np.ndarray | MixingMatrix, rtol: float = 1e-12,
-                       max_iter: int = 100_000) -> float:
-    """Largest singular value of (matrix - uniform averaging).
-
-    Power iteration on A^T A with a deterministic start vector (all ones
-    plus an index-proportional perturbation, so it is never trapped in the
-    null space of a doubly stochastic deviation). Raises
-    PowerIterationError, carrying the last estimate, if the relative change
-    does not fall below `rtol` within `max_iter` sweeps.
-    """
+def spectral_deviation(matrix: np.ndarray | MixingMatrix) -> float:
+    """Largest singular value of (matrix - uniform averaging)."""
     if isinstance(matrix, MixingMatrix):
         matrix = matrix.entries
-    a = averaging_gap(matrix)
-    n = a.shape[0]
-    if n == 1:
-        return float(abs(a[0, 0]))
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return 0.0
-    v = 1.0 + np.arange(1, n + 1) / n
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        u = a.T @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            # start vector fell entirely into the null space; the deviation
-            # along it is exactly zero
-            return 0.0
-        new_sigma = float(np.sqrt(w @ w))  # ||A v|| with unit v
-        v = u / nu
-        if abs(new_sigma - sigma) <= rtol * max(new_sigma, np.finfo(float).tiny):
-            return new_sigma
-        sigma = new_sigma
-    raise PowerIterationError(
-        f"power iteration did not settle to rtol={rtol:g} in {max_iter} sweeps",
-        last_estimate=sigma)
+    return float(np.linalg.norm(averaging_gap(matrix), 2))
 
 
 def window_product(seq: GraphSequence, rule, k: int, B: int) -> np.ndarray:
@@ -230,14 +192,19 @@ def estimate_delta(seq: GraphSequence, rule, B: int, horizon: int) -> Contractio
     """Supremum of spectral_deviation over all length-B windows whose
     snapshots lie in [0, horizon). A finite-horizon stand-in for the
     all-time supremum; exact for periodic sequences once the horizon covers
-    a full period."""
+    a full period. A window whose union graph is not connected counts as
+    1.0, which certifies nothing, without a product or an SVD."""
     if B < 1:
         raise ValueError("window length must be >= 1")
     if horizon < B:
         raise ValueError("horizon must cover at least one window")
     per_window = []
     for k in range(B - 1, horizon):
-        per_window.append((k, spectral_deviation(window_product(seq, rule, k, B))))
+        if union_graph(seq, k - B + 1, B).is_connected():
+            sigma = spectral_deviation(window_product(seq, rule, k, B))
+        else:
+            sigma = 1.0
+        per_window.append((k, sigma))
     delta = max(v for _, v in per_window)
     return ContractionEstimate(B, horizon, delta, tuple(per_window))
 

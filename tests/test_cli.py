@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, determinism, printed bound values."""
 
 import json
+import warnings
 
 import pytest
 
@@ -23,6 +24,16 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+# block-connected windows of two slots audited with B = 2: at seed 1 some
+# window straddles two blocks and its union graph is not connected, so
+# delta = 1 and the audit block certifies nothing
+DELTA_ONE_AUDIT = dict(
+    graph={"type": "block-connected", "n": 12, "window": 2, "seed": 1},
+    objective={"family": "quadratic", "n": 12, "p": 4, "seed": 1},
+    alpha=0.3, iterations=4000, seed=1,
+    theory_audit={"B": 2, "delta": "empirical", "lambda": "certified"})
 
 
 class TestRun:
@@ -67,6 +78,13 @@ class TestValidate:
         assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "window 0" in err
+
+    def test_audit_block_certifying_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path, **DELTA_ONE_AUDIT)
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "theory_audit: delta=1.0 >= 1 certifies nothing" in captured.err
+        assert "config valid" not in captured.out
 
     def test_kind_mismatch(self, tmp_path, capsys):
         config = write_config(tmp_path, algorithm="push-diging")
@@ -137,7 +155,6 @@ class TestAuditAndReproduce:
 
 
 class TestFailureExits:
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_run_exits_runtime(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
         config = write_config(
@@ -149,19 +166,24 @@ class TestFailureExits:
         assert "residual is not finite" in captured.err
         assert "final residual nan" not in captured.out
 
-    def test_audit_window_near_delta_one_runs(self, tmp_path, capsys, monkeypatch):
-        # two-slot windows straddle blocks, so the empirical delta is about
-        # 1 - 3e-12 and the run falls back to the certified branch point
+    def test_diverging_run_warns_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
         config = write_config(
-            tmp_path,
-            graph={"type": "block-connected", "n": 12, "window": 2, "seed": 1},
-            objective={"family": "quadratic", "n": 12, "p": 4, "seed": 1},
-            alpha=0.3, iterations=4000, seed=1,
-            theory_audit={"B": 2, "delta": "empirical", "lambda": "certified"})
+            tmp_path, graph={"type": "static-path", "n": 4}, alpha=50.0,
+            iterations=2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", "--config", str(config),
+                             "--out", str(tmp_path)])
+        assert code == cli.EXIT_RUNTIME
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_audit_window_with_delta_one_fails_fast(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        config = write_config(tmp_path, **DELTA_ONE_AUDIT)
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
-        assert code == cli.EXIT_OK
-        audit = json.loads((tmp_path / "trace.csv.audit.json").read_text())
-        params = audit["metadata"]["theory_audit"]
-        assert 1 - 1e-11 < params["delta"] < 1
-        assert params["lambda_source"] == "certified-at-breakpoint"
+        assert code == cli.EXIT_VALIDATION
+        assert "certifies nothing" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "trace.csv.audit.json").exists()

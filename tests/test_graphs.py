@@ -131,14 +131,21 @@ class TestRandomDigraph:
         assert snap.is_connected()  # main-path SCC check agrees with oracle
 
     def test_oracle_agreement_random(self):
+        # one search serves both kinds; an undirected snapshot is checked
+        # against the closure of its arc pairs
         rng = np.random.default_rng(3)
+        snaps = [graphs.empty_snapshot(1), graphs.empty_snapshot(5),
+                 graphs.empty_snapshot(1, graphs.DIRECTED)]
         for _ in range(25):
             n = int(rng.integers(2, 9))
             arcs = [(int(j) + 1, int(i) + 1)
                     for j in range(n) for i in range(n)
                     if j != i and rng.random() < 0.3]
-            snap = graphs.directed(n, arcs)
-            assert snap.is_connected() == closure_strongly_connected(snap)
+            snaps.append(graphs.directed(n, arcs))
+            snaps.append(graphs.undirected(n, [(j, i) for j, i in arcs if j < i]))
+        for snap in snaps:
+            assert snap.is_connected() == closure_strongly_connected(
+                snap.as_directed())
 
     def test_infeasible_sizes(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from digrate import algorithms as alg
-from digrate import graphs, harness, mixing, objectives
+from digrate import graphs, harness, mixing, objectives, rates
 from digrate.harness import (ExperimentConfig, XI, geometric_segment, rate_fit,
                              run_experiment, section6_problem, validate_config)
 from digrate.traces import RunTrace
@@ -247,6 +247,27 @@ class TestExperimentConfig:
         problems = validate_config(ExperimentConfig.load(path))
         assert any(p.startswith("theory_audit:") and algorithm in p
                    for p in problems)
+
+    def test_audit_certifying_nothing_fails_before_the_run(self, tmp_path,
+                                                          monkeypatch):
+        # two-slot audit windows of a two-slot block-connected sequence:
+        # at seed 1 one of them has a disconnected union, so delta = 1
+        path, _ = quadratic_config(
+            tmp_path, iterations=4000, seed=1, alpha=0.3,
+            graph={"type": "block-connected", "n": 12, "window": 2, "seed": 1},
+            objective={"family": "quadratic", "n": 12, "p": 4, "seed": 1},
+            theory_audit={"B": 2, "delta": "empirical", "lambda": "certified"})
+        config = ExperimentConfig.load(path)
+        assert validate_config(config) == [
+            "theory_audit: delta=1.0 >= 1 certifies nothing"]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(alg, "run", no_run)
+        with pytest.raises(rates.NoGuaranteeError):
+            run_experiment(config, out_dir=tmp_path)
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_schedule_on_fixed_step_method_flagged(self, tmp_path):
         path, _ = quadratic_config(tmp_path, alpha={"schedule": "sqrt"})

@@ -169,12 +169,6 @@ class TestSpectralDeviation:
             expected = np.linalg.svd(mixing.averaging_gap(w), compute_uv=False)[0]
             assert mixing.spectral_deviation(w) == pytest.approx(expected, abs=1e-10)
 
-    def test_iteration_cap_error_carries_estimate(self):
-        w = mixing.metropolis(path3())
-        with pytest.raises(mixing.PowerIterationError) as err:
-            mixing.spectral_deviation(w, rtol=0.0, max_iter=3)
-        assert err.value.last_estimate > 0.0
-
 
 class TestEstimateDelta:
     def test_static_two_clique(self):
@@ -196,6 +190,18 @@ class TestEstimateDelta:
         # over a two-step window the union connects and contraction appears
         est2 = mixing.estimate_delta(seq, mixing.metropolis, B=2, horizon=6)
         assert est2.delta_empirical < 1.0
+
+    def test_disconnected_union_is_exactly_one(self):
+        # block-connected windows of two slots checked two at a time: some
+        # straddle blocks and leave their union graph disconnected
+        seq = graphs.block_connected_sequence(12, 2, seed=1)
+        est = mixing.estimate_delta(seq, mixing.metropolis, B=2, horizon=6)
+        assert est.delta_empirical == 1.0
+        for k, sigma in est.per_window:
+            if graphs.union_graph(seq, k - 1, 2).is_connected():
+                assert sigma < 1.0
+            else:
+                assert sigma == 1.0
 
     def test_per_window_max(self):
         seq = graphs.block_connected_sequence(5, 2, seed=3)
