@@ -47,7 +47,7 @@ class Method:
     tracking: bool      # descend along the tracker y, not the raw gradient
     push: bool          # column stochastic mixing with push-sum weights v
     atc: bool           # adapt then combine: mix after the local step
-    diminishing: bool   # step sizes follow a schedule k -> alpha_k
+    diminishing: bool   # step sizes alpha_k = alpha / sqrt(k+1)
 
 
 METHODS = {
@@ -149,11 +149,6 @@ diging_atc_step = partial(step, METHODS["diging-atc"])
 push_diging_step = partial(step, METHODS["push-diging"])
 dgd_step = partial(step, METHODS["dgd"])
 subgradient_push_step = partial(step, METHODS["subgradient-push"])
-
-
-def sqrt_schedule(a: float) -> Callable[[int], float]:
-    """alpha_k = a / sqrt(k+1); iteration indices here start at zero."""
-    return lambda k: a / math.sqrt(k + 1)
 
 
 def radius_perturbation(rho: float) -> Callable[[int, int, int], np.ndarray]:
@@ -260,15 +255,39 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(a.dot(a))
 
 
+def input_problems(algorithm: str, seq: GraphSequence, suite: ObjectiveSuite,
+                   schedule: bool = False) -> list[str]:
+    """One message per rule that a method and its inputs break: unknown tag,
+    wrong sequence kind, a schedule on a fixed-step method, mismatched
+    sizes. `run` raises the first; a config's validation lists them all."""
+    method = METHODS.get(algorithm)
+    if method is None:
+        return [f"algorithm: unknown tag {algorithm!r}"]
+    problems = []
+    if method.push and seq.kind != DIRECTED:
+        problems.append(f"kind: {algorithm} needs a directed sequence; set "
+                        "graph.directed_view for undirected bases")
+    if not method.push and seq.kind == DIRECTED:
+        problems.append(f"kind: {algorithm} needs an undirected sequence")
+    if schedule and not method.diminishing:
+        problems.append(f"alpha: {algorithm} takes a fixed step size, "
+                        "not a schedule")
+    if seq.n != suite.n:
+        problems.append(f"size: graph has {seq.n} vertices, objective has "
+                        f"{suite.n} agents")
+    return problems
+
+
 def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
-        alpha, iterations: int, seed: int = 0, x0: np.ndarray | None = None,
+        alpha: float, iterations: int, seed: int = 0, x0: np.ndarray | None = None,
         x_star: np.ndarray | None = None, record_audit: bool = False,
         record_states: bool = False, v_floor: float | None = None) -> RunTrace:
     """Drive one algorithm over a graph sequence and record per-iteration
     metrics; deterministic in all inputs.
 
-    `alpha` is a float for fixed-step methods; a diminishing method also
-    takes a callable k -> alpha_k, and turns a float a into a / sqrt(k+1).
+    `alpha` is the fixed step size; a diminishing method reads it as the
+    scale a of alpha_k = a / sqrt(k+1). `input_problems` lists what `run`
+    rejects with a ValueError.
     `rule` maps a snapshot to a MixingMatrix; it is called again only when
     the snapshot differs from the previous iteration's. `v_floor` is the
     fatal lower bound on push-sum weights; methods without push ignore it.
@@ -277,20 +296,12 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
     non-finite residual ends the run early; that row is kept and
     `metadata["terminated"]` says why.
     """
-    method = METHODS.get(algorithm)
-    if method is None:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if method.push and seq.kind != DIRECTED:
-        raise ValueError(f"{algorithm} needs a directed graph sequence "
-                         "(convert undirected snapshots to arc pairs first)")
-    if not method.push and seq.kind == DIRECTED:
-        raise ValueError(f"{algorithm} needs an undirected graph sequence")
-    if callable(alpha) and not method.diminishing:
-        raise ValueError(f"{algorithm} takes a fixed step size, not a schedule")
+    problems = input_problems(algorithm, seq, suite)
+    if problems:
+        raise ValueError(problems[0])
+    method = METHODS[algorithm]
 
     n, p = suite.n, suite.p
-    if seq.n != n:
-        raise ValueError(f"graph has {seq.n} vertices but suite has {n} agents")
     if isinstance(x0, str) and x0 == "random":
         x0 = np.random.default_rng(seed).normal(size=(n, p))
     elif x0 is None:
@@ -355,9 +366,7 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
             # a rule is a function of the snapshot: rebuild only on a change
             if current is not snap and current != snap:
                 snap, mat = current, rule(current)
-            a_k = alpha
-            if method.diminishing:
-                a_k = alpha(k) if callable(alpha) else alpha / math.sqrt(k + 1)
+            a_k = alpha / math.sqrt(k + 1) if method.diminishing else alpha
             try:
                 state = advance(state, mat, suite, a_k, v_floor=v_floor)
             except PushSumViolation as exc:
@@ -379,7 +388,7 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
         v_min=np.array(rows["v_min"]),
         metadata={
             "algorithm": algorithm,
-            "alpha": None if callable(alpha) else float(alpha),
+            "alpha": float(alpha),
             "iterations": iterations,
             "seed": seed,
             "graph": seq.description,

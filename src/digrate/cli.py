@@ -32,8 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (rates.SmallGainInapplicableError, rates.RateWindowError,
-            rates.NoGuaranteeError, ValueError) as exc:
+    except ValueError as exc:  # the rates module's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RuntimeError, OSError) as exc:
@@ -174,13 +173,12 @@ def _cmd_audit(args) -> int:
     if lam is None:
         raise ConfigError("no rate given: pass --lambda or store one in the "
                           "trace's theory_audit block")
-    params = rates.TheoryParams(
-        n=int(meta.get("n", trace.metadata.get("n"))),
-        B=int(meta.get("B", 1)),
-        delta=float(meta["delta"]),
-        mu_bar=float(meta["mu_bar"]), L=float(meta["L"]),
-        mu_hat=meta.get("mu_hat"), beta=meta.get("beta"),
-        eta=float(meta.get("eta", 1.0)))
+    try:
+        params = rates.TheoryParams(**{k: v for k, v in meta.items()
+                                       if k not in ("lambda", "lambda_source")})
+    except TypeError as exc:
+        raise ConfigError(f"trace's theory_audit block does not hold the "
+                          f"audit constants: {exc}") from exc
     ledger = rates.audit_small_gain(trace, params, lam)
     names = ("optimality->grad-diff", "grad-diff->tracker-viol",
              "tracker-viol->iterate-viol", "iterate-viol->optimality")

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithms, graphs, mixing, objectives
-from .rates import (AUDITED, NoGuaranteeError, TheoryParams, diging_rate,
+from .rates import (NoGuaranteeError, TheoryParams, diging_rate,
                     diging_step_size_window)
 from .traces import RunTrace
 
@@ -103,15 +103,21 @@ class ExperimentConfig:
     graph: dict
     mixing: "str | dict"
     objective: dict
-    alpha: "float | dict"
+    alpha: "float | dict"     # a step size, or {"schedule": "sqrt", "a": scale}
     iterations: int
     seed: int = 0
     x0: str = "zeros"
     output: str | None = None
     theory_audit: dict | None = None
 
+    @property
+    def step_size(self) -> float:
+        """The fixed step size, or the scale a of alpha_k = a / sqrt(k+1)."""
+        return self.alpha["a"] if isinstance(self.alpha, dict) else self.alpha
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Parse and check every field once; a bad one raises ConfigError."""
         required = ("algorithm", "graph", "mixing", "objective", "alpha",
                     "iterations")
         missing = [f for f in required if f not in raw]
@@ -121,7 +127,27 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"config has unknown fields: {', '.join(sorted(unknown))}")
-        return cls(**raw)
+        config = cls(**raw)
+        a = config.alpha
+        if isinstance(a, dict):
+            if a.get("schedule") != "sqrt" or not set(a) <= {"schedule", "a"}:
+                raise ConfigError("alpha: only the 'sqrt' diminishing schedule "
+                                  'is defined, as {"schedule": "sqrt", "a": scale}')
+            a = a.get("a", 1.0)
+        if isinstance(a, bool) or not isinstance(a, (int, float)) \
+                or not 0 < a < math.inf:
+            raise ConfigError(f"alpha: {a!r} is not a positive step size")
+        for name in ("iterations", "seed"):
+            value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{name}: {value!r} is not a nonnegative integer")
+        if config.x0 not in ("zeros", "random"):
+            raise ConfigError(f"x0: {config.x0!r} is not 'zeros' or 'random'")
+        if config.output is not None and not isinstance(config.output, str):
+            raise ConfigError(f"output: {config.output!r} is not a string or null")
+        config.alpha = ({"schedule": "sqrt", "a": float(a)}
+                        if isinstance(config.alpha, dict) else float(a))
+        return config
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -238,14 +264,6 @@ def build_rule(cfg):
     raise ConfigError(f"unknown mixing rule {cfg!r}")
 
 
-def build_alpha(cfg):
-    if isinstance(cfg, dict):
-        if cfg.get("schedule") != "sqrt":
-            raise ConfigError("only the 'sqrt' diminishing schedule is defined")
-        return algorithms.sqrt_schedule(cfg.get("a", 1.0))
-    return float(cfg)
-
-
 def push_weight_floor(seq: graphs.GraphSequence) -> float | None:
     """Fatal push-sum weight floor 1e-3 * n^(-n * B_minus) when the sequence
     declares its connectivity window; None keeps only the positivity check."""
@@ -256,55 +274,42 @@ def push_weight_floor(seq: graphs.GraphSequence) -> float | None:
     return math.exp(ln_floor) if ln_floor > -700 else 0.0
 
 
-def validate_config(config: ExperimentConfig, horizon: int | None = None) -> list[str]:
-    """Dry-run checks; returns human-readable problems (empty means valid)."""
-    problems: list[str] = []
-    try:
-        seq = build_sequence(config.graph)
-    except (ConfigError, ValueError, OSError) as exc:
-        return [f"graph: {exc}"]
-    try:
-        suite = build_suite(config.objective)
-    except (ConfigError, ValueError, OSError) as exc:
-        return [f"objective: {exc}"]
-    try:
-        rule = build_rule(config.mixing)
-    except (ConfigError, ValueError, OSError) as exc:
-        return [f"mixing: {exc}"]
+def _assemble(config: ExperimentConfig):
+    """(seq, suite, rule, problems, audit) of a parsed config, each built
+    once: `problems` lists the method and input rules they break; with none,
+    `audit` is the theory_audit block's sidecar dict, or the NoGuaranteeError
+    saying why it certifies nothing (None without a block)."""
+    seq = build_sequence(config.graph)
+    suite = build_suite(config.objective)
+    rule = build_rule(config.mixing)
+    problems = algorithms.input_problems(
+        config.algorithm, seq, suite, schedule=isinstance(config.alpha, dict))
+    audit = None
+    if not problems and config.theory_audit is not None:
+        try:
+            audit = _audit_params(config, seq, suite, rule)
+        except ValueError as exc:
+            audit = NoGuaranteeError(f"theory_audit: {exc}")
+    return seq, suite, rule, problems, audit
 
-    method = algorithms.METHODS.get(config.algorithm)
-    if method is None:
-        problems.append(f"algorithm: unknown tag {config.algorithm!r}")
-        return problems
-    if method.push and seq.kind != graphs.DIRECTED:
-        problems.append(f"kind: {config.algorithm} needs a directed sequence; "
-                        "set graph.directed_view for undirected bases")
-    if not method.push and seq.kind == graphs.DIRECTED:
-        problems.append(f"kind: {config.algorithm} needs an undirected sequence")
-    if isinstance(config.alpha, dict) and not method.diminishing:
-        problems.append(f"alpha: {config.algorithm} takes a fixed step size, "
-                        "not a schedule")
-    if config.theory_audit is not None and config.algorithm not in AUDITED:
-        problems.append(f"theory_audit: no audited gain cycle for "
-                        f"{config.algorithm}; audited methods are "
-                        f"{', '.join(AUDITED)}")
-    if seq.n != suite.n:
-        problems.append(f"size: graph has {seq.n} vertices, objective has "
-                        f"{suite.n} agents")
+
+def validate_config(config: ExperimentConfig) -> list[str]:
+    """Dry-run checks; returns human-readable problems (empty means valid).
+    A block that does not build raises, as it does for run_experiment."""
+    seq, suite, rule, problems, audit = _assemble(config)
     if problems:
         return problems
-
     B = seq.declared_B or 1
-    horizon = horizon or max(4 * B, 8)
-    check = graphs.is_jointly_connected(seq, B, horizon)
+    check = graphs.is_jointly_connected(seq, B, max(4 * B, 8))
     if not check.ok:
         problems.append(f"connectivity: union over window {check.first_failure} "
                         f"(iterations {check.first_failure * B}.."
                         f"{check.first_failure * B + B - 1}) is not "
                         "connected")
 
-    mode = mixing.COLUMN if method.push else mixing.DOUBLY
-    for k in range(min(horizon, 4)):
+    push = algorithms.METHODS[config.algorithm].push
+    mode = mixing.COLUMN if push else mixing.DOUBLY
+    for k in range(4):
         mat = rule(seq.snapshot(k))
         report = mixing.validate_stochasticity(mat.entries, mode)
         if not report.ok:
@@ -313,11 +318,8 @@ def validate_config(config: ExperimentConfig, horizon: int | None = None) -> lis
                             f"by {dev:.3e}")
             break
 
-    if config.theory_audit is not None:
-        try:
-            _audit_params(config, seq, suite, build_alpha(config.alpha))
-        except NoGuaranteeError as exc:
-            problems.append(f"theory_audit: {exc}")
+    if isinstance(audit, NoGuaranteeError):
+        problems.append(str(audit))
 
     fd = objectives.check_gradients(suite, seed=config.seed)
     if fd > 1e-4:
@@ -329,25 +331,22 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                    seed_override: int | None = None) -> RunTrace:
     """Execute one configured run; writes the trace CSV (plus audit sidecar
     when a theory-audit block is present) if an output path is set."""
-    seed = config.seed if seed_override is None else seed_override
-    graph_cfg = dict(config.graph)
-    if seed_override is not None and "seed" in graph_cfg:
-        graph_cfg["seed"] = seed_override
-    seq = build_sequence(graph_cfg)
-    suite = build_suite(config.objective)
-    rule = build_rule(config.mixing)
-    alpha = build_alpha(config.alpha)
+    if seed_override is not None:
+        graph = dict(config.graph)
+        if "seed" in graph:
+            graph["seed"] = seed_override
+        config = replace(config, graph=graph, seed=seed_override)
+    seq, suite, rule, problems, audit = _assemble(config)
+    if problems:
+        raise ValueError(problems[0])
     # an audit block that certifies nothing fails here, before any iteration
-    audit = None
-    if config.theory_audit is not None:
-        audit = _audit_params(config, seq, suite,
-                              None if callable(alpha) else alpha)
+    if isinstance(audit, NoGuaranteeError):
+        raise audit
     trace = algorithms.run(
-        config.algorithm, seq, rule, suite, alpha,
-        iterations=config.iterations, seed=seed,
+        config.algorithm, seq, rule, suite, config.step_size,
+        iterations=config.iterations, seed=config.seed,
         x0="random" if config.x0 == "random" else None,
-        record_audit=audit is not None,
-        v_floor=push_weight_floor(seq))
+        record_audit=audit is not None, v_floor=push_weight_floor(seq))
     if audit is not None:
         trace.metadata["theory_audit"] = audit
     if config.output is not None:
@@ -360,47 +359,39 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
     return trace
 
 
-def _audit_params(config: ExperimentConfig, seq, suite,
-                  alpha: float | None) -> dict:
-    """Resolve the theory-audit block into concrete audit parameters for a
-    run at fixed step `alpha` (None: 0.9 times the certified branch point).
-    Raises NoGuaranteeError when the contraction certifies nothing."""
-    block = dict(config.theory_audit)
+def _audit_params(config: ExperimentConfig, seq, suite, rule) -> dict:
+    """Resolve the theory-audit block into the audit sidecar's constants for
+    a run at the config's step size: the fields of one TheoryParams, plus
+    lambda and where it came from. Raises NoGuaranteeError when the block
+    certifies nothing."""
+    if config.algorithm != "diging":
+        raise NoGuaranteeError(
+            f"no certified rate for {config.algorithm} from a config; only "
+            "diging is audited here (push-diging needs the push-sum "
+            "constants q1 and vinv_bound)")
+    block = config.theory_audit
     B = int(block.get("B", seq.declared_B or 1))
-    delta = block.get("delta", "empirical")
-    rule = build_rule(config.mixing)
+    delta, source = block.get("delta", "empirical"), "given"
     if delta == "empirical":
         horizon = int(block.get("delta_horizon", max(3 * B, 6)))
-        est = mixing.estimate_delta(seq, rule, B, horizon)
-        delta = est.delta_empirical
+        delta = mixing.estimate_delta(seq, rule, B, horizon).delta_empirical
         source = "empirical"
-    else:
-        delta = float(delta)
-        source = "given"
-    params = {
-        "B": B, "delta": delta, "delta_source": source, "n": suite.n,
-        "L": suite.L, "mu_bar": suite.mu_bar, "mu_hat": suite.mu_hat or None,
-        "beta": block.get("beta"), "eta": block.get("eta", 1.0),
-    }
+    params = TheoryParams(n=suite.n, B=B, delta=float(delta),
+                          mu_bar=suite.mu_bar, L=suite.L,
+                          mu_hat=suite.mu_hat or None, beta=block.get("beta"),
+                          eta=block.get("eta", 1.0), delta_source=source)
     lam = block.get("lambda", "certified")
     if lam == "certified":
-        tp = TheoryParams(n=suite.n, B=B, delta=delta, mu_bar=suite.mu_bar,
-                          L=suite.L, mu_hat=suite.mu_hat or None,
-                          beta=block.get("beta"), eta=block.get("eta", 1.0))
-        window = diging_step_size_window(tp)
-        alpha = alpha or 0.9 * window.breakpoint
-        if alpha <= window.alpha_max:
-            params["lambda"] = diging_rate(alpha, tp).lam
-            params["lambda_source"] = "certified"
-        else:
-            # the run's step is outside the certified window; audit against
-            # the rate at the branch point and say so
-            params["lambda"] = diging_rate(window.breakpoint, tp).lam
-            params["lambda_source"] = "certified-at-breakpoint"
+        window = diging_step_size_window(params)
+        # a step outside the certified window is audited against the rate
+        # at the branch point, and says so
+        inside = config.step_size <= window.alpha_max
+        lam = diging_rate(config.step_size if inside else window.breakpoint,
+                          params).lam
+        lam_source = "certified" if inside else "certified-at-breakpoint"
     else:
-        params["lambda"] = float(lam)
-        params["lambda_source"] = "given"
-    return params
+        lam, lam_source = float(lam), "given"
+    return {**asdict(params), "lambda": lam, "lambda_source": lam_source}
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +498,22 @@ def reproduce_section6(case: str, seed: int = 0,
                                        "benchmark undirected support (static)")
         seq_c = graphs.static_sequence(problem.base_digraph,
                                        "benchmark digraph (static)")
-        jobs = [("diging", seq_w, mixing.metropolis),
-                ("diging-atc", seq_w, mixing.metropolis),
-                ("push-diging", seq_c, mixing.out_degree_column),
-                ("subgradient-push", seq_c, mixing.out_degree_column)]
     elif case == "tv-undirected":
         seq_w = graphs.subsample_sequence(problem.base_undirected, 0.4, sub_seed)
         seq_c = directed_view(seq_w)
-        jobs = [("diging", seq_w, mixing.metropolis),
-                ("diging-atc", seq_w, mixing.metropolis),
-                ("push-diging", seq_c, mixing.out_degree_column),
-                ("subgradient-push", seq_c, mixing.out_degree_column)]
     else:
+        seq_w = None  # the case runs the push methods only
         seq_c = graphs.subsample_sequence(problem.base_digraph, 0.8, sub_seed)
-        jobs = [("push-diging", seq_c, mixing.out_degree_column),
-                ("subgradient-push", seq_c, mixing.out_degree_column)]
 
     traces: dict[str, RunTrace] = {}
     summary: dict[str, dict] = {}
-    for algo, seq, rule in jobs:
-        alpha = (algorithms.sqrt_schedule(params[algo])
-                 if algorithms.METHODS[algo].diminishing else params[algo])
-        trace = algorithms.run(algo, seq, rule, suite, alpha, iterations=iters,
-                               seed=seed, x_star=x_star, record_audit=True)
+    for algo in [a for a in algorithms.ALGORITHMS if a in TUNED[case]]:
+        seq, rule = ((seq_c, mixing.out_degree_column)
+                     if algorithms.METHODS[algo].push
+                     else (seq_w, mixing.metropolis))
+        trace = algorithms.run(algo, seq, rule, suite, params[algo],
+                               iterations=iters, seed=seed, x_star=x_star,
+                               record_audit=True)
         trace.metadata["case"] = case
         traces[algo] = trace
         entry = {"final_residual": float(trace.residual[-1]),

@@ -12,12 +12,12 @@ delta = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 
 import numpy as np
 
-from .graphs import (DIRECTED, UNDIRECTED, GraphSequence, GraphSnapshot,
-                     union_graph)
+from .graphs import DIRECTED, UNDIRECTED, GraphSequence, GraphSnapshot
 
 DOUBLY = "doubly"
 COLUMN = "column"
@@ -193,15 +193,21 @@ def estimate_delta(seq: GraphSequence, rule, B: int, horizon: int) -> Contractio
     snapshots lie in [0, horizon). A finite-horizon stand-in for the
     all-time supremum; exact for periodic sequences once the horizon covers
     a full period. A window whose union graph is not connected counts as
-    1.0, which certifies nothing, without a product or an SVD."""
+    1.0, which certifies nothing, without a product or an SVD. Each snapshot
+    and its matrix is built once; windows share them."""
     if B < 1:
         raise ValueError("window length must be >= 1")
     if horizon < B:
         raise ValueError("horizon must cover at least one window")
+    snaps = [seq.snapshot(t) for t in range(horizon)]
+    mats = [rule(snap).entries for snap in snaps]
     per_window = []
     for k in range(B - 1, horizon):
-        if union_graph(seq, k - B + 1, B).is_connected():
-            sigma = spectral_deviation(window_product(seq, rule, k, B))
+        window = slice(k - B + 1, k + 1)
+        links = frozenset().union(*(snap.links for snap in snaps[window]))
+        if GraphSnapshot(seq.n, seq.kind, links).is_connected():
+            # W(k) W(k-1) ... W(k-B+1), multiplied as window_product does
+            sigma = spectral_deviation(reduce(np.matmul, reversed(mats[window])))
         else:
             sigma = 1.0
         per_window.append((k, sigma))

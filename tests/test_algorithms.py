@@ -35,7 +35,7 @@ def centralized_gd(suite, x0, alpha, iterations, schedule=None):
 class TestSingleAgentReduction:
     """With one agent every algorithm is centralized gradient descent."""
 
-    def run_single(self, algorithm, alpha, iterations=40, schedule=None):
+    def run_single(self, algorithm, alpha, iterations=40):
         suite = single_agent_suite()
         x0 = np.array([[1.0, 1.0]])
         if algorithm in ("push-diging", "subgradient-push"):
@@ -45,7 +45,7 @@ class TestSingleAgentReduction:
         trace = alg.run(algorithm, seq,
                         mixing.out_degree_column
                         if seq.kind == graphs.DIRECTED else mixing.metropolis,
-                        suite, schedule or alpha, iterations, x0=x0,
+                        suite, alpha, iterations, x0=x0,
                         record_states=True)
         return suite, x0, trace
 
@@ -58,10 +58,10 @@ class TestSingleAgentReduction:
             assert np.abs(st.x[0] - xr).max() <= 1e-14 * max(1, np.abs(xr).max())
 
     def test_subgradient_push_schedule(self):
-        schedule = alg.sqrt_schedule(0.5)
-        suite, x0, trace = self.run_single("subgradient-push", None,
-                                           schedule=schedule)
-        ref = centralized_gd(suite, x0[0], None, 40, schedule=schedule)
+        # the float 0.5 is the scale of alpha_k = 0.5 / sqrt(k+1)
+        suite, x0, trace = self.run_single("subgradient-push", 0.5)
+        ref = centralized_gd(suite, x0[0], None, 40,
+                             schedule=lambda k: 0.5 / math.sqrt(k + 1))
         for st, xr in zip(trace.history["states"], ref):
             assert np.abs(st.x[0] - xr).max() <= 1e-14 * max(1, np.abs(xr).max())
 
@@ -209,7 +209,7 @@ class TestSubgradientPush:
         st = alg.init(suite, x0)
         u, v = x0.copy(), np.ones(3)
         for k in range(30):
-            st = alg.subgradient_push_step(st, c, suite, alg.sqrt_schedule(1.0)(k))
+            st = alg.subgradient_push_step(st, c, suite, 1.0 / math.sqrt(k + 1))
             u = c.entries @ u
             v = c.entries @ v
             assert np.allclose(st.x, u / v[:, None], atol=1e-14)
@@ -370,9 +370,9 @@ class TestRunDriver:
 
     def test_schedule_rejected_on_fixed_step_method(self):
         suite = quadratic_suite(np.array([[0.0], [2.0]]), np.ones(2))
-        with pytest.raises(ValueError, match="fixed step size"):
-            alg.run("diging", two_clique_seq(), mixing.metropolis, suite,
-                    alg.sqrt_schedule(0.1), 3)
+        problems = alg.input_problems("diging", two_clique_seq(), suite,
+                                      schedule=True)
+        assert len(problems) == 1 and "fixed step size" in problems[0]
 
     def test_early_termination_recorded(self):
         suite = zero_suite(2, 1)

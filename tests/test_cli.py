@@ -3,9 +3,10 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
-from digrate import cli
+from digrate import algorithms, cli, graphs, mixing, objectives
 
 
 def write_config(tmp_path, **overrides):
@@ -97,6 +98,34 @@ class TestValidate:
         assert "fixed step size" in capsys.readouterr().err
 
 
+class TestMalformedScalars:
+    """`validate` and `run` share one parser: a bad scalar field is a parse
+    error (exit 2) for both, never a traceback or a silent default."""
+
+    @pytest.mark.parametrize("override", [
+        {"alpha": "fast"},
+        {"alpha": {"schedule": "cubic"}},
+        {"iterations": "300"},
+        {"iterations": -5},
+        {"x0": "ones"},
+        {"seed": "nine"},
+    ], ids=["alpha-string", "alpha-cubic", "iterations-string",
+            "iterations-negative", "x0-ones", "seed-string"])
+    def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
+                                          override):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        config = write_config(tmp_path, graph={"type": "static-path", "n": 4},
+                              **override)
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_PARSE
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.count(f"error: {next(iter(override))}:") == 2
+        assert "config valid" not in captured.out
+        assert not (tmp_path / "trace.csv").exists()
+
+
 class TestBounds:
     def test_formula_values_printed(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -145,6 +174,18 @@ class TestAuditAndReproduce:
         code = cli.main(["audit", "--trace", str(tmp_path / "trace.csv")])
         assert code == cli.EXIT_PARSE
 
+    def test_audit_sidecar_without_constants(self, tmp_path, capsys):
+        # a library run records the audit series but no theory_audit block,
+        # so a given --lambda has no constants to audit against
+        suite = objectives.quadratic_suite(np.array([[0.0], [2.0]]), np.ones(2))
+        seq = graphs.static_sequence(graphs.undirected(2, [(1, 2)]))
+        algorithms.run("diging", seq, mixing.metropolis, suite, 0.1, 20,
+                       record_audit=True).write(tmp_path / "trace.csv")
+        code = cli.main(["audit", "--trace", str(tmp_path / "trace.csv"),
+                         "--lambda", "0.9"])
+        assert code == cli.EXIT_PARSE
+        assert "audit constants" in capsys.readouterr().err
+
     def test_reproduce_prints_summary(self, tmp_path, capsys):
         code = cli.main(["reproduce", "--case", "tv-directed", "--seed", "0",
                          "--iterations", "120", "--out", str(tmp_path)])
@@ -177,6 +218,24 @@ class TestFailureExits:
                              "--out", str(tmp_path)])
         assert code == cli.EXIT_RUNTIME
         assert "Warning" not in capsys.readouterr().err
+
+    def test_push_diging_audit_block_rejected(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the config path has no push-sum constants, so it cannot certify
+        # a push-diging run
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        config = write_config(
+            tmp_path, algorithm="push-diging", mixing="out-degree",
+            graph={"type": "static-random-connected", "n": 4, "extra_edges": 2,
+                   "seed": 3, "directed_view": True},
+            theory_audit={"B": 1, "delta": "empirical", "lambda": "certified"})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert "invalid: theory_audit:" in capsys.readouterr().err
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert "theory_audit:" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "trace.csv.audit.json").exists()
 
     def test_audit_window_with_delta_one_fails_fast(self, tmp_path, capsys,
                                                     monkeypatch):

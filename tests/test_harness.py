@@ -302,10 +302,11 @@ class TestBuilders:
         suite = harness.build_suite({"family": "zero", "n": 3, "p": 2})
         assert suite.L == 0.0
 
-    def test_sqrt_schedule_block(self):
-        sched = harness.build_alpha({"schedule": "sqrt", "a": 2.0})
-        assert sched(0) == pytest.approx(2.0)
-        assert sched(3) == pytest.approx(1.0)
+    def test_sqrt_schedule_block(self, tmp_path):
+        # the scale a is the step size; run() reads it as a / sqrt(k+1)
+        path, _ = quadratic_config(tmp_path, algorithm="subgradient-push",
+                                   alpha={"schedule": "sqrt", "a": 2.0})
+        assert ExperimentConfig.load(path).step_size == pytest.approx(2.0)
 
     def test_unknown_blocks_rejected(self):
         with pytest.raises(harness.ConfigError):

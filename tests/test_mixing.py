@@ -203,6 +203,35 @@ class TestEstimateDelta:
             else:
                 assert sigma == 1.0
 
+    def test_each_snapshot_built_once(self):
+        # one snapshot and one matrix per iteration of the horizon, shared
+        # by every window that holds it; the windows still match the
+        # per-window union_graph and window_product bit for bit
+        seq = graphs.block_connected_sequence(12, 2, seed=0)
+        calls = {"generator": 0, "rule": 0}
+
+        def generator(k, seed):
+            calls["generator"] += 1
+            return seq.generator(k, seed)
+
+        def rule(snap):
+            calls["rule"] += 1
+            return mixing.metropolis(snap)
+
+        counted = graphs.GraphSequence(seq.n, seq.kind, generator, seq.seed,
+                                       seq.declared_B, seq.description)
+        est = mixing.estimate_delta(counted, rule, B=3, horizon=9)
+        assert calls == {"generator": 9, "rule": 9}
+        reference = []
+        for k in range(2, 9):
+            sigma = 1.0
+            if graphs.union_graph(seq, k - 2, 3).is_connected():
+                sigma = mixing.spectral_deviation(
+                    mixing.window_product(seq, mixing.metropolis, k, 3))
+            reference.append((k, sigma))
+        assert est.per_window == tuple(reference)
+        assert est.delta_empirical == max(sigma for _, sigma in reference)
+
     def test_per_window_max(self):
         seq = graphs.block_connected_sequence(5, 2, seed=3)
         est = mixing.estimate_delta(seq, mixing.metropolis, B=3, horizon=9)
