@@ -112,18 +112,20 @@ def _cmd_bounds(args) -> int:
         raw = json.loads(Path(args.params).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read params file: {exc}") from exc
-    n, B = int(raw["n"]), int(raw.get("B", 1))
-    delta = float(raw.get("delta", 0.0))
-    mu_bar = float(raw.get("mu_bar", 1.0))
+    get = harness.ConfigBlock(raw, "params")
+    n, B = get("n"), get("B", default=1)
+    delta = float(get("delta", "a number", 0.0))
+    mu_bar = float(get("mu_bar", "a number", 1.0))
     if "L" in raw:
-        L = float(raw["L"])
+        L = float(get("L", "a number"))
     elif "kappa_bar" in raw:
-        L = float(raw["kappa_bar"]) * mu_bar
+        L = float(get("kappa_bar", "a number")) * mu_bar
     else:
         raise ConfigError("params need L or kappa_bar")
+    mu_hat, beta = get("mu_hat", "a number", None), get("beta", "a number", None)
+    eta = get("eta", "a number", 1.0)
     params = rates.TheoryParams(n=n, B=B, delta=delta, mu_bar=mu_bar, L=L,
-                                mu_hat=raw.get("mu_hat"), beta=raw.get("beta"),
-                                eta=raw.get("eta", 1.0))
+                                mu_hat=mu_hat, beta=beta, eta=eta)
     kappa = params.kappa_bar
     print(f"inputs: n={n} B={B} delta={delta:g} mu_bar={mu_bar:g} L={L:g} "
           f"kappa_bar={kappa:g}")
@@ -132,18 +134,18 @@ def _cmd_bounds(args) -> int:
     print(f"J1 = {j1:.6g}")
     print(f"alpha window: (0, {window.alpha_max:.6g}], branch point "
           f"{window.breakpoint:.6g}")
-    alpha = float(raw.get("alpha", 0.9 * window.breakpoint))
+    alpha = float(get("alpha", "a number", 0.9 * window.breakpoint))
     est = rates.diging_rate(alpha, params)
     flag = " (degenerate endpoint)" if est.degenerate else ""
     print(f"lambda at alpha={alpha:.6g}: {est.lam:.12g} "
           f"(branch {est.branch}){flag}")
-    tau = raw.get("tau", 1.0 / n)
+    tau = get("tau", "a number", 1.0 / n)
     scal = rates.network_scalability_rate(tau, B, n, kappa, L, mu_bar)
     print(f"scalability at tau={tau:g}: alpha={scal.alpha:.6g} "
           f"lambda={scal.lam:.12g}")
     print(f"lazy-Metropolis rate (B=1): {rates.lazy_metropolis_rate(n, kappa):.12g}")
-    if raw.get("B_minus") is not None:
-        b_minus = int(raw["B_minus"])
+    b_minus = get("B_minus", default=None)
+    if b_minus is not None:
         cons = rates.push_sum_contraction(n, b_minus)
         print(f"push-sum: tau_tilde={cons.tau_tilde} Q1={cons.q1} "
               f"Vinv_bound={cons.vinv_bound}")
@@ -152,9 +154,8 @@ def _cmd_bounds(args) -> int:
         if cons.B_required is not None and cons.B_required < 10 ** 6:
             push_params = rates.TheoryParams(
                 n=n, B=cons.B_required, delta=cons.delta.to_float(),
-                mu_bar=mu_bar, L=L, mu_hat=raw.get("mu_hat"),
-                q1=cons.q1, vinv_bound=cons.vinv_bound,
-                beta=raw.get("beta"), eta=raw.get("eta", 1.0))
+                mu_bar=mu_bar, L=L, mu_hat=mu_hat,
+                q1=cons.q1, vinv_bound=cons.vinv_bound, beta=beta, eta=eta)
             j2 = rates.push_rate_constant(push_params)
             print(f"J2 = {j2}")
     return EXIT_OK

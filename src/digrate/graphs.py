@@ -1,14 +1,14 @@
 """Time-varying communication graphs for multi-agent simulations.
 
-Vertices are labeled 1..n and fixed over time; only the link set changes.
-A sequence is a pure function of (iteration, seed), so any snapshot can be
-regenerated at random access without replaying the stream.
+Vertices are labeled 1..n and fixed over time; only the link set, an n x n
+boolean adjacency matrix, changes. A sequence is a pure function of
+(iteration, seed), so any snapshot can be regenerated at random access
+without replaying the stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -21,104 +21,127 @@ Link = tuple[int, int]
 
 @dataclass(frozen=True)
 class GraphSnapshot:
-    """One communication round: an edge set (undirected) or arc set (directed).
-
-    Links are stored canonically: undirected pairs as (min, max), directed
-    arcs as (tail, head) meaning tail -> head. Self-loops are excluded.
-    """
+    """One communication round as an n x n boolean adjacency matrix:
+    adj[j-1, i-1] is the arc j -> i between the 1-based vertices j and i,
+    symmetric for an undirected snapshot, with an empty diagonal (no
+    self-loops). The matrix is copied and made read-only; equality and
+    hashing go by value, through its bytes."""
 
     n: int
     kind: str
-    links: frozenset[Link]
+    adj: np.ndarray = field(compare=False)
+    adj_bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         if self.kind not in (UNDIRECTED, DIRECTED):
             raise ValueError(f"unknown graph kind {self.kind!r}")
-        for j, i in self.links:
-            if not (1 <= j <= self.n and 1 <= i <= self.n):
-                raise ValueError(f"link ({j},{i}) leaves vertex range 1..{self.n}")
-            if j == i:
-                raise ValueError(f"self-loop ({j},{i}) not allowed")
-            if self.kind == UNDIRECTED and j > i:
-                raise ValueError(f"undirected link ({j},{i}) not canonical (min,max)")
+        adj = self.adj
+        if (not isinstance(adj, np.ndarray) or adj.dtype != bool
+                or adj.shape != (self.n, self.n)):
+            raise ValueError(f"adjacency must be a {self.n}x{self.n} boolean array")
+        if np.count_nonzero(adj.diagonal()):
+            vertex = np.flatnonzero(adj.diagonal())[0] + 1
+            raise ValueError(f"self-loop at vertex {vertex} not allowed")
+        object.__setattr__(self, "adj_bytes", adj.tobytes())
+        # a byte comparison is several times cheaper than an elementwise one
+        # at the sizes simulated here
+        if self.kind == UNDIRECTED and adj.T.tobytes() != self.adj_bytes:
+            raise ValueError("undirected adjacency must be symmetric")
+        adj = adj.copy()
+        adj.flags.writeable = False
+        object.__setattr__(self, "adj", adj)
 
-    def degrees(self) -> np.ndarray:
-        """Vertex degrees, index 0 holding vertex 1."""
-        if self.kind != UNDIRECTED:
-            raise ValueError("degrees() is for undirected snapshots")
-        d = np.zeros(self.n, dtype=int)
-        for a, b in self.links:
-            d[a - 1] += 1
-            d[b - 1] += 1
-        return d
-
-    def out_degrees(self) -> np.ndarray:
-        """Out-degrees (self-arc not counted), index 0 holding vertex 1."""
-        if self.kind != DIRECTED:
-            raise ValueError("out_degrees() is for directed snapshots")
-        d = np.zeros(self.n, dtype=int)
-        for j, _ in self.links:
-            d[j - 1] += 1
-        return d
+    @property
+    def links(self) -> frozenset[Link]:
+        """The links as 1-based pairs, for serialization and tests: edges
+        as (min, max), arcs as (tail, head)."""
+        a, b = _link_arrays(self)
+        return frozenset(zip((a + 1).tolist(), (b + 1).tolist()))
 
     def as_directed(self) -> "GraphSnapshot":
         """Replace each undirected edge by the two opposite arcs."""
         if self.kind == DIRECTED:
             return self
-        arcs = set()
-        for a, b in self.links:
-            arcs.add((a, b))
-            arcs.add((b, a))
-        return GraphSnapshot(self.n, DIRECTED, frozenset(arcs))
+        return GraphSnapshot(self.n, DIRECTED, self.adj)
 
     def as_undirected(self) -> "GraphSnapshot":
         """Forget arc directions (antiparallel arcs collapse to one edge)."""
         if self.kind == UNDIRECTED:
             return self
-        return undirected(self.n, ((min(j, i), max(j, i)) for j, i in self.links))
+        return GraphSnapshot(self.n, UNDIRECTED, self.adj | self.adj.T)
 
     def is_connected(self) -> bool:
         """Connected (undirected) or strongly connected (directed): vertex 1
         reaches every vertex along the links and, for arcs, also against
         them."""
-        back = [(i, j) for j, i in self.links]
         if self.kind == UNDIRECTED:
-            return _reaches_all(self.n, chain(self.links, back))
-        return _reaches_all(self.n, self.links) and _reaches_all(self.n, back)
+            return _reaches_all(self.adj)
+        return _reaches_all(self.adj) and _reaches_all(self.adj.T)
+
+
+def _link_arrays(snap: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based endpoint arrays of the links in row-major order: each edge
+    once as (min, max), each arc as (tail, head)."""
+    rows, cols = np.nonzero(snap.adj)
+    keep = rows < cols if snap.kind == UNDIRECTED else slice(None)
+    return rows[keep], cols[keep]
+
+
+def _adjacency(n: int, kind: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Boolean matrix with the zero-based links (rows[t], cols[t]), mirrored
+    for an undirected kind."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows, cols] = True
+    if kind == UNDIRECTED:
+        adj[cols, rows] = True
+    return adj
+
+
+def _from_links(n: int, kind: str, links: Iterable[Link]) -> GraphSnapshot:
+    """Snapshot from 1-based (j, i) pairs; every label is checked before it
+    indexes the matrix, so 0 or a negative label cannot wrap to vertex n."""
+    n = int(n)
+    pairs = list(links)
+    ends = np.array(pairs) if pairs else np.empty((0, 2), dtype=np.intp)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError("links must be (j, i) pairs of vertex labels")
+    if ends.dtype.kind not in "iu":
+        bad = [v for pair in pairs for v in pair
+               if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+        if bad:
+            raise ValueError(f"link endpoint {bad[0]!r} is not an integer vertex label")
+        raise ValueError(f"link endpoints leave vertex range 1..{n}")
+    outside = np.flatnonzero(((ends < 1) | (ends > n)).any(axis=1))
+    if outside.size:
+        j, i = ends[outside[0]].tolist()
+        raise ValueError(f"link ({j},{i}) leaves vertex range 1..{n}")
+    return GraphSnapshot(n, kind, _adjacency(n, kind, ends[:, 0] - 1, ends[:, 1] - 1))
 
 
 def undirected(n: int, edges: Iterable[Link]) -> GraphSnapshot:
-    """Build an undirected snapshot, canonicalizing and deduplicating edges."""
-    canon = frozenset((int(min(a, b)), int(max(a, b))) for a, b in edges)
-    return GraphSnapshot(int(n), UNDIRECTED, canon)
+    """Build an undirected snapshot; (a, b) and (b, a) name the same edge and
+    repeats collapse."""
+    return _from_links(n, UNDIRECTED, edges)
 
 
 def directed(n: int, arcs: Iterable[Link]) -> GraphSnapshot:
     """Build a directed snapshot from (tail, head) arcs."""
-    return GraphSnapshot(int(n), DIRECTED,
-                         frozenset((int(j), int(i)) for j, i in arcs))
+    return _from_links(n, DIRECTED, arcs)
 
 
 def empty_snapshot(n: int, kind: str = UNDIRECTED) -> GraphSnapshot:
-    return GraphSnapshot(n, kind, frozenset())
+    return GraphSnapshot(n, kind, np.zeros((n, n), dtype=bool))
 
 
-def _reaches_all(n: int, arcs: Iterable[Link]) -> bool:
-    """Whether a search from vertex 1 along (tail, head) arcs reaches all n
-    vertices."""
-    out: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for j, i in arcs:
-        out[j].append(i)
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        for w in out[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == n
+def _reaches_all(adj: np.ndarray) -> bool:
+    """Whether vertex 1 reaches every vertex along the arcs of `adj`; n - 1
+    steps from it cover every shortest path."""
+    seen = np.eye(len(adj), dtype=bool)[0]
+    for _ in range(len(adj) - 1):
+        seen = seen | (seen @ adj)
+    return bool(seen.all())
 
 
 @dataclass(frozen=True)
@@ -159,10 +182,8 @@ def union_graph(seq: GraphSequence, k: int, b: int) -> GraphSnapshot:
         raise ValueError("window length must be >= 1")
     if k < 0:
         raise ValueError("iteration index must be nonnegative")
-    links: set[Link] = set()
-    for t in range(k, k + b):
-        links |= seq.snapshot(t).links
-    return GraphSnapshot(seq.n, seq.kind, frozenset(links))
+    adj = np.logical_or.reduce([seq.snapshot(t).adj for t in range(k, k + b)])
+    return GraphSnapshot(seq.n, seq.kind, adj)
 
 
 def is_jointly_connected(seq: GraphSequence, B: int, horizon: int) -> ConnectivityCheck:
@@ -201,22 +222,22 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
                        description: str | None = None) -> GraphSequence:
     """Retain each base link independently with the given probability.
 
-    Draws are keyed by (seed, k) and by the link's position in canonical
+    Draws are keyed by (seed, k) and by the link's position in row-major
     order, so snapshots are random-access reproducible.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
-    ordered = sorted(base.links)
+    rows, cols = _link_arrays(base)
 
     def gen(k: int, s: int) -> GraphSnapshot:
         if fraction == 1.0:
             return base
-        u = np.random.default_rng((s, k)).uniform(size=len(ordered))
-        kept = (link for link, r in zip(ordered, u) if r < fraction)
-        return GraphSnapshot(base.n, base.kind, frozenset(kept))
+        keep = np.random.default_rng((s, k)).uniform(size=len(rows)) < fraction
+        return GraphSnapshot(base.n, base.kind,
+                             _adjacency(base.n, base.kind, rows[keep], cols[keep]))
 
     if description is None:
-        description = f"subsample({fraction:g}) of {base.kind} base with {len(ordered)} links"
+        description = f"subsample({fraction:g}) of {base.kind} base with {len(rows)} links"
     return GraphSequence(base.n, base.kind, gen, seed=seed, description=description)
 
 
@@ -224,27 +245,23 @@ def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
     """Uniform-ish random tree: attach each vertex (in random order) to a
     random earlier vertex."""
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n) + 1
-    edges = []
-    for idx in range(1, n):
-        parent = order[rng.integers(0, idx)]
-        edges.append((order[idx], parent))
-    return undirected(n, ((min(a, b), max(a, b)) for a, b in edges))
+    order = rng.permutation(n)
+    parents = [order[rng.integers(0, idx)] for idx in range(1, n)]
+    return GraphSnapshot(n, UNDIRECTED, _adjacency(n, UNDIRECTED, order[1:], parents))
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> GraphSnapshot:
     """Random spanning tree plus `extra_edges` distinct random non-tree edges."""
     tree = random_spanning_tree(n, seed)
+    if not extra_edges:
+        return tree
     rng = np.random.default_rng((seed, 1))
-    candidates = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-                  if (a, b) not in tree.links]
-    extra_edges = min(extra_edges, len(candidates))
-    if extra_edges:
-        picked = rng.choice(len(candidates), size=extra_edges, replace=False)
-        extra = [candidates[i] for i in picked]
-    else:
-        extra = []
-    return undirected(n, set(tree.links) | set(extra))
+    # candidates: the non-tree edges (a, b), a < b, in row-major order
+    non_tree = ~(tree.adj | np.eye(n, dtype=bool))
+    rows, cols = _link_arrays(GraphSnapshot(n, UNDIRECTED, non_tree))
+    picked = rng.choice(len(rows), size=min(extra_edges, len(rows)), replace=False)
+    return GraphSnapshot(n, UNDIRECTED, tree.adj | _adjacency(
+        n, UNDIRECTED, rows[picked], cols[picked]))
 
 
 def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapshot:
@@ -258,15 +275,13 @@ def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapsho
         raise ValueError(f"m={m} exceeds the {n * (n - 1)} arcs a simple digraph on "
                          f"{n} vertices can hold")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n) + 1
-    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
-    candidates = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1)
-                  if j != i and (j, i) not in arcs]
-    need = m - n
-    if need:
-        picked = rng.choice(len(candidates), size=need, replace=False)
-        arcs |= {candidates[i] for i in picked}
-    return directed(n, arcs)
+    order = rng.permutation(n)
+    adj = _adjacency(n, DIRECTED, order, np.roll(order, -1))
+    # candidate arcs j -> i, j != i, off the cycle, in row-major order
+    rows, cols = np.nonzero(~(adj | np.eye(n, dtype=bool)))
+    picked = rng.choice(len(rows), size=m - n, replace=False)
+    adj[rows[picked], cols[picked]] = True
+    return GraphSnapshot(n, DIRECTED, adj)
 
 
 def block_connected_sequence(n: int, b_tilde: int, seed: int,
@@ -279,11 +294,11 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
 
     def gen(k: int, s: int) -> GraphSnapshot:
         t = k // b_tilde
-        base = random_connected_graph(n, extra_edges, seed=_mix(s, t))
-        ordered = sorted(base.links)
-        slots = np.random.default_rng((s, t, 2)).integers(0, b_tilde, size=len(ordered))
-        r = k - t * b_tilde
-        return undirected(n, (e for e, sl in zip(ordered, slots) if sl == r))
+        rows, cols = _link_arrays(random_connected_graph(n, extra_edges, seed=_mix(s, t)))
+        slots = np.random.default_rng((s, t, 2)).integers(0, b_tilde, size=len(rows))
+        keep = slots == k - t * b_tilde
+        return GraphSnapshot(n, UNDIRECTED,
+                             _adjacency(n, UNDIRECTED, rows[keep], cols[keep]))
 
     return GraphSequence(n, UNDIRECTED, gen, seed=seed, declared_B=b_tilde,
                          description=f"block-connected(n={n}, window={b_tilde})")
@@ -312,15 +327,9 @@ def snapshot_from_text(text: str) -> GraphSnapshot:
     try:
         n = int(header[0].removeprefix("n="))
         kind = header[1].removeprefix("kind=")
+        if kind not in (UNDIRECTED, DIRECTED):
+            raise ValueError(f"unknown graph kind {kind!r}")
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed snapshot header: {lines[0]!r}") from exc
-    links = []
-    for ln in lines[1:]:
-        if kind == DIRECTED:
-            a, b = ln.split(">")
-        else:
-            a, b = ln.split()
-        links.append((int(a), int(b)))
-    if kind == UNDIRECTED:
-        return undirected(n, links)
-    return directed(n, links)
+    sep = ">" if kind == DIRECTED else None
+    return _from_links(n, kind, [[int(v) for v in ln.split(sep)] for ln in lines[1:]])

@@ -165,49 +165,87 @@ class ExperimentConfig:
         return cls.from_json(Path(path).read_text())
 
 
-def _static_snapshot(cfg: dict) -> graphs.GraphSnapshot:
-    gtype = cfg.get("type")
+_REQUIRED = object()
+
+# what a config entry may hold, by the words that name it in errors;
+# a bool is none of these (JSON true is not the integer 1)
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int),
+    "a number": lambda v: isinstance(v, (int, float)),
+    "a string": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
+    "a number or 'empirical'": lambda v: v == "empirical" or isinstance(v, (int, float)),
+    "a number or 'certified'": lambda v: v == "certified" or isinstance(v, (int, float)),
+}
+
+
+class ConfigBlock:
+    """Typed reads from one JSON object of a config or params file; each bad
+    read is a ConfigError naming the block."""
+
+    def __init__(self, raw, where: str):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where}: must be an object, got {raw!r}")
+        self.raw, self.where = raw, where
+
+    def __call__(self, key: str, kind: str = "an integer", default=_REQUIRED):
+        """raw[key], checked to be `kind` (a key of _KINDS). A missing or
+        null entry gives `default`, and is an error without one."""
+        value = self.raw.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.where}: needs {key!r}")
+            return default
+        if isinstance(value, bool) or not _KINDS[kind](value):
+            raise ConfigError(f"{self.where}: {key}={value!r} is not {kind}")
+        return value
+
+
+def _static_snapshot(cfg, where: str) -> graphs.GraphSnapshot:
+    get = ConfigBlock(cfg, where)
+    gtype = get("type", "a string")
     if gtype == "static-edges":
-        links = [tuple(l) for l in cfg["links"]]
-        if cfg.get("kind", graphs.UNDIRECTED) == graphs.DIRECTED:
-            return graphs.directed(cfg["n"], links)
-        return graphs.undirected(cfg["n"], links)
+        n, links = get("n"), get("links", "a list")
+        if get("kind", "a string", graphs.UNDIRECTED) == graphs.DIRECTED:
+            return graphs.directed(n, links)
+        return graphs.undirected(n, links)
     if gtype == "static-path":
-        n = cfg["n"]
+        n = get("n")
         return graphs.undirected(n, [(i, i + 1) for i in range(1, n)])
     if gtype == "static-clique":
-        n = cfg["n"]
+        n = get("n")
         return graphs.undirected(n, [(a, b) for a in range(1, n + 1)
                                      for b in range(a + 1, n + 1)])
     if gtype == "static-random-connected":
-        return graphs.random_connected_graph(cfg["n"], cfg.get("extra_edges", 0),
-                                             cfg.get("seed", 0))
+        return graphs.random_connected_graph(get("n"), get("extra_edges", default=0),
+                                             get("seed", default=0))
     if gtype == "static-random-digraph":
-        return graphs.random_strongly_connected_digraph(cfg["n"], cfg["m"],
-                                                        cfg.get("seed", 0))
+        return graphs.random_strongly_connected_digraph(get("n"), get("m"),
+                                                        get("seed", default=0))
     if gtype == "file":
-        return graphs.snapshot_from_text(Path(cfg["path"]).read_text())
+        return graphs.snapshot_from_text(Path(get("path", "a string")).read_text())
     raise ConfigError(f"unknown static graph type {gtype!r}")
 
 
-def build_sequence(cfg: dict) -> graphs.GraphSequence:
+def build_sequence(cfg) -> graphs.GraphSequence:
     """Instantiate the graph sequence described by a config block."""
-    gtype = cfg.get("type")
-    if gtype is None:
-        raise ConfigError("graph block needs a 'type'")
+    get = ConfigBlock(cfg, "graph")
+    gtype = get("type", "a string")
     if gtype == "subsample":
-        base = _static_snapshot(cfg["base"])
-        seq = graphs.subsample_sequence(base, cfg["fraction"], cfg.get("seed", 0))
+        base = _static_snapshot(cfg.get("base"), "graph.base")
+        seq = graphs.subsample_sequence(base, get("fraction", "a number"),
+                                        get("seed", default=0))
     elif gtype == "block-connected":
-        seq = graphs.block_connected_sequence(cfg["n"], cfg["window"],
-                                              cfg.get("seed", 0),
-                                              cfg.get("extra_edges", 0))
+        seq = graphs.block_connected_sequence(get("n"), get("window"),
+                                              get("seed", default=0),
+                                              get("extra_edges", default=0))
     else:
-        seq = graphs.static_sequence(_static_snapshot(cfg),
+        seq = graphs.static_sequence(_static_snapshot(cfg, "graph"),
                                      description=f"static {gtype}")
-    if cfg.get("declared_B") is not None:
+    declared_B = get("declared_B", default=None)
+    if declared_B is not None:
         seq = graphs.GraphSequence(seq.n, seq.kind, seq.generator, seq.seed,
-                                   int(cfg["declared_B"]), seq.description)
+                                   declared_B, seq.description)
     if cfg.get("directed_view"):
         seq = directed_view(seq)
     return seq
@@ -225,35 +263,37 @@ def directed_view(seq: graphs.GraphSequence) -> graphs.GraphSequence:
         seq.seed, seq.declared_B, seq.description + " (directed view)")
 
 
-def build_suite(cfg: dict) -> objectives.ObjectiveSuite:
-    family = cfg.get("family")
+def build_suite(cfg) -> objectives.ObjectiveSuite:
+    get = ConfigBlock(cfg, "objective")
+    family = get("family", "a string")
     if family == "quadratic":
         if "targets" in cfg:
-            return objectives.quadratic_suite(np.asarray(cfg["targets"], dtype=float),
-                                              np.asarray(cfg["curvatures"], dtype=float))
-        rng = np.random.default_rng(cfg.get("seed", 0))
-        n, p = cfg["n"], cfg.get("p", 1)
-        lo, hi = cfg.get("curvature_range", (0.5, 2.0))
+            return objectives.quadratic_suite(
+                np.asarray(get("targets", "a list"), dtype=float),
+                np.asarray(get("curvatures", "a list"), dtype=float))
+        rng = np.random.default_rng(get("seed", default=0))
+        n, p = get("n"), get("p", default=1)
+        lo, hi = get("curvature_range", "a list", (0.5, 2.0))
         curv = rng.uniform(lo, hi, size=n)
-        targets = rng.normal(scale=cfg.get("target_scale", 1.0), size=(n, p))
+        targets = rng.normal(scale=get("target_scale", "a number", 1.0), size=(n, p))
         return objectives.quadratic_suite(targets, curv)
     if family == "zero":
-        return objectives.zero_suite(cfg["n"], cfg.get("p", 1))
+        return objectives.zero_suite(get("n"), get("p", default=1))
     if family == "bundle":
-        return objectives.load_suite(cfg["path"])
+        return objectives.load_suite(get("path", "a string"))
     if family == "huber-benchmark":
-        return section6_problem(cfg.get("seed", 0)).suite
+        return section6_problem(get("seed", default=0)).suite
     raise ConfigError(f"unknown objective family {family!r}")
 
 
 def build_rule(cfg):
     """Mixing rule name (or custom block) -> callable snapshot -> matrix."""
     if isinstance(cfg, dict):
-        if cfg.get("rule") != "custom":
+        get = ConfigBlock(cfg, "mixing")
+        if get("rule", "a string") != "custom":
             raise ConfigError("mixing block form is only for custom matrices")
-        entries = mixing.matrix_from_csv(Path(cfg["path"]).read_text())
-        mode = cfg.get("mode", mixing.DOUBLY)
-        mat = mixing.custom_mixing(entries, mode)
+        entries = mixing.matrix_from_csv(Path(get("path", "a string")).read_text())
+        mat = mixing.custom_mixing(entries, get("mode", "a string", mixing.DOUBLY))
         return lambda snap: mat
     if cfg == "metropolis":
         return mixing.metropolis
@@ -288,6 +328,8 @@ def _assemble(config: ExperimentConfig):
     if not problems and config.theory_audit is not None:
         try:
             audit = _audit_params(config, seq, suite, rule)
+        except ConfigError:  # a malformed block is a parse error
+            raise
         except ValueError as exc:
             audit = NoGuaranteeError(f"theory_audit: {exc}")
     return seq, suite, rule, problems, audit
@@ -364,23 +406,25 @@ def _audit_params(config: ExperimentConfig, seq, suite, rule) -> dict:
     a run at the config's step size: the fields of one TheoryParams, plus
     lambda and where it came from. Raises NoGuaranteeError when the block
     certifies nothing."""
+    get = ConfigBlock(config.theory_audit, "theory_audit")
+    B = get("B", default=seq.declared_B or 1)
+    delta = get("delta", "a number or 'empirical'", "empirical")
+    horizon = get("delta_horizon", default=max(3 * B, 6))
+    beta, eta = get("beta", "a number", None), get("eta", "a number", 1.0)
+    lam = get("lambda", "a number or 'certified'", "certified")
     if config.algorithm != "diging":
         raise NoGuaranteeError(
             f"no certified rate for {config.algorithm} from a config; only "
             "diging is audited here (push-diging needs the push-sum "
             "constants q1 and vinv_bound)")
-    block = config.theory_audit
-    B = int(block.get("B", seq.declared_B or 1))
-    delta, source = block.get("delta", "empirical"), "given"
+    source = "given"
     if delta == "empirical":
-        horizon = int(block.get("delta_horizon", max(3 * B, 6)))
         delta = mixing.estimate_delta(seq, rule, B, horizon).delta_empirical
         source = "empirical"
     params = TheoryParams(n=suite.n, B=B, delta=float(delta),
                           mu_bar=suite.mu_bar, L=suite.L,
-                          mu_hat=suite.mu_hat or None, beta=block.get("beta"),
-                          eta=block.get("eta", 1.0), delta_source=source)
-    lam = block.get("lambda", "certified")
+                          mu_hat=suite.mu_hat or None, beta=beta,
+                          eta=eta, delta_source=source)
     if lam == "certified":
         window = diging_step_size_window(params)
         # a step outside the certified window is audited against the rate
@@ -450,8 +494,9 @@ def section6_problem(seed: int, n: int = 12, p: int = 3) -> Section6Problem:
             n, 2 * n, seed=int(np.random.SeedSequence((seed, 7, attempt))
                                .generate_state(1)[0]))
         # the benchmark's undirected support has exactly 2n-1 edges (one
-        # antiparallel arc pair); filter the sampler to match
-        if len(cand.as_undirected().links) == 2 * n - 1:
+        # antiparallel arc pair), each two entries of its symmetric
+        # adjacency matrix; filter the sampler to match
+        if np.count_nonzero(cand.as_undirected().adj) == 2 * (2 * n - 1):
             digraph = cand
             break
     if digraph is None:

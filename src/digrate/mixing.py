@@ -2,18 +2,17 @@
 
 Doubly stochastic rules (Metropolis, lazy Metropolis) serve undirected
 snapshots; the out-degree rule builds column stochastic matrices for
-directed snapshots. Builders assemble each matrix from the snapshot's link
-index arrays. Contraction is measured as the largest singular value of the
-windowed product minus the uniform averaging matrix, by LAPACK's SVD; a
-window whose union graph is not connected contracts nothing and has
-delta = 1.
+directed snapshots; each builder reads the snapshot's adjacency matrix,
+degrees being its row sums. Contraction is measured as the largest singular
+value of the windowed product minus the uniform averaging matrix, by
+LAPACK's SVD; a window whose union graph is not connected contracts nothing
+and has delta = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 
 import numpy as np
 
@@ -77,25 +76,16 @@ def lazy_metropolis(snapshot: GraphSnapshot) -> MixingMatrix:
     return _metropolis(snapshot, lazy=True)
 
 
-def _link_index(snapshot: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based (first, second) endpoint arrays of the snapshot's links."""
-    flat = np.fromiter(chain.from_iterable(snapshot.links), dtype=np.intp,
-                       count=2 * len(snapshot.links)) - 1
-    return flat[0::2], flat[1::2]
-
-
 def _metropolis(snapshot: GraphSnapshot, lazy: bool) -> MixingMatrix:
     if snapshot.kind != UNDIRECTED:
         raise ValueError(("lazy " if lazy else "")
                          + "Metropolis weights need an undirected snapshot")
     n = snapshot.n
-    a, b = _link_index(snapshot)
-    d = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    d = snapshot.adj.sum(axis=1)
+    a, b = np.nonzero(snapshot.adj)  # both orientations of every edge
     m = np.maximum(d[a], d[b])
-    v = 1.0 / (2 * m) if lazy else 1.0 / (1 + m)
     w = np.zeros((n, n))
-    w[a, b] = v
-    w[b, a] = v
+    w[a, b] = 1.0 / (2 * m) if lazy else 1.0 / (1 + m)
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix(n, w, "lazy-metropolis" if lazy else "metropolis",
                         snapshot, validate_stochasticity(w, DOUBLY))
@@ -106,13 +96,11 @@ def out_degree_column(snapshot: GraphSnapshot) -> MixingMatrix:
     on the diagonal (implicit self-arc) and on every arc j -> i."""
     if snapshot.kind != DIRECTED:
         raise ValueError("out-degree weights need a directed snapshot")
-    n = snapshot.n
-    tail, head = _link_index(snapshot)
-    share = 1.0 / (np.bincount(tail, minlength=n) + 1)
-    c = np.zeros((n, n))
+    share = 1.0 / (snapshot.adj.sum(axis=1) + 1)
+    # c[i, j] = share[j] on every arc j -> i, that is where adj.T holds
+    c = np.where(snapshot.adj.T, share, 0.0)
     np.fill_diagonal(c, share)
-    c[head, tail] = share[tail]
-    return MixingMatrix(n, c, "out-degree-column", snapshot,
+    return MixingMatrix(snapshot.n, c, "out-degree-column", snapshot,
                         validate_stochasticity(c, COLUMN))
 
 
@@ -204,8 +192,8 @@ def estimate_delta(seq: GraphSequence, rule, B: int, horizon: int) -> Contractio
     per_window = []
     for k in range(B - 1, horizon):
         window = slice(k - B + 1, k + 1)
-        links = frozenset().union(*(snap.links for snap in snaps[window]))
-        if GraphSnapshot(seq.n, seq.kind, links).is_connected():
+        union = np.logical_or.reduce([snap.adj for snap in snaps[window]])
+        if GraphSnapshot(seq.n, seq.kind, union).is_connected():
             # W(k) W(k-1) ... W(k-B+1), multiplied as window_product does
             sigma = spectral_deviation(reduce(np.matmul, reversed(mats[window])))
         else:

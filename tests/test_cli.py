@@ -126,6 +126,36 @@ class TestMalformedScalars:
         assert not (tmp_path / "trace.csv").exists()
 
 
+class TestMalformedBlocks:
+    """A graph, objective or theory_audit block with a missing key or a value
+    of the wrong type is a parse error (exit 2) naming the block, for
+    `validate` and `run` alike."""
+
+    @pytest.mark.parametrize("override,block", [
+        ({"graph": {"type": "static-path"}}, "graph"),
+        ({"graph": 5}, "graph"),
+        ({"theory_audit": {"B": [1]}}, "theory_audit"),
+        ({"theory_audit": {"B": 1, "eta": "x"}}, "theory_audit"),
+        ({"graph": {"type": "subsample", "fraction": "x",
+                    "base": {"type": "static-path", "n": 4}}}, "graph"),
+        ({"objective": {"family": "quadratic", "p": 2, "seed": 5}}, "objective"),
+    ], ids=["graph-without-n", "graph-number", "audit-B-list", "audit-eta-string",
+            "fraction-string", "objective-without-n"])
+    def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
+                                          override, block):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        config = write_config(tmp_path, **{"graph": {"type": "static-path", "n": 4},
+                                           **override})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_PARSE
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.count(f"error: {block}:") == 2
+        assert "config valid" not in captured.out
+        assert not (tmp_path / "trace.csv").exists()
+
+
 class TestBounds:
     def test_formula_values_printed(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -145,6 +175,14 @@ class TestBounds:
         assert cli.main(["bounds", "--params", str(params)]) == 0
         out = capsys.readouterr().out
         assert "push-sum" in out and "Q1=" in out
+
+    @pytest.mark.parametrize("raw", [{"B": 1, "mu_bar": 1.0, "L": 2.0}, [12, 1]],
+                             ids=["without-n", "list-root"])
+    def test_malformed_params_is_parse_error(self, tmp_path, capsys, raw):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(raw))
+        assert cli.main(["bounds", "--params", str(params)]) == cli.EXIT_PARSE
+        assert "error: params:" in capsys.readouterr().err
 
     def test_missing_L_and_kappa(self, tmp_path):
         params = tmp_path / "params.json"

@@ -27,25 +27,74 @@ def closure_strongly_connected(snap):
     return bool(reach.all())
 
 
+def degrees(snap):
+    """Reference degrees (out-degrees for arcs), one link at a time."""
+    d = [0] * snap.n
+    for a, b in snap.links:
+        d[a - 1] += 1
+        if snap.kind == graphs.UNDIRECTED:
+            d[b - 1] += 1
+    return d
+
+
 class TestSnapshot:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            graphs.GraphSnapshot(3, graphs.UNDIRECTED, frozenset({(2, 2)}))
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            graphs.undirected(3, [(2, 2)])
 
     def test_rejects_out_of_range(self):
+        # 0 or a negative label must not wrap around to vertex n
+        for link in [(1, 4), (0, 2), (-1, 2)]:
+            for build in (graphs.undirected, graphs.directed):
+                with pytest.raises(ValueError, match="leaves vertex range"):
+                    build(3, [link])
+
+    def test_rejects_malformed_adjacency(self):
+        asym = np.zeros((3, 3), dtype=bool)
+        asym[0, 1] = True
+        with pytest.raises(ValueError, match="symmetric"):
+            graphs.GraphSnapshot(3, graphs.UNDIRECTED, asym)
+        with pytest.raises(ValueError, match="boolean"):
+            graphs.GraphSnapshot(3, graphs.DIRECTED, asym.astype(int))
+        with pytest.raises(ValueError, match="3x3"):
+            graphs.GraphSnapshot(3, graphs.DIRECTED, np.zeros((3, 4), dtype=bool))
+
+    def test_adjacency_is_read_only_copy(self):
+        adj = np.zeros((2, 2), dtype=bool)
+        adj[0, 1] = True
+        snap = graphs.GraphSnapshot(2, graphs.DIRECTED, adj)
+        adj[1, 0] = True
+        assert snap.links == frozenset({(1, 2)})
         with pytest.raises(ValueError):
-            graphs.undirected(3, [(1, 4)])
+            snap.adj[1, 0] = True
 
     def test_canonical_and_dedup(self):
         snap = graphs.undirected(3, [(2, 1), (1, 2)])
         assert snap.links == frozenset({(1, 2)})
 
+    def test_equality_and_hash_by_value(self):
+        a = graphs.undirected(4, [(1, 2), (3, 4), (2, 3)])
+        b = graphs.undirected(4, [(4, 3), (2, 3), (2, 1), (1, 2), (3, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        arcs = graphs.directed(4, [(3, 4), (1, 2), (3, 4)])
+        assert arcs == graphs.directed(4, [(1, 2), (3, 4)])
+        assert hash(arcs) == hash(graphs.directed(4, [(1, 2), (3, 4)]))
+        assert arcs != graphs.directed(4, [(2, 1), (3, 4)])
+        # same links, other kind or vertex count: different snapshots
+        assert a != a.as_directed()
+        assert graphs.empty_snapshot(3) != graphs.empty_snapshot(4)
+        assert a != a.links
+
     def test_degrees(self):
-        assert list(path3().degrees()) == [1, 2, 1]
+        assert degrees(path3()) == [1, 2, 1]
+        # the builders read degrees as row sums of the adjacency matrix
+        assert path3().adj.sum(axis=1).tolist() == [1, 2, 1]
 
     def test_out_degrees(self):
         snap = graphs.directed(3, [(1, 2), (1, 3)])
-        assert list(snap.out_degrees()) == [2, 0, 0]
+        assert degrees(snap) == [2, 0, 0]
+        assert snap.adj.sum(axis=1).tolist() == [2, 0, 0]
 
     def test_directed_round_trip_views(self):
         snap = path3().as_directed()
@@ -122,7 +171,7 @@ class TestRandomDigraph:
         for seed in range(6):
             snap = graphs.random_strongly_connected_digraph(3, 3, seed=seed)
             assert closure_strongly_connected(snap)
-            assert list(snap.out_degrees()) == [1, 1, 1]
+            assert degrees(snap) == [1, 1, 1]
 
     def test_benchmark_size(self):
         snap = graphs.random_strongly_connected_digraph(12, 24, seed=42)
@@ -245,3 +294,7 @@ class TestSerialization:
     def test_malformed_header(self):
         with pytest.raises(ValueError):
             graphs.snapshot_from_text("bogus header\n1 2\n")
+
+    def test_unknown_kind_in_header(self):
+        with pytest.raises(ValueError, match="n=3 kind=sideways"):
+            graphs.snapshot_from_text("n=3 kind=sideways\n1>2\n")

@@ -276,6 +276,12 @@ class TestExperimentConfig:
 
 
 class TestBuilders:
+    def test_static_edges_non_integer_endpoint(self):
+        # a fractional label used to be truncated to a vertex
+        with pytest.raises(ValueError, match="endpoint 2.5 is not an integer"):
+            harness.build_sequence({"type": "static-edges", "n": 3,
+                                    "links": [[1, 2.5]]})
+
     def test_path_and_clique(self):
         seq = harness.build_sequence({"type": "static-path", "n": 4})
         assert len(seq.snapshot(0).links) == 3

@@ -1,0 +1,158 @@
+"""SHA-256 digests of the outputs a behaviour-preserving change must keep.
+
+Run it once per checkout and compare the printed lines:
+
+    PYTHONPATH=<checkout>/src python3 tools/parity.py > digests.txt
+
+It covers:
+- the trace CSV of every `reproduce_section6` run (all three graph cases)
+  at seeds 0 and 11;
+- the block-connected DIGing config with a theory-audit block, through
+  the CLI at seeds 0, 1 and 11: trace CSV, audit sidecar, and the stdout
+  of `validate`, `audit` and `bounds`;
+- the entries of the three mixing builders and `snapshot_to_text` on 40
+  seeded random graphs of 1 to 15 vertices;
+- `snapshot_to_text` of the seeded generators' output: random trees,
+  connected graphs and strongly connected digraphs, and the snapshots of
+  subsampled and block-connected sequences.
+
+The first line names the `digrate` package that was imported.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import digrate
+from digrate import cli, graphs, harness, mixing
+
+REPRODUCE_SEEDS = (0, 11)
+AUDIT_SEEDS = (0, 1, 11)
+RANDOM_GRAPHS = 40
+
+
+def digest(data: bytes | str) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def reproduce_digests(work: Path):
+    for seed in REPRODUCE_SEEDS:
+        out = work / f"reproduce-{seed}"
+        for case in harness.CASES:
+            harness.reproduce_section6(case, seed=seed, out_dir=out)
+        for path in sorted(out.glob("*.csv")):
+            yield f"reproduce seed={seed} {path.name}", digest(path.read_bytes())
+
+
+def audit_cli_digests(work: Path):
+    for seed in AUDIT_SEEDS:
+        config = {
+            "algorithm": "diging",
+            "graph": {"type": "block-connected", "n": 12, "window": 2,
+                      "seed": seed},
+            "mixing": "metropolis",
+            "objective": {"family": "quadratic", "n": 12, "p": 4, "seed": seed},
+            "alpha": 0.3,
+            "iterations": 4000,
+            "seed": seed,
+            "output": "trace.csv",
+            "theory_audit": {"B": 3, "delta": "empirical", "lambda": "certified"},
+        }
+        suite = harness.build_suite(config["objective"])
+        params = {"n": 12, "B": 3, "delta": 0.9, "mu_bar": suite.mu_bar,
+                  "L": suite.L}
+        base = work / f"audit-{seed}"
+        base.mkdir()
+        config_path, params_path = base / "config.json", base / "params.json"
+        config_path.write_text(json.dumps(config))
+        params_path.write_text(json.dumps(params))
+        trace_path = base / "run" / "trace.csv"
+        commands = {
+            "validate": ["validate", "--config", str(config_path)],
+            "run": ["run", "--config", str(config_path), "--out",
+                    str(base / "run")],
+            "audit": ["audit", "--trace", str(trace_path)],
+            "bounds": ["bounds", "--params", str(params_path)],
+        }
+        for name, argv in commands.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            # `run` prints the trace path, which differs between checkouts
+            if name != "run":
+                yield f"audit-cli seed={seed} {name} stdout", digest(out.getvalue())
+            yield f"audit-cli seed={seed} {name} exit", str(code)
+        yield f"audit-cli seed={seed} trace.csv", digest(trace_path.read_bytes())
+        sidecar = trace_path.with_name(trace_path.name + ".audit.json")
+        yield f"audit-cli seed={seed} trace.csv.audit.json", digest(sidecar.read_bytes())
+
+
+def random_graphs():
+    rng = np.random.default_rng(2016)
+    for t in range(RANDOM_GRAPHS):
+        n = int(rng.integers(1, 16))
+        density = 0.0 if t == 0 else float(rng.uniform(0, 1))
+        edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if rng.uniform() < density]
+        arcs = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1)
+                if j != i and rng.uniform() < density]
+        yield graphs.undirected(n, edges), graphs.directed(n, arcs)
+
+
+def builder_digests():
+    hashes = {name: hashlib.sha256() for name in
+              ("metropolis", "lazy_metropolis", "out_degree_column",
+               "snapshot_to_text")}
+    for und, dig in random_graphs():
+        hashes["metropolis"].update(mixing.metropolis(und).entries.tobytes())
+        hashes["lazy_metropolis"].update(mixing.lazy_metropolis(und).entries.tobytes())
+        hashes["out_degree_column"].update(mixing.out_degree_column(dig).entries.tobytes())
+        hashes["snapshot_to_text"].update(
+            (graphs.snapshot_to_text(und) + graphs.snapshot_to_text(dig)).encode())
+    for name, h in hashes.items():
+        yield f"builders {RANDOM_GRAPHS} graphs {name}", h.hexdigest()
+
+
+def generator_digests():
+    snaps = {name: [] for name in ("random_spanning_tree", "random_connected_graph",
+                                   "random_strongly_connected_digraph",
+                                   "subsample_sequence", "block_connected_sequence")}
+    for seed in range(20):
+        n = 2 + seed % 11
+        snaps["random_spanning_tree"].append(graphs.random_spanning_tree(n, seed))
+        connected = graphs.random_connected_graph(n, seed % 7, seed)
+        snaps["random_connected_graph"].append(connected)
+        m = n + seed % (n * (n - 2) + 1)  # n <= m <= n(n-1)
+        digraph = graphs.random_strongly_connected_digraph(n, m, seed)
+        snaps["random_strongly_connected_digraph"].append(digraph)
+        for base in (connected, digraph):
+            seq = graphs.subsample_sequence(base, 0.5, seed)
+            snaps["subsample_sequence"] += [seq.snapshot(k) for k in range(5)]
+        seq = graphs.block_connected_sequence(n, 1 + seed % 3, seed, seed % 4)
+        snaps["block_connected_sequence"] += [seq.snapshot(k) for k in range(6)]
+    for name, listed in snaps.items():
+        yield (f"generators {name}",
+               digest("".join(graphs.snapshot_to_text(s) for s in listed)))
+
+
+def main() -> None:
+    print(f"# digrate from {Path(digrate.__file__).parent}")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for part in (reproduce_digests(work), audit_cli_digests(work),
+                     builder_digests(), generator_digests()):
+            for label, value in part:
+                print(f"{value}  {label}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
