@@ -278,28 +278,116 @@ def input_problems(algorithm: str, seq: GraphSequence, suite: ObjectiveSuite,
     return problems
 
 
-def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
-        alpha: float, iterations: int, seed: int = 0, x0: np.ndarray | None = None,
+# a member's row buffer: row i holds one series, column k iteration k
+_SERIES = ("residual", "cons_viol_x", "cons_viol_y", "conservation_err",
+           "v_min", "q_norm", "z_norm", "grad_norm")
+
+
+class _Member:
+    """One run of a lockstep call: its method, step size and state, and its
+    metrics written into a buffer preallocated for every iteration."""
+
+    def __init__(self, algorithm: str, alpha: float, suite: ObjectiveSuite,
+                 x0: np.ndarray, x_star: np.ndarray, r0: float,
+                 iterations: int, record_states: bool):
+        self.algorithm = algorithm
+        self.method = METHODS[algorithm]
+        # looked up per `run` call, so a rebound module name takes effect
+        self.advance = globals()[algorithm.replace("-", "_") + "_step"]
+        self.alpha = alpha
+        self.x_star = x_star
+        self.r0 = r0
+        self.rows = np.empty((len(_SERIES), iterations + 1))
+        self.prev_grad = None
+        self.terminated = None
+        self.state = init(suite, x0)
+        self.states = [self.state] if record_states else None
+        self.mixers = [] if record_states else None
+        self.residual = self.record(self.state)
+
+    def record(self, st: State) -> float:
+        """Write one metrics row (each value as np.linalg.norm and
+        consensus_violation compute it) and return the residual."""
+        method, n = self.method, len(st.x)
+        q = _frobenius(st.x - self.x_star)
+        residual = q / self.r0 if self.r0 > 0 else q
+        if method.tracking:
+            y = st.y / st.v[:, None] if method.push else st.y
+            cons_y = _frobenius(y - y.sum(axis=0) / n)
+            conservation = _frobenius(st.y.sum(axis=0) - st.grad.sum(axis=0))
+        else:
+            cons_y = conservation = float("nan")
+        self.rows[:, st.k] = (
+            residual, _frobenius(st.x - st.x.sum(axis=0) / n), cons_y,
+            conservation, float(st.v.min()) if method.push else float("nan"), q,
+            0.0 if self.prev_grad is None else _frobenius(st.grad - self.prev_grad),
+            _frobenius(st.grad))
+        self.prev_grad = st.grad
+        return residual
+
+    def step(self, k: int, mat: MixingMatrix, suite: ObjectiveSuite,
+             v_floor: float | None) -> bool:
+        """Advance one iteration and record it; False once the run has ended
+        on a push-sum violation or a non-finite residual."""
+        a_k = self.alpha / math.sqrt(k + 1) if self.method.diminishing else self.alpha
+        try:
+            self.state = self.advance(self.state, mat, suite, a_k, v_floor=v_floor)
+        except PushSumViolation as exc:
+            self.terminated = str(exc)
+            return False
+        if self.states is not None:
+            self.states.append(self.state)
+            self.mixers.append(mat)
+        self.residual = self.record(self.state)
+        return math.isfinite(self.residual)
+
+
+def _lockstep_members(algorithm, alpha) -> list[tuple[str, float]]:
+    """(algorithm, alpha) per member: a tuple gives one member per entry and
+    a single value is shared by every member."""
+    sizes = {len(v) for v in (algorithm, alpha) if isinstance(v, tuple)}
+    if len(sizes) > 1:
+        raise ValueError(f"algorithm and alpha tuples differ in length: "
+                         f"{len(algorithm)} and {len(alpha)}")
+    size = sizes.pop() if sizes else 1
+    if size == 0:
+        raise ValueError("a lockstep run needs at least one member")
+    algos = algorithm if isinstance(algorithm, tuple) else (algorithm,) * size
+    alphas = alpha if isinstance(alpha, tuple) else (alpha,) * size
+    return list(zip(algos, alphas))
+
+
+def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
+        suite: ObjectiveSuite, alpha: float | tuple[float, ...], iterations: int,
+        seed: int = 0, x0: np.ndarray | None = None,
         x_star: np.ndarray | None = None, record_audit: bool = False,
-        record_states: bool = False, v_floor: float | None = None) -> RunTrace:
-    """Drive one algorithm over a graph sequence and record per-iteration
-    metrics; deterministic in all inputs.
+        record_states: bool = False,
+        v_floor: float | None = None) -> RunTrace | tuple[RunTrace, ...]:
+    """Drive one algorithm, or several in lockstep, over a graph sequence and
+    record per-iteration metrics; deterministic in all inputs.
 
     `alpha` is the fixed step size; a diminishing method reads it as the
-    scale a of alpha_k = a / sqrt(k+1). `input_problems` lists what `run`
-    rejects with a ValueError.
+    scale a of alpha_k = a / sqrt(k+1). `algorithm` and `alpha` may each be
+    a tuple (of equal length when both are): one member runs per entry and
+    a tuple of traces comes back, each equal to that member's own `run`.
+    Every member shares the other inputs; each iteration draws the snapshot
+    once and advances every live member on it. `input_problems` lists what
+    `run` rejects with a ValueError.
     `rule` maps a snapshot to a MixingMatrix; it is called again only when
     the snapshot differs from the previous iteration's. `v_floor` is the
     fatal lower bound on push-sum weights; methods without push ignore it.
     When `x0` is None the run starts from zeros; the string "random" draws a
     standard normal block from `seed`. A push-sum violation or the first
-    non-finite residual ends the run early; that row is kept and
-    `metadata["terminated"]` says why.
+    non-finite residual ends a member early, the others going on; that row
+    is kept and `metadata["terminated"]` says why.
     """
-    problems = input_problems(algorithm, seq, suite)
-    if problems:
-        raise ValueError(problems[0])
-    method = METHODS[algorithm]
+    pairs = _lockstep_members(algorithm, alpha)
+    for algo, _ in pairs:
+        problems = input_problems(algo, seq, suite)
+        if problems:
+            raise ValueError(problems[0])
+    if iterations < 0:
+        raise ValueError(f"iteration count must be nonnegative, got {iterations}")
 
     n, p = suite.n, suite.p
     if isinstance(x0, str) and x0 == "random":
@@ -317,92 +405,47 @@ def run(algorithm: str, seq: GraphSequence, rule, suite: ObjectiveSuite,
             x_star = solve_reference(suite).x_star
     x_star = np.asarray(x_star, dtype=float).reshape(p)
 
-    state = init(suite, x0)
-    # the preset is looked up per call, so a rebound module name takes effect
-    advance = globals()[algorithm.replace("-", "_") + "_step"]
-
     r0 = float(np.linalg.norm(x0 - x_star[None, :]))
-    rows = {name: [] for name in ("k", "residual", "cons_viol_x", "cons_viol_y",
-                                  "conservation_err", "v_min")}
-    q_norms, z_norms, grad_norms = [], [], []
-    states = [state] if record_states else None
-    mixers = [] if record_states else None
-    prev_grad = None
-    terminated = None
-
-    def record(st) -> float:
-        """Append one metrics row (each value as np.linalg.norm and
-        consensus_violation compute it) and return the residual."""
-        nonlocal prev_grad
-        q = _frobenius(st.x - x_star)
-        residual = q / r0 if r0 > 0 else q
-        rows["k"].append(st.k)
-        rows["residual"].append(residual)
-        rows["cons_viol_x"].append(_frobenius(st.x - st.x.sum(axis=0) / n))
-        if method.tracking:
-            y = st.y / st.v[:, None] if method.push else st.y
-            rows["cons_viol_y"].append(_frobenius(y - y.sum(axis=0) / n))
-            drift = st.y.sum(axis=0) - st.grad.sum(axis=0)
-            rows["conservation_err"].append(_frobenius(drift))
-        else:
-            rows["cons_viol_y"].append(float("nan"))
-            rows["conservation_err"].append(float("nan"))
-        rows["v_min"].append(float(st.v.min()) if method.push else float("nan"))
-        q_norms.append(q)
-        z_norms.append(0.0 if prev_grad is None else _frobenius(st.grad - prev_grad))
-        grad_norms.append(_frobenius(st.grad))
-        prev_grad = st.grad
-        return residual
-
-    residual = record(state)
+    members = [_Member(algo, a, suite, x0, x_star, r0, iterations, record_states)
+               for algo, a in pairs]
+    live = [m for m in members if math.isfinite(m.residual)]
     snap = mat = None
     # a diverging run overflows on its way to the first non-finite residual,
-    # where the loop stops and says so
+    # where that member stops and says so
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iterations):
-            if not math.isfinite(residual):
+            if not live:
                 break
             current = seq.snapshot(k)
             # a rule is a function of the snapshot: rebuild only on a change
             if current is not snap and current != snap:
                 snap, mat = current, rule(current)
-            a_k = alpha / math.sqrt(k + 1) if method.diminishing else alpha
-            try:
-                state = advance(state, mat, suite, a_k, v_floor=v_floor)
-            except PushSumViolation as exc:
-                terminated = str(exc)
-                break
-            if record_states:
-                states.append(state)
-                mixers.append(mat)
-            residual = record(state)
-    if not math.isfinite(residual):
-        terminated = f"residual is not finite at iteration {state.k}"
+            live = [m for m in live if m.step(k, mat, suite, v_floor)]
 
-    trace = RunTrace(
-        k=np.array(rows["k"], dtype=int),
-        residual=np.array(rows["residual"]),
-        cons_viol_x=np.array(rows["cons_viol_x"]),
-        cons_viol_y=np.array(rows["cons_viol_y"]),
-        conservation_err=np.array(rows["conservation_err"]),
-        v_min=np.array(rows["v_min"]),
-        metadata={
-            "algorithm": algorithm,
-            "alpha": float(alpha),
-            "iterations": iterations,
-            "seed": seed,
-            "graph": seq.description,
-            "graph_seed": seq.seed,
-            "n": n, "p": p,
-            "terminated": terminated,
-        },
-    )
-    if record_audit:
-        trace.q_norm = np.array(q_norms)
-        trace.z_norm = np.array(z_norms)
-        trace.grad_norm = np.array(grad_norms)
-        trace.xbar0_error = float(np.linalg.norm(x0.mean(axis=0) - x_star))
-        trace.r0 = r0
-    if record_states:
-        trace.history = {"states": states, "mixers": mixers}
-    return trace
+    traces = []
+    for m in members:
+        if not math.isfinite(m.residual):
+            m.terminated = f"residual is not finite at iteration {m.state.k}"
+        rows = m.rows[:, :m.state.k + 1]
+        trace = RunTrace(
+            k=np.arange(rows.shape[1]), **dict(zip(_SERIES[:5], rows)),
+            metadata={
+                "algorithm": m.algorithm,
+                "alpha": float(m.alpha),
+                "iterations": iterations,
+                "seed": seed,
+                "graph": seq.description,
+                "graph_seed": seq.seed,
+                "n": n, "p": p,
+                "terminated": m.terminated,
+            },
+        )
+        if record_audit:
+            trace.q_norm, trace.z_norm, trace.grad_norm = rows[5:]
+            trace.xbar0_error = float(np.linalg.norm(x0.mean(axis=0) - x_star))
+            trace.r0 = r0
+        if record_states:
+            trace.history = {"states": m.states, "mixers": m.mixers}
+        traces.append(trace)
+    lockstep = isinstance(algorithm, tuple) or isinstance(alpha, tuple)
+    return tuple(traces) if lockstep else traces[0]

@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="rerun a benchmark graph case")
     p_rep.add_argument("--case", required=True, choices=harness.CASES)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--iterations", type=int, default=None)
+    p_rep.add_argument("--iterations", type=_nonnegative_int, default=None)
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(handler=_cmd_reproduce)
 
@@ -75,6 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--config", required=True)
     p_val.set_defaults(handler=_cmd_validate)
     return parser
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not a nonnegative count")
+    return value
 
 
 def _load_config(path: str) -> ExperimentConfig:

@@ -8,6 +8,7 @@ without replaying the stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -294,14 +295,26 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
 
     def gen(k: int, s: int) -> GraphSnapshot:
         t = k // b_tilde
-        rows, cols = _link_arrays(random_connected_graph(n, extra_edges, seed=_mix(s, t)))
-        slots = np.random.default_rng((s, t, 2)).integers(0, b_tilde, size=len(rows))
+        rows, cols, slots = _block_links(n, b_tilde, extra_edges, s, t)
         keep = slots == k - t * b_tilde
         return GraphSnapshot(n, UNDIRECTED,
                              _adjacency(n, UNDIRECTED, rows[keep], cols[keep]))
 
     return GraphSequence(n, UNDIRECTED, gen, seed=seed, declared_B=b_tilde,
                          description=f"block-connected(n={n}, window={b_tilde})")
+
+
+@functools.lru_cache(maxsize=16)
+def _block_links(n: int, b_tilde: int, extra_edges: int, seed: int,
+                 t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Links of block t's random connected graph and the slot each falls
+    in, drawn once per block and shared by its b_tilde snapshots (and by
+    every pass over the sequence, while the block stays cached)."""
+    rows, cols = _link_arrays(random_connected_graph(n, extra_edges, seed=_mix(seed, t)))
+    slots = np.random.default_rng((seed, t, 2)).integers(0, b_tilde, size=len(rows))
+    for a in (rows, cols, slots):
+        a.flags.writeable = False
+    return rows, cols, slots
 
 
 def _mix(seed: int, t: int) -> int:

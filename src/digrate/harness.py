@@ -532,7 +532,7 @@ def reproduce_section6(case: str, seed: int = 0,
     params = dict(TUNED[case])
     if alphas:
         params.update(alphas)
-    iters = iterations or params["iterations"]
+    iters = params["iterations"] if iterations is None else iterations
 
     reference = objectives.solve_reference(suite, tolerance=1e-12)
     x_star = reference.x_star
@@ -550,15 +550,22 @@ def reproduce_section6(case: str, seed: int = 0,
         seq_w = None  # the case runs the push methods only
         seq_c = graphs.subsample_sequence(problem.base_digraph, 0.8, sub_seed)
 
+    methods = [a for a in algorithms.ALGORITHMS if a in TUNED[case]]
+    runs: dict[str, RunTrace] = {}
+    # the methods that share a sequence and a rule run in lockstep, on one
+    # snapshot draw and one mixing build per iteration
+    for push, seq, rule in ((False, seq_w, mixing.metropolis),
+                            (True, seq_c, mixing.out_degree_column)):
+        group = tuple(a for a in methods if algorithms.METHODS[a].push == push)
+        if group:
+            runs.update(zip(group, algorithms.run(
+                group, seq, rule, suite, tuple(params[a] for a in group),
+                iterations=iters, seed=seed, x_star=x_star, record_audit=True)))
+
     traces: dict[str, RunTrace] = {}
     summary: dict[str, dict] = {}
-    for algo in [a for a in algorithms.ALGORITHMS if a in TUNED[case]]:
-        seq, rule = ((seq_c, mixing.out_degree_column)
-                     if algorithms.METHODS[algo].push
-                     else (seq_w, mixing.metropolis))
-        trace = algorithms.run(algo, seq, rule, suite, params[algo],
-                               iterations=iters, seed=seed, x_star=x_star,
-                               record_audit=True)
+    for algo in methods:
+        trace = runs[algo]
         trace.metadata["case"] = case
         traces[algo] = trace
         entry = {"final_residual": float(trace.residual[-1]),

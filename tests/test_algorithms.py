@@ -397,6 +397,118 @@ class TestRunDriver:
             f"residual is not finite at iteration {trace.k[-1]}")
 
 
+def assert_same_trace(got, want):
+    """Equal CSV bytes, metadata, audit series and recorded states."""
+    assert got.to_csv() == want.to_csv()
+    assert got.metadata == want.metadata
+    for name in ("q_norm", "z_norm", "grad_norm"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.tobytes() == b.tobytes()
+    assert (got.xbar0_error, got.r0) == (want.xbar0_error, want.r0)
+    assert (got.history is None) == (want.history is None)
+    if got.history is not None:
+        for s0, s1 in zip(got.history["states"], want.history["states"],
+                          strict=True):
+            assert s0.k == s1.k
+            for name in ("u", "v", "x", "y", "grad"):
+                assert getattr(s0, name).tobytes() == getattr(s1, name).tobytes()
+        for m0, m1 in zip(got.history["mixers"], want.history["mixers"],
+                          strict=True):
+            assert m0.entries.tobytes() == m1.entries.tobytes()
+
+
+class TestLockstep:
+    """Members of one `run` call share each snapshot draw and mixing build,
+    and each comes out as its own `run` would."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_members_equal_solo_runs(self, p):
+        rng = np.random.default_rng(30 + p)
+        n = 6
+        suite = quadratic_suite(rng.normal(size=(n, p)), rng.uniform(0.5, 2, n))
+        base = graphs.random_connected_graph(n, 4, seed=31)
+        cases = (
+            (graphs.subsample_sequence(base, 0.6, 32), mixing.metropolis,
+             ("diging", "diging-atc", "dgd", "diging"), (0.05, 0.08, 0.05, 0.02)),
+            (graphs.subsample_sequence(base.as_directed(), 0.7, 33),
+             mixing.out_degree_column,
+             ("push-diging", "subgradient-push"), (0.04, 0.5)),
+        )
+        for seq, rule, algos, alphas in cases:
+            kwargs = dict(x0="random", seed=34, record_audit=True,
+                          record_states=True)
+            traces = alg.run(algos, seq, rule, suite, alphas, 120, **kwargs)
+            assert len(traces) == len(algos)
+            for trace, algo, alpha in zip(traces, algos, alphas):
+                assert_same_trace(trace, alg.run(algo, seq, rule, suite, alpha,
+                                                 120, **kwargs))
+
+    def test_shared_algorithm_or_step_size(self):
+        suite = quadratic_suite(np.array([[0.0], [2.0], [1.0]]), np.ones(3))
+        seq = graphs.static_sequence(graphs.undirected(3, [(1, 2), (2, 3)]))
+        grid = alg.run("diging", seq, mixing.metropolis, suite, (0.05, 0.1), 30)
+        methods = alg.run(("diging", "dgd"), seq, mixing.metropolis, suite,
+                          0.1, 30)
+        assert_same_trace(grid[1], methods[0])
+        assert_same_trace(methods[1], alg.run("dgd", seq, mixing.metropolis,
+                                              suite, 0.1, 30))
+        (single,) = alg.run(("diging",), seq, mixing.metropolis, suite, 0.1, 30)
+        assert_same_trace(single, methods[0])
+
+    def test_members_end_independently(self):
+        """A diverging member and one that breaks the push-sum floor each
+        end with their own trace; the others go on. Push-sum weights do not
+        depend on the method, so every push member of one call breaks the
+        floor at the same iteration, and a converging member runs on the
+        undirected sequence."""
+        rng = np.random.default_rng(5)
+        suite = quadratic_suite(rng.normal(size=(4, 2)), rng.uniform(0.5, 2.0, 4))
+        seq = graphs.static_sequence(
+            graphs.undirected(4, [(1, 2), (2, 3), (3, 4)]))
+        algos, alphas = ("diging", "diging-atc"), (50.0, 0.05)
+        traces = alg.run(algos, seq, mixing.metropolis, suite, alphas, 2000,
+                         x0="random", seed=1)
+        for trace, algo, alpha in zip(traces, algos, alphas):
+            assert_same_trace(trace, alg.run(algo, seq, mixing.metropolis, suite,
+                                             alpha, 2000, x0="random", seed=1))
+        diverged, converged = traces
+        assert diverged.metadata["terminated"].startswith("residual is not finite")
+        assert len(diverged) < 2001
+        assert converged.metadata["terminated"] is None
+        assert len(converged) == 2001 and converged.residual[-1] < 1e-10
+
+        # vertex 1 only sends, so its push-sum weight halves every iteration
+        suite = quadratic_suite(rng.normal(size=(2, 2)), rng.uniform(0.5, 2.0, 2))
+        seq = graphs.static_sequence(graphs.directed(2, [(1, 2)]))
+        algos, alphas = ("push-diging", "subgradient-push"), (50.0, 0.5)
+        traces = alg.run(algos, seq, mixing.out_degree_column, suite, alphas, 100,
+                         x0="random", seed=1, v_floor=1e-9)
+        for trace, algo, alpha in zip(traces, algos, alphas):
+            assert_same_trace(trace, alg.run(
+                algo, seq, mixing.out_degree_column, suite, alpha, 100,
+                x0="random", seed=1, v_floor=1e-9))
+        diverged, violated = traces
+        assert diverged.metadata["terminated"].startswith("residual is not finite")
+        assert violated.metadata["terminated"].startswith(
+            "push-sum weight degenerated")
+        assert len(diverged) < len(violated) < 101
+
+    def test_unequal_tuples_rejected(self):
+        suite = quadratic_suite(np.array([[0.0], [2.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="differ in length"):
+            alg.run(("diging", "dgd"), two_clique_seq(), mixing.metropolis,
+                    suite, (0.1, 0.2, 0.3), 5)
+        with pytest.raises(ValueError, match="at least one member"):
+            alg.run((), two_clique_seq(), mixing.metropolis, suite, 0.1, 5)
+
+    def test_negative_iterations_rejected(self):
+        suite = quadratic_suite(np.array([[0.0], [2.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            alg.run("diging", two_clique_seq(), mixing.metropolis, suite, 0.1, -1)
+
+
 class TestMatrixReuse:
     """`run` asks the rule for a matrix only when the snapshot changes."""
 
@@ -437,3 +549,23 @@ class TestMatrixReuse:
         rule, calls = self.counting(mixing.metropolis)
         alg.run("diging", seq, rule, suite, 0.1, 9, x0="random")
         assert calls == [a, b, a, b, a, b]
+
+    @pytest.mark.parametrize("members", [1, 2, 4])
+    def test_lockstep_draws_once_per_iteration(self, members):
+        suite = zero_suite(3, 1)
+        a = graphs.undirected(3, [(1, 2)])
+        b = graphs.undirected(3, [(2, 3)])
+        periodic = graphs.periodic_sequence([a, a, b], declared_B=3)
+        draws = []
+
+        def drawn(k, s):
+            draws.append(k)
+            return periodic.snapshot(k)
+
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, drawn)
+        rule, calls = self.counting(mixing.metropolis)
+        traces = alg.run(("diging", "diging-atc", "dgd", "diging")[:members],
+                         seq, rule, suite, 0.1, 9, x0="random")
+        assert draws == list(range(9))
+        assert calls == [a, b, a, b, a, b]
+        assert all(len(trace) == 10 for trace in traces)

@@ -232,6 +232,14 @@ class TestAuditAndReproduce:
         assert "push-diging" in out and "subgradient-push" in out
         assert (tmp_path / "tv-directed-push-diging.csv").exists()
 
+    @pytest.mark.parametrize("count, message", [("-5", "-5 is not a nonnegative"),
+                                                ("x", "'x' is not an integer")])
+    def test_reproduce_bad_iterations_is_usage_error(self, capsys, count, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce", "--case", "tv-directed", "--iterations", count])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestFailureExits:
     def test_diverging_run_exits_runtime(self, tmp_path, capsys, monkeypatch):

@@ -161,6 +161,37 @@ class TestJointConnectivity:
             assert graphs.is_jointly_connected(seq, b_tilde, 6 * b_tilde).ok
 
 
+class TestBlockConnected:
+    def test_block_draws_its_graph_once(self, monkeypatch):
+        drawn = []
+        real = graphs.random_connected_graph
+
+        def counted(n, extra_edges, seed):
+            drawn.append(seed)
+            return real(n, extra_edges, seed)
+
+        monkeypatch.setattr(graphs, "random_connected_graph", counted)
+        graphs._block_links.cache_clear()
+        seq = graphs.block_connected_sequence(6, 3, seed=41, extra_edges=2)
+        for k in (0, 1, 2, 1, 0):
+            seq.snapshot(k)
+        assert len(drawn) == 1
+        seq.snapshot(3)
+        assert len(drawn) == 2
+        rows, cols, slots = graphs._block_links(6, 3, 2, 41, 0)
+        assert not (rows.flags.writeable or cols.flags.writeable
+                    or slots.flags.writeable)
+
+    def test_random_order_equals_fresh_sequence(self):
+        seq = graphs.block_connected_sequence(7, 3, seed=42, extra_edges=3)
+        order = np.random.default_rng(43).permutation(60)
+        shuffled = {int(k): seq.snapshot(int(k)) for k in order}
+        graphs._block_links.cache_clear()
+        fresh = graphs.block_connected_sequence(7, 3, seed=42, extra_edges=3)
+        assert [shuffled[k] for k in range(60)] == [fresh.snapshot(k)
+                                                    for k in range(60)]
+
+
 class TestRandomDigraph:
     def test_two_vertices_forced(self):
         snap = graphs.random_strongly_connected_digraph(2, 2, seed=1)

@@ -384,3 +384,12 @@ class TestReproduceLight:
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             harness.reproduce_section6("nope")
+
+    def test_zero_iterations_runs_none(self):
+        result = harness.reproduce_section6("tv-directed", seed=0, iterations=0)
+        assert result["iterations"] == 0
+        assert all(len(trace) == 1 for trace in result["traces"].values())
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            harness.reproduce_section6("tv-directed", iterations=-5)

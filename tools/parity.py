@@ -14,7 +14,11 @@ It covers:
   seeded random graphs of 1 to 15 vertices;
 - `snapshot_to_text` of the seeded generators' output: random trees,
   connected graphs and strongly connected digraphs, and the snapshots of
-  subsampled and block-connected sequences.
+  subsampled and block-connected sequences;
+- the `sweep-static` grid at seed 0: the trace CSV of DIGing and
+  DIGing-ATC at each step size of the eight-point grid (times 1/L) on one
+  static random graph, n = 48, p = 8, 500 iterations, each through its own
+  `run` call (p > 1, and the upper grid points diverge).
 
 The first line names the `digrate` package that was imported.
 """
@@ -31,11 +35,12 @@ from pathlib import Path
 import numpy as np
 
 import digrate
-from digrate import cli, graphs, harness, mixing
+from digrate import algorithms, cli, graphs, harness, mixing
 
 REPRODUCE_SEEDS = (0, 11)
 AUDIT_SEEDS = (0, 1, 11)
 RANDOM_GRAPHS = 40
+SWEEP_GRID = (0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.2)
 
 
 def digest(data: bytes | str) -> str:
@@ -144,12 +149,29 @@ def generator_digests():
                digest("".join(graphs.snapshot_to_text(s) for s in listed)))
 
 
+def sweep_static_digests(seed: int = 0):
+    n, p = 48, 8
+    seq = graphs.static_sequence(graphs.random_connected_graph(n, 48, seed))
+    suite = harness.build_suite({"family": "quadratic", "n": n, "p": p,
+                                 "seed": seed})
+    x0 = np.random.default_rng((seed, 1)).normal(size=(n, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for algo in ("diging", "diging-atc"):
+            for f in SWEEP_GRID:
+                trace = algorithms.run(algo, seq, mixing.metropolis, suite,
+                                       f / suite.L, 500, x0=x0,
+                                       x_star=suite.x_star)
+                yield (f"sweep-static seed={seed} {algo} alpha={f:g}/L",
+                       digest(trace.to_csv()))
+
+
 def main() -> None:
     print(f"# digrate from {Path(digrate.__file__).parent}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in (reproduce_digests(work), audit_cli_digests(work),
-                     builder_digests(), generator_digests()):
+                     builder_digests(), generator_digests(),
+                     sweep_static_digests()):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
