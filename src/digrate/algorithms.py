@@ -278,18 +278,35 @@ def input_problems(algorithm: str, seq: GraphSequence, suite: ObjectiveSuite,
     return problems
 
 
-# a member's row buffer: row i holds one series, column k iteration k
+# a member's row buffer: row i holds one series, column k iteration k; the
+# last two are filled only for a run that records audit series
 _SERIES = ("residual", "cons_viol_x", "cons_viol_y", "conservation_err",
            "v_min", "q_norm", "z_norm", "grad_norm")
+# states a member holds before it fills their batched series
+_CHUNK = 64
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """`_frobenius` of each block a[c]: a 1 x m @ m x 1 matmul slice runs the
+    same ddot over the raveled block."""
+    c = len(a)
+    return np.sqrt(np.matmul(a.reshape(c, 1, -1), a.reshape(c, -1, 1))).ravel()
 
 
 class _Member:
     """One run of a lockstep call: its method, step size and state, and its
-    metrics written into a buffer preallocated for every iteration."""
+    metrics written into a buffer preallocated for every iteration.
+
+    The residual is recorded on every iteration, since the first non-finite
+    one ends the run. The other series are filled by `flush` from the states
+    held since the last flush, a few stacked numpy calls per `_CHUNK`
+    iterations, each value bit-equal to np.linalg.norm and
+    consensus_violation on its own state.
+    """
 
     def __init__(self, algorithm: str, alpha: float, suite: ObjectiveSuite,
                  x0: np.ndarray, x_star: np.ndarray, r0: float,
-                 iterations: int, record_states: bool):
+                 iterations: int, record_states: bool, audit: bool):
         self.algorithm = algorithm
         self.method = METHODS[algorithm]
         # looked up per `run` call, so a rebound module name takes effect
@@ -297,8 +314,14 @@ class _Member:
         self.alpha = alpha
         self.x_star = x_star
         self.r0 = r0
+        self.audit = audit
         self.rows = np.empty((len(_SERIES), iterations + 1))
-        self.prev_grad = None
+        if not self.method.tracking:
+            self.rows[2:4] = float("nan")   # cons_viol_y, conservation_err
+        if not self.method.push:
+            self.rows[4] = float("nan")     # v_min
+        self.held: list[State] = []
+        self.last_grad = None   # gradient of the state before the held ones
         self.terminated = None
         self.state = init(suite, x0)
         self.states = [self.state] if record_states else None
@@ -306,24 +329,44 @@ class _Member:
         self.residual = self.record(self.state)
 
     def record(self, st: State) -> float:
-        """Write one metrics row (each value as np.linalg.norm and
-        consensus_violation compute it) and return the residual."""
-        method, n = self.method, len(st.x)
+        """Write the residual and the raw distance to x* of one state, hold
+        the state for the next flush, and return the residual."""
         q = _frobenius(st.x - self.x_star)
         residual = q / self.r0 if self.r0 > 0 else q
-        if method.tracking:
-            y = st.y / st.v[:, None] if method.push else st.y
-            cons_y = _frobenius(y - y.sum(axis=0) / n)
-            conservation = _frobenius(st.y.sum(axis=0) - st.grad.sum(axis=0))
-        else:
-            cons_y = conservation = float("nan")
-        self.rows[:, st.k] = (
-            residual, _frobenius(st.x - st.x.sum(axis=0) / n), cons_y,
-            conservation, float(st.v.min()) if method.push else float("nan"), q,
-            0.0 if self.prev_grad is None else _frobenius(st.grad - self.prev_grad),
-            _frobenius(st.grad))
-        self.prev_grad = st.grad
+        self.rows[0, st.k] = residual
+        self.rows[5, st.k] = q
+        self.held.append(st)
+        if len(self.held) == _CHUNK:
+            self.flush()
         return residual
+
+    def flush(self) -> None:
+        """Fill the batched series of the held states and drop them."""
+        held, self.held = self.held, []
+        if not held:
+            return
+        method, rows = self.method, self.rows
+        cols = slice(held[0].k, held[-1].k + 1)
+        x = np.array([st.x for st in held])
+        n = x.shape[1]
+        rows[1, cols] = _norms(x - x.sum(axis=1, keepdims=True) / n)
+        if method.push:
+            v = np.array([st.v for st in held])
+            rows[4, cols] = v.min(axis=1)
+        if method.tracking or self.audit:
+            g = np.array([st.grad for st in held])
+        if method.tracking:
+            y = np.array([st.y for st in held])
+            y_read = y / v[:, :, None] if method.push else y
+            rows[2, cols] = _norms(y_read - y_read.sum(axis=1, keepdims=True) / n)
+            rows[3, cols] = _norms(y.sum(axis=1) - g.sum(axis=1))
+        if self.audit:
+            first = held[0].grad if self.last_grad is None else self.last_grad
+            rows[6, cols] = _norms(np.diff(g, axis=0, prepend=first[None]))
+            if self.last_grad is None:
+                rows[6, 0] = 0.0   # z(0) = 0
+            rows[7, cols] = _norms(g)
+            self.last_grad = held[-1].grad
 
     def step(self, k: int, mat: MixingMatrix, suite: ObjectiveSuite,
              v_floor: float | None) -> bool:
@@ -394,7 +437,8 @@ def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
         x0 = np.random.default_rng(seed).normal(size=(n, p))
     elif x0 is None:
         x0 = np.zeros((n, p))
-    x0 = np.asarray(x0, dtype=float)
+    # C order: equal values give one trace whatever their memory layout
+    x0 = np.ascontiguousarray(x0, dtype=float)
 
     if x_star is None:
         x_star = suite.x_star
@@ -406,7 +450,8 @@ def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
     x_star = np.asarray(x_star, dtype=float).reshape(p)
 
     r0 = float(np.linalg.norm(x0 - x_star[None, :]))
-    members = [_Member(algo, a, suite, x0, x_star, r0, iterations, record_states)
+    members = [_Member(algo, a, suite, x0, x_star, r0, iterations, record_states,
+                       record_audit)
                for algo, a in pairs]
     live = [m for m in members if math.isfinite(m.residual)]
     snap = mat = None
@@ -421,6 +466,9 @@ def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
             if current is not snap and current != snap:
                 snap, mat = current, rule(current)
             live = [m for m in live if m.step(k, mat, suite, v_floor)]
+        # inside the errstate block: a diverging member's held states overflow
+        for m in members:
+            m.flush()
 
     traces = []
     for m in members:

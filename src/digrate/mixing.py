@@ -129,15 +129,18 @@ def validate_stochasticity(matrix: np.ndarray | MixingMatrix, mode: str,
         raise ValueError("stochasticity check needs a square matrix")
     if mode not in (DOUBLY, COLUMN):
         raise ValueError(f"unknown stochasticity mode {mode!r}")
-    checks = [("col", m.sum(axis=0))]
+    checks = [("col", np.abs(m.sum(axis=0) - 1.0))]
     if mode == DOUBLY:
-        checks.insert(0, ("row", m.sum(axis=1)))
-    violations = []
+        checks.insert(0, ("row", np.abs(m.sum(axis=1) - 1.0)))
     max_dev = 0.0
-    first = None
-    for axis, sums in checks:
-        dev = np.abs(sums - 1.0)
+    for _, dev in checks:
         max_dev = max(max_dev, float(dev.max()))
+    # a certificate needs no offender list
+    if max_dev <= tol and m.min() >= 0:
+        return StochasticityReport(mode, True, max_dev)
+    violations = []
+    first = None
+    for axis, dev in checks:
         for idx in np.nonzero(dev > tol)[0]:
             entry = (axis, int(idx) + 1, float(dev[idx]))
             violations.append(entry)

@@ -569,3 +569,149 @@ class TestMatrixReuse:
         assert draws == list(range(9))
         assert calls == [a, b, a, b, a, b]
         assert all(len(trace) == 10 for trace in traces)
+
+
+def oracle_series(trace, x_star):
+    """Every series of an audited trace with recorded states, recomputed
+    state by state with np.linalg.norm and consensus_violation."""
+    method = alg.METHODS[trace.metadata["algorithm"]]
+    nan = float("nan")
+    states = trace.history["states"]
+    r0 = np.linalg.norm(states[0].x - x_star)
+    out = {name: [] for name in alg._SERIES}
+    prev = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for st in states:
+            q = np.linalg.norm(st.x - x_star)
+            y = st.y / st.v[:, None] if method.push else st.y
+            out["residual"].append(q / r0 if r0 > 0 else q)
+            out["cons_viol_x"].append(mixing.consensus_violation(st.x))
+            out["cons_viol_y"].append(
+                mixing.consensus_violation(y) if method.tracking else nan)
+            out["conservation_err"].append(
+                np.linalg.norm(st.y.sum(axis=0) - st.grad.sum(axis=0))
+                if method.tracking else nan)
+            out["v_min"].append(st.v.min() if method.push else nan)
+            out["q_norm"].append(q)
+            out["z_norm"].append(0.0 if prev is None
+                                 else np.linalg.norm(st.grad - prev))
+            out["grad_norm"].append(np.linalg.norm(st.grad))
+            prev = st.grad
+    return {name: np.array(values, dtype=float) for name, values in out.items()}
+
+
+def assert_matches_oracle(trace, x_star):
+    """Bit-equal to the oracle in every series, NaN where it has NaN."""
+    assert len(trace.history["states"]) == len(trace)
+    for name, want in oracle_series(trace, x_star).items():
+        got = np.asarray(getattr(trace, name), dtype=float)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), name
+        assert got[~nan].tobytes() == want[~nan].tobytes(), name
+
+
+class TestChunkedRecording:
+    """The residual is recorded per iteration and the other series in
+    batches of `_CHUNK` states; each value equals its per-state oracle."""
+
+    ALPHAS = {"diging": 0.05, "diging-atc": 0.08, "dgd": 0.05,
+              "push-diging": 0.04, "subgradient-push": 0.5}
+
+    @pytest.mark.parametrize("iterations", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_chunk_boundaries(self, iterations, p):
+        assert alg._CHUNK == 64
+        rng = np.random.default_rng(40 + p)
+        n = 6
+        suite = quadratic_suite(rng.normal(size=(n, p)), rng.uniform(0.5, 2, n))
+        base = graphs.random_connected_graph(n, 4, seed=41)
+        for algo, alpha in self.ALPHAS.items():
+            if alg.METHODS[algo].push:
+                seq = graphs.subsample_sequence(base.as_directed(), 0.7, 42)
+                rule = mixing.out_degree_column
+            else:
+                seq = graphs.subsample_sequence(base, 0.6, 42)
+                rule = mixing.metropolis
+            trace = alg.run(algo, seq, rule, suite, alpha, iterations,
+                            x0="random", seed=43, x_star=suite.x_star,
+                            record_audit=True, record_states=True)
+            assert len(trace) == iterations + 1
+            assert trace.metadata["terminated"] is None
+            assert_matches_oracle(trace, suite.x_star)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_noncontiguous_start(self, p):
+        """A start block that is transposed or strided gives the trace of
+        its contiguous copy, at n = 12 where column sums are pairwise. At
+        this seed r0 summed in Fortran order differs in the last bit."""
+        rng = np.random.default_rng(47)
+        n = 12
+        suite = quadratic_suite(rng.normal(size=(n, p)), rng.uniform(0.5, 2, n))
+        base = graphs.random_connected_graph(n, 20, seed=45)
+        x0 = rng.normal(size=(n, p)) * 1e3
+        for layout in (np.asfortranarray(x0), np.ascontiguousarray(x0.T).T,
+                       np.repeat(x0, 2, axis=0)[::2]):
+            for algo, alpha in self.ALPHAS.items():
+                base_seq = base.as_directed() if alg.METHODS[algo].push else base
+                seq = graphs.subsample_sequence(base_seq, 0.6, 46)
+                rule = (mixing.out_degree_column if alg.METHODS[algo].push
+                        else mixing.metropolis)
+                kwargs = dict(x_star=suite.x_star, record_audit=True,
+                              record_states=True)
+                trace = alg.run(algo, seq, rule, suite, alpha, 70, x0=layout,
+                                **kwargs)
+                assert_matches_oracle(trace, suite.x_star)
+                want = alg.run(algo, seq, rule, suite, alpha, 70, x0=x0, **kwargs)
+                assert trace.to_csv() == want.to_csv()
+
+    def test_member_ends_mid_chunk_on_nonfinite_residual(self):
+        rng = np.random.default_rng(5)
+        suite = quadratic_suite(rng.normal(size=(4, 2)), rng.uniform(0.5, 2.0, 4))
+        seq = graphs.static_sequence(
+            graphs.undirected(4, [(1, 2), (2, 3), (3, 4)]))
+        diverged, converged = alg.run(
+            ("diging", "diging-atc"), seq, mixing.metropolis, suite,
+            (50.0, 0.05), 150, x0="random", seed=1, x_star=suite.x_star,
+            record_audit=True, record_states=True)
+        assert diverged.metadata["terminated"].startswith("residual is not finite")
+        assert alg._CHUNK < diverged.k[-1] < 2 * alg._CHUNK - 1
+        assert converged.metadata["terminated"] is None
+        assert len(converged) == 151
+        for trace in (diverged, converged):
+            assert_matches_oracle(trace, suite.x_star)
+
+    @pytest.mark.parametrize("objective, floor", [("quadratic", 1e-9),
+                                                  ("zero", 1e-21)])
+    def test_member_ends_mid_chunk_on_push_sum_violation(self, objective, floor):
+        # vertex 1 only sends, so its weight halves every iteration
+        rng = np.random.default_rng(6)
+        suite = (quadratic_suite(rng.normal(size=(2, 3)), rng.uniform(0.5, 2, 2))
+                 if objective == "quadratic" else zero_suite(2, 3))
+        seq = graphs.static_sequence(graphs.directed(2, [(1, 2)]))
+        x0 = rng.normal(size=(2, 3))
+        x_star = x0.mean(axis=0) if suite.x_star is None else suite.x_star
+        traces = alg.run(("push-diging", "subgradient-push"), seq,
+                         mixing.out_degree_column, suite, (1e-3, 1e-3), 200,
+                         x0=x0, x_star=x_star, v_floor=floor,
+                         record_audit=True, record_states=True)
+        for trace in traces:
+            assert trace.metadata["terminated"].startswith(
+                "push-sum weight degenerated")
+            assert trace.k[-1] % alg._CHUNK not in (0, alg._CHUNK - 1)
+            assert_matches_oracle(trace, x_star)
+
+    def test_audit_series_do_not_change_the_trace(self):
+        rng = np.random.default_rng(7)
+        suite = quadratic_suite(rng.normal(size=(5, 2)), rng.uniform(0.5, 2, 5))
+        base = graphs.random_connected_graph(5, 3, seed=8)
+        seq = graphs.subsample_sequence(base, 0.6, 9)
+        kwargs = dict(x0="random", seed=10)
+        plain, audited = (
+            alg.run(("diging", "dgd"), seq, mixing.metropolis, suite, 0.05, 130,
+                    record_audit=audit, **kwargs) for audit in (False, True))
+        for got, want in zip(plain, audited):
+            assert got.to_csv() == want.to_csv()
+            assert got.metadata == want.metadata
+            assert got.q_norm is got.z_norm is got.grad_norm is None
+            assert got.xbar0_error is got.r0 is None
+            assert want.z_norm is not None

@@ -140,6 +140,35 @@ class TestValidateStochasticity:
         assert mixing.validate_stochasticity(m, mixing.COLUMN).ok
         assert not mixing.validate_stochasticity(m, mixing.DOUBLY).ok
 
+    # (matrix, mode, report fields): a certificate carries no offender list,
+    # a failing check lists each offender in row, column, sign order
+    REPORTS = [
+        ([[1 / 7] * 7] * 7, mixing.DOUBLY, (True, 2.220446049250313e-16, None, ())),
+        ([[1 / 7] * 7] * 7, mixing.COLUMN, (True, 2.220446049250313e-16, None, ())),
+        ([[0.1, 0.9], [0.9, 0.1]], mixing.DOUBLY, (True, 0.0, None, ())),
+        ([[0.5, 1.0], [0.5, 0.0]], mixing.COLUMN, (True, 0.0, None, ())),
+        ([[0.5, 1.0], [0.5, 0.0]], mixing.DOUBLY,
+         (False, 0.5, ("row", 1, 0.5), (("row", 1, 0.5), ("row", 2, 0.5)))),
+        ([[0.5, 0.5 + 2e-12], [0.5, 0.5]], mixing.DOUBLY,
+         (False, 1.999955756559757e-12, ("row", 1, 1.999955756559757e-12),
+          (("row", 1, 1.999955756559757e-12), ("col", 2, 1.999955756559757e-12)))),
+        ([[0.5, 0.5 + 2e-12], [0.5, 0.5]], mixing.COLUMN,
+         (False, 1.999955756559757e-12, ("col", 2, 1.999955756559757e-12),
+          (("col", 2, 1.999955756559757e-12),))),
+        ([[1.5, -0.5], [-0.5, 1.5]], mixing.DOUBLY,
+         (False, 0.5, ("negative-row", 1, 0.5), (("negative-row", 1, 0.5),))),
+        ([[1.5, -0.25], [-0.5, 1.5]], mixing.DOUBLY,
+         (False, 0.5, ("row", 1, 0.25),
+          (("row", 1, 0.25), ("col", 2, 0.25), ("negative-row", 2, 0.5)))),
+        ([[1.5, -0.25], [-0.5, 1.5]], mixing.COLUMN,
+         (False, 0.5, ("col", 2, 0.25), (("col", 2, 0.25), ("negative-row", 2, 0.5)))),
+    ]
+
+    @pytest.mark.parametrize("matrix, mode, fields", REPORTS)
+    def test_report_fields(self, matrix, mode, fields):
+        report = mixing.validate_stochasticity(np.array(matrix), mode)
+        assert report == mixing.StochasticityReport(mode, *fields)
+
     def test_custom_wrapper_raises_on_violation(self):
         with pytest.raises(ValueError):
             mixing.custom_mixing(np.array([[1.0, 0.0], [1.0, 0.0]]), mixing.DOUBLY)

@@ -5,8 +5,8 @@ Run it once per checkout and compare the printed lines:
     PYTHONPATH=<checkout>/src python3 tools/parity.py > digests.txt
 
 It covers:
-- the trace CSV of every `reproduce_section6` run (all three graph cases)
-  at seeds 0 and 11;
+- the trace CSV and audit sidecar of every `reproduce_section6` run (all
+  three graph cases) at seeds 0 and 11;
 - the block-connected DIGing config with a theory-audit block, through
   the CLI at seeds 0, 1 and 11: trace CSV, audit sidecar, and the stdout
   of `validate`, `audit` and `bounds`;
@@ -54,7 +54,8 @@ def reproduce_digests(work: Path):
         out = work / f"reproduce-{seed}"
         for case in harness.CASES:
             harness.reproduce_section6(case, seed=seed, out_dir=out)
-        for path in sorted(out.glob("*.csv")):
+        # each trace CSV and its `.csv.audit.json` sidecar
+        for path in sorted(out.glob("*.csv*")):
             yield f"reproduce seed={seed} {path.name}", digest(path.read_bytes())
 
 
