@@ -294,8 +294,9 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 class _Member:
-    """One run of a lockstep call: its method, step size and state, and its
-    metrics written into a buffer preallocated for every iteration.
+    """One run of a lockstep call: its method, step size, sequence, rule and
+    state, and its metrics written into a buffer preallocated for every
+    iteration.
 
     The residual is recorded on every iteration, since the first non-finite
     one ends the run. The other series are filled by `flush` from the states
@@ -304,10 +305,12 @@ class _Member:
     consensus_violation on its own state.
     """
 
-    def __init__(self, algorithm: str, alpha: float, suite: ObjectiveSuite,
-                 x0: np.ndarray, x_star: np.ndarray, r0: float,
-                 iterations: int, record_states: bool, audit: bool):
+    def __init__(self, algorithm: str, alpha: float, seq: GraphSequence, rule,
+                 suite: ObjectiveSuite, x0: np.ndarray, x_star: np.ndarray,
+                 r0: float, iterations: int, record_states: bool, audit: bool):
         self.algorithm = algorithm
+        self.seq = seq
+        self.rule = rule
         self.method = METHODS[algorithm]
         # looked up per `run` call, so a rebound module name takes effect
         self.advance = globals()[algorithm.replace("-", "_") + "_step"]
@@ -385,22 +388,30 @@ class _Member:
         return math.isfinite(self.residual)
 
 
-def _lockstep_members(algorithm, alpha) -> list[tuple[str, float]]:
-    """(algorithm, alpha) per member: a tuple gives one member per entry and
-    a single value is shared by every member."""
-    sizes = {len(v) for v in (algorithm, alpha) if isinstance(v, tuple)}
-    if len(sizes) > 1:
-        raise ValueError(f"algorithm and alpha tuples differ in length: "
-                         f"{len(algorithm)} and {len(alpha)}")
-    size = sizes.pop() if sizes else 1
+def _lockstep_members(**values) -> list[tuple]:
+    """One tuple of values per member, in keyword order: a tuple value gives
+    one member per entry and a single value is shared by every member."""
+    sizes = {name: len(v) for name, v in values.items() if isinstance(v, tuple)}
+    if len(set(sizes.values())) > 1:
+        lengths = " and ".join(f"{name} {size}" for name, size in sizes.items())
+        raise ValueError(f"lockstep tuples differ in length: {lengths}")
+    size = sizes.popitem()[1] if sizes else 1
     if size == 0:
         raise ValueError("a lockstep run needs at least one member")
-    algos = algorithm if isinstance(algorithm, tuple) else (algorithm,) * size
-    alphas = alpha if isinstance(alpha, tuple) else (alpha,) * size
-    return list(zip(algos, alphas))
+    return list(zip(*(v if isinstance(v, tuple) else (v,) * size
+                      for v in values.values())))
 
 
-def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
+def _schedule(live: list[_Member]) -> dict:
+    """{sequence: {rule: members}} of the live members, in member order."""
+    plan: dict = {}
+    for m in live:
+        plan.setdefault(m.seq, {}).setdefault(m.rule, []).append(m)
+    return plan
+
+
+def run(algorithm: str | tuple[str, ...],
+        seq: GraphSequence | tuple[GraphSequence, ...], rule,
         suite: ObjectiveSuite, alpha: float | tuple[float, ...], iterations: int,
         seed: int = 0, x0: np.ndarray | None = None,
         x_star: np.ndarray | None = None, record_audit: bool = False,
@@ -410,23 +421,25 @@ def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
     record per-iteration metrics; deterministic in all inputs.
 
     `alpha` is the fixed step size; a diminishing method reads it as the
-    scale a of alpha_k = a / sqrt(k+1). `algorithm` and `alpha` may each be
-    a tuple (of equal length when both are): one member runs per entry and
-    a tuple of traces comes back, each equal to that member's own `run`.
-    Every member shares the other inputs; each iteration draws the snapshot
-    once and advances every live member on it. `input_problems` lists what
-    `run` rejects with a ValueError.
-    `rule` maps a snapshot to a MixingMatrix; it is called again only when
-    the snapshot differs from the previous iteration's. `v_floor` is the
-    fatal lower bound on push-sum weights; methods without push ignore it.
+    scale a of alpha_k = a / sqrt(k+1). `algorithm`, `seq`, `rule` and
+    `alpha` may each be a tuple (of equal length when several are): one
+    member runs per entry and a tuple of traces comes back, each equal to
+    that member's own `run`. Every member shares the other inputs. Each
+    iteration draws the snapshot of every distinct sequence once and, when
+    it differs from the previous iteration's, builds its matrix once per
+    distinct rule on it; every live member then advances on its matrix.
+    `input_problems` lists what `run` rejects with a ValueError.
+    `rule` maps a snapshot to a MixingMatrix. `v_floor` is the fatal lower
+    bound on push-sum weights; methods without push ignore it.
     When `x0` is None the run starts from zeros; the string "random" draws a
     standard normal block from `seed`. A push-sum violation or the first
     non-finite residual ends a member early, the others going on; that row
     is kept and `metadata["terminated"]` says why.
     """
-    pairs = _lockstep_members(algorithm, alpha)
-    for algo, _ in pairs:
-        problems = input_problems(algo, seq, suite)
+    entries = _lockstep_members(algorithm=algorithm, alpha=alpha, seq=seq,
+                                rule=rule)
+    for algo, _, member_seq, _ in entries:
+        problems = input_problems(algo, member_seq, suite)
         if problems:
             raise ValueError(problems[0])
     if iterations < 0:
@@ -450,22 +463,34 @@ def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
     x_star = np.asarray(x_star, dtype=float).reshape(p)
 
     r0 = float(np.linalg.norm(x0 - x_star[None, :]))
-    members = [_Member(algo, a, suite, x0, x_star, r0, iterations, record_states,
-                       record_audit)
-               for algo, a in pairs]
+    members = [_Member(algo, a, member_seq, member_rule, suite, x0, x_star, r0,
+                       iterations, record_states, record_audit)
+               for algo, a, member_seq, member_rule in entries]
     live = [m for m in members if math.isfinite(m.residual)]
-    snap = mat = None
+    plan = _schedule(live)
+    snaps: dict = {}    # sequence -> its last snapshot
+    mats: dict = {}     # (sequence, rule) -> the matrix of that snapshot
     # a diverging run overflows on its way to the first non-finite residual,
     # where that member stops and says so
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iterations):
-            if not live:
+            if not plan:
                 break
-            current = seq.snapshot(k)
-            # a rule is a function of the snapshot: rebuild only on a change
-            if current is not snap and current != snap:
-                snap, mat = current, rule(current)
-            live = [m for m in live if m.step(k, mat, suite, v_floor)]
+            ended = []
+            for member_seq, by_rule in plan.items():
+                current, last = member_seq.snapshot(k), snaps.get(member_seq)
+                # a rule is a function of the snapshot: rebuild only on a change
+                changed = current is not last and current != last
+                snaps[member_seq] = current
+                for member_rule, group in by_rule.items():
+                    if changed:
+                        mats[member_seq, member_rule] = member_rule(current)
+                    mat = mats[member_seq, member_rule]
+                    ended += [m for m in group
+                              if not m.step(k, mat, suite, v_floor)]
+            if ended:
+                live = [m for m in live if m not in ended]
+                plan = _schedule(live)
         # inside the errstate block: a diverging member's held states overflow
         for m in members:
             m.flush()
@@ -482,8 +507,8 @@ def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
                 "alpha": float(m.alpha),
                 "iterations": iterations,
                 "seed": seed,
-                "graph": seq.description,
-                "graph_seed": seq.seed,
+                "graph": m.seq.description,
+                "graph_seed": m.seq.seed,
                 "n": n, "p": p,
                 "terminated": m.terminated,
             },
@@ -495,5 +520,5 @@ def run(algorithm: str | tuple[str, ...], seq: GraphSequence, rule,
         if record_states:
             trace.history = {"states": m.states, "mixers": m.mixers}
         traces.append(trace)
-    lockstep = isinstance(algorithm, tuple) or isinstance(alpha, tuple)
+    lockstep = any(isinstance(v, tuple) for v in (algorithm, alpha, seq, rule))
     return tuple(traces) if lockstep else traces[0]

@@ -3,7 +3,9 @@
 Vertices are labeled 1..n and fixed over time; only the link set, an n x n
 boolean adjacency matrix, changes. A sequence is a pure function of
 (iteration, seed), so any snapshot can be regenerated at random access
-without replaying the stream.
+without replaying the stream. A subsample sequence draws its snapshots
+`_BLOCK` iterations at a time into one `GraphBlock`, which the mixing rules
+build and certify as a whole.
 """
 
 from __future__ import annotations
@@ -19,6 +21,27 @@ DIRECTED = "directed"
 
 Link = tuple[int, int]
 
+# iterations a subsample sequence draws at once, aligned to multiples of it
+_BLOCK = 64
+
+
+@dataclass(frozen=True, eq=False)
+class GraphBlock:
+    """The snapshots of `_BLOCK` consecutive iterations as one read-only
+    (_BLOCK, n, n) boolean stack, slice i holding the adjacency matrix of
+    the block's i-th iteration. Mixing rules build and certify the whole
+    stack on their first request and keep the result in `built`, keyed by
+    rule; blocks compare by identity."""
+
+    kind: str
+    adj: np.ndarray
+    built: dict = field(default_factory=dict, repr=False)
+
+    @functools.cached_property
+    def directed(self) -> "GraphBlock":
+        """The same stack read as arcs, with builds of its own."""
+        return self if self.kind == DIRECTED else GraphBlock(DIRECTED, self.adj)
+
 
 @dataclass(frozen=True)
 class GraphSnapshot:
@@ -26,12 +49,15 @@ class GraphSnapshot:
     adj[j-1, i-1] is the arc j -> i between the 1-based vertices j and i,
     symmetric for an undirected snapshot, with an empty diagonal (no
     self-loops). The matrix is copied and made read-only; equality and
-    hashing go by value, through its bytes."""
+    hashing go by value, through its bytes. `block` is (GraphBlock, slice)
+    when the snapshot was drawn as part of a block, which it must match."""
 
     n: int
     kind: str
     adj: np.ndarray = field(compare=False)
     adj_bytes: bytes = field(init=False, repr=False)
+    block: tuple[GraphBlock, int] | None = field(default=None, compare=False,
+                                                 repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -50,6 +76,10 @@ class GraphSnapshot:
         # at the sizes simulated here
         if self.kind == UNDIRECTED and adj.T.tobytes() != self.adj_bytes:
             raise ValueError("undirected adjacency must be symmetric")
+        if self.block is not None:
+            block, i = self.block
+            if block.kind != self.kind or block.adj[i].tobytes() != self.adj_bytes:
+                raise ValueError("snapshot differs from its block's slice")
         adj = adj.copy()
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
@@ -65,7 +95,8 @@ class GraphSnapshot:
         """Replace each undirected edge by the two opposite arcs."""
         if self.kind == DIRECTED:
             return self
-        return GraphSnapshot(self.n, DIRECTED, self.adj)
+        block = None if self.block is None else (self.block[0].directed, self.block[1])
+        return GraphSnapshot(self.n, DIRECTED, self.adj, block)
 
     def as_undirected(self) -> "GraphSnapshot":
         """Forget arc directions (antiparallel arcs collapse to one edge)."""
@@ -224,22 +255,46 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
     """Retain each base link independently with the given probability.
 
     Draws are keyed by (seed, k) and by the link's position in row-major
-    order, so snapshots are random-access reproducible.
+    order, so snapshots are random-access reproducible. The snapshots are
+    drawn a block of `_BLOCK` iterations at a time; the sequence keeps the
+    last block it drew.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     rows, cols = _link_arrays(base)
+    drawn: dict[tuple[int, int], GraphBlock] = {}   # (seed, block start)
 
     def gen(k: int, s: int) -> GraphSnapshot:
         if fraction == 1.0:
             return base
-        keep = np.random.default_rng((s, k)).uniform(size=len(rows)) < fraction
-        return GraphSnapshot(base.n, base.kind,
-                             _adjacency(base.n, base.kind, rows[keep], cols[keep]))
+        start = k - k % _BLOCK
+        block = drawn.get((s, start))
+        if block is None:
+            block = _subsample_block(base, rows, cols, fraction, s, start)
+            drawn.clear()
+            drawn[s, start] = block
+        i = k - start
+        return GraphSnapshot(base.n, base.kind, block.adj[i], (block, i))
 
     if description is None:
         description = f"subsample({fraction:g}) of {base.kind} base with {len(rows)} links"
     return GraphSequence(base.n, base.kind, gen, seed=seed, description=description)
+
+
+def _subsample_block(base: GraphSnapshot, rows: np.ndarray, cols: np.ndarray,
+                     fraction: float, seed: int, start: int) -> GraphBlock:
+    """Iterations start .. start + _BLOCK - 1 of a subsample sequence: at
+    iteration k, link t is kept when the t-th uniform draw of
+    default_rng((seed, k)) is below `fraction`."""
+    keep = np.array([np.random.default_rng((seed, k)).uniform(size=len(rows))
+                     for k in range(start, start + _BLOCK)]) < fraction
+    slot, link = np.nonzero(keep)
+    adj = np.zeros((_BLOCK, base.n, base.n), dtype=bool)
+    adj[slot, rows[link], cols[link]] = True
+    if base.kind == UNDIRECTED:
+        adj[slot, cols[link], rows[link]] = True
+    adj.flags.writeable = False
+    return GraphBlock(base.kind, adj)
 
 
 def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:

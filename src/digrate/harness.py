@@ -550,17 +550,17 @@ def reproduce_section6(case: str, seed: int = 0,
         seq_w = None  # the case runs the push methods only
         seq_c = graphs.subsample_sequence(problem.base_digraph, 0.8, sub_seed)
 
-    methods = [a for a in algorithms.ALGORITHMS if a in TUNED[case]]
-    runs: dict[str, RunTrace] = {}
-    # the methods that share a sequence and a rule run in lockstep, on one
-    # snapshot draw and one mixing build per iteration
-    for push, seq, rule in ((False, seq_w, mixing.metropolis),
-                            (True, seq_c, mixing.out_degree_column)):
-        group = tuple(a for a in methods if algorithms.METHODS[a].push == push)
-        if group:
-            runs.update(zip(group, algorithms.run(
-                group, seq, rule, suite, tuple(params[a] for a in group),
-                iterations=iters, seed=seed, x_star=x_star, record_audit=True)))
+    methods = tuple(a for a in algorithms.ALGORITHMS if a in TUNED[case])
+    pushes = [algorithms.METHODS[a].push for a in methods]
+    # one lockstep run: one snapshot draw per sequence and one mixing build
+    # per (sequence, rule) on each iteration, the directed view reading the
+    # block its undirected sequence drew
+    runs = dict(zip(methods, algorithms.run(
+        methods, tuple(seq_c if push else seq_w for push in pushes),
+        tuple(mixing.out_degree_column if push else mixing.metropolis
+              for push in pushes),
+        suite, tuple(params[a] for a in methods), iterations=iters, seed=seed,
+        x_star=x_star, record_audit=True)))
 
     traces: dict[str, RunTrace] = {}
     summary: dict[str, dict] = {}

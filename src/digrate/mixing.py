@@ -3,7 +3,8 @@
 Doubly stochastic rules (Metropolis, lazy Metropolis) serve undirected
 snapshots; the out-degree rule builds column stochastic matrices for
 directed snapshots; each builder reads the snapshot's adjacency matrix,
-degrees being its row sums. Contraction is measured as the largest singular
+degrees being its row sums, and builds and certifies a snapshot drawn in a
+`GraphBlock` together with its whole block. Contraction is measured as the largest singular
 value of the windowed product minus the uniform averaging matrix, by
 LAPACK's SVD; a window whose union graph is not connected contracts nothing
 and has delta = 1.
@@ -11,8 +12,9 @@ and has delta = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -67,41 +69,96 @@ class ContractionEstimate:
 def metropolis(snapshot: GraphSnapshot) -> MixingMatrix:
     """Metropolis weights: 1/(1+max(d_i,d_j)) on edges, diagonal completing
     each row to 1. Doubly stochastic; every nonzero entry is >= 1/n."""
-    return _metropolis(snapshot, lazy=False)
+    return _build(snapshot, "metropolis")
 
 
 def lazy_metropolis(snapshot: GraphSnapshot) -> MixingMatrix:
     """Half-weight Metropolis variant: 1/(2 max(d_i,d_j)) on edges, so the
     diagonal stays at least 1/2."""
-    return _metropolis(snapshot, lazy=True)
-
-
-def _metropolis(snapshot: GraphSnapshot, lazy: bool) -> MixingMatrix:
-    if snapshot.kind != UNDIRECTED:
-        raise ValueError(("lazy " if lazy else "")
-                         + "Metropolis weights need an undirected snapshot")
-    n = snapshot.n
-    d = snapshot.adj.sum(axis=1)
-    a, b = np.nonzero(snapshot.adj)  # both orientations of every edge
-    m = np.maximum(d[a], d[b])
-    w = np.zeros((n, n))
-    w[a, b] = 1.0 / (2 * m) if lazy else 1.0 / (1 + m)
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return MixingMatrix(n, w, "lazy-metropolis" if lazy else "metropolis",
-                        snapshot, validate_stochasticity(w, DOUBLY))
+    return _build(snapshot, "lazy-metropolis")
 
 
 def out_degree_column(snapshot: GraphSnapshot) -> MixingMatrix:
     """Column stochastic push-sum weights: column j holds 1/(out-degree + 1)
     on the diagonal (implicit self-arc) and on every arc j -> i."""
-    if snapshot.kind != DIRECTED:
-        raise ValueError("out-degree weights need a directed snapshot")
-    share = 1.0 / (snapshot.adj.sum(axis=1) + 1)
-    # c[i, j] = share[j] on every arc j -> i, that is where adj.T holds
-    c = np.where(snapshot.adj.T, share, 0.0)
-    np.fill_diagonal(c, share)
-    return MixingMatrix(snapshot.n, c, "out-degree-column", snapshot,
-                        validate_stochasticity(c, COLUMN))
+    return _build(snapshot, "out-degree-column")
+
+
+def _metropolis_weights(adj: np.ndarray, lazy: bool) -> np.ndarray:
+    """Metropolis weights of a boolean adjacency matrix, or of each matrix
+    of an (s, n, n) stack."""
+    d = adj.sum(axis=-1)
+    m = np.maximum(d[..., :, None], d[..., None, :])   # max(d_i, d_j)
+    # on the edges only: between two isolated vertices 2 max(d_i, d_j) is 0
+    w = np.divide(1.0, 2 * m if lazy else 1 + m, out=np.zeros(adj.shape),
+                  where=adj)
+    _diagonal(w, 1.0 - w.sum(axis=-1))
+    return w
+
+
+def _out_degree_weights(adj: np.ndarray) -> np.ndarray:
+    """Out-degree column weights of an arc matrix, or of each matrix of an
+    (s, n, n) stack."""
+    share = 1.0 / (adj.sum(axis=-1) + 1)
+    # c[..., i, j] = share[..., j] on every arc j -> i, where adj.T holds
+    c = np.where(adj.swapaxes(-1, -2), share[..., None, :], 0.0)
+    _diagonal(c, share)
+    return c
+
+
+def _diagonal(m: np.ndarray, values: np.ndarray) -> None:
+    """Write `values[..., i]` to m[..., i, i], whatever the memory order of
+    m (np.where may return one in Fortran order)."""
+    i = np.arange(m.shape[-1])
+    m[..., i, i] = values
+
+
+# rule -> (snapshot kind it serves, weights of an adjacency matrix or stack,
+# mode, what the weights are called)
+_RULES = {
+    "metropolis": (UNDIRECTED, partial(_metropolis_weights, lazy=False), DOUBLY,
+                   "Metropolis weights"),
+    "lazy-metropolis": (UNDIRECTED, partial(_metropolis_weights, lazy=True),
+                        DOUBLY, "lazy Metropolis weights"),
+    "out-degree-column": (DIRECTED, _out_degree_weights, COLUMN,
+                          "out-degree weights"),
+}
+
+
+def _build(snapshot: GraphSnapshot, rule: str) -> MixingMatrix:
+    """The rule's certified matrix for one snapshot. A snapshot drawn in a
+    block is built with its whole block on the block's first request for
+    the rule; any other snapshot is built and checked on its own."""
+    kind, weights, mode, name = _RULES[rule]
+    if snapshot.kind != kind:
+        raise ValueError(f"{name} need {'an' if kind == UNDIRECTED else 'a'} "
+                         f"{kind} snapshot")
+    if snapshot.block is None:
+        entries = weights(snapshot.adj)
+        certificate = validate_stochasticity(entries, mode)
+    else:
+        block, i = snapshot.block
+        built = block.built.get(rule)
+        if built is None:
+            stack = weights(block.adj)
+            built = block.built[rule] = (stack, _certify(stack, mode))
+        entries, certificate = built[0][i], built[1][i]
+    return MixingMatrix(snapshot.n, entries, rule, snapshot, certificate)
+
+
+def _certify(stack: np.ndarray, mode: str) -> list[StochasticityReport]:
+    """`validate_stochasticity` of each slice of an (s, n, n) stack, field for
+    field: one vectorized pass certifies the slices that pass, and a failing
+    or non-finite slice gets the full report."""
+    dev = np.abs(stack.sum(axis=1) - 1.0)           # column deviations
+    if mode == DOUBLY:
+        dev = np.concatenate([np.abs(stack.sum(axis=2) - 1.0), dev], axis=1)
+    max_dev = dev.max(axis=1)
+    # a NaN reaches both the deviation and the minimum, an inf the deviation
+    passes = (max_dev <= STOCHASTICITY_TOL) & (stack.min(axis=(1, 2)) >= 0)
+    return [StochasticityReport(mode, True, d) if ok
+            else validate_stochasticity(m, mode)
+            for m, d, ok in zip(stack, max_dev.tolist(), passes.tolist())]
 
 
 def custom_mixing(entries: np.ndarray, mode: str,
@@ -113,6 +170,9 @@ def custom_mixing(entries: np.ndarray, mode: str,
     report = validate_stochasticity(entries, mode)
     if not report.ok:
         axis, idx, dev = report.first_offender
+        if axis == "non-finite-row":
+            col = report.violations[1][1]
+            raise ValueError(f"custom matrix entry ({idx}, {col}) is not finite")
         raise ValueError(f"custom matrix is not {mode} stochastic: "
                          f"{axis} {idx} off by {dev:.3e}")
     return MixingMatrix(n, entries, "custom", snapshot, report)
@@ -121,7 +181,9 @@ def custom_mixing(entries: np.ndarray, mode: str,
 def validate_stochasticity(matrix: np.ndarray | MixingMatrix, mode: str,
                            tol: float = STOCHASTICITY_TOL) -> StochasticityReport:
     """Check row sums (doubly), column sums (both modes) against 1 within
-    `tol` absolute, reporting the worst deviation and each offender."""
+    `tol` absolute, reporting the worst deviation and each offender. A
+    non-finite entry fails the check with an infinite deviation, its row
+    and column named first."""
     if isinstance(matrix, MixingMatrix):
         matrix = matrix.entries
     m = np.asarray(matrix, dtype=float)
@@ -135,23 +197,24 @@ def validate_stochasticity(matrix: np.ndarray | MixingMatrix, mode: str,
     max_dev = 0.0
     for _, dev in checks:
         max_dev = max(max_dev, float(dev.max()))
-    # a certificate needs no offender list
+    # a certificate needs no offender list; a NaN fails `m.min() >= 0`
     if max_dev <= tol and m.min() >= 0:
         return StochasticityReport(mode, True, max_dev)
     violations = []
-    first = None
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        i, j = bad[0].tolist()
+        violations += [("non-finite-row", i + 1, math.inf),
+                       ("non-finite-col", j + 1, math.inf)]
+        max_dev = math.inf
     for axis, dev in checks:
         for idx in np.nonzero(dev > tol)[0]:
-            entry = (axis, int(idx) + 1, float(dev[idx]))
-            violations.append(entry)
-            if first is None:
-                first = entry
+            violations.append((axis, int(idx) + 1, float(dev[idx])))
     if np.any(m < 0):
         idx = int(np.argmin(m.min(axis=1)))
-        entry = ("negative-row", idx + 1, float(-m.min()))
-        violations.append(entry)
-        first = first or entry
+        violations.append(("negative-row", idx + 1, float(-m.min())))
         max_dev = max(max_dev, float(-m.min()))
+    first = violations[0] if violations else None
     return StochasticityReport(mode, not violations, max_dev, first, tuple(violations))
 
 

@@ -111,7 +111,13 @@ class ObjectiveSuite:
         return sum(c.value(x) for c in self.components) / self.n
 
     def average_gradient(self, x: np.ndarray) -> np.ndarray:
+        """(1/n) sum grad f_i(x): the stacked oracle on n copies of x when
+        the suite has one, summed from 0.0 in component order as the loop
+        over the components does."""
         x = np.asarray(x, dtype=float).reshape(self.p)
+        if self.stacked_grad is not None:
+            rows = self.stacked_grad(np.tile(x, (self.n, 1)))
+            return np.sum(rows, axis=0, initial=0.0) / self.n
         g = np.zeros(self.p)
         for c in self.components:
             g += c.grad(x)

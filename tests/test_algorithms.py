@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from digrate import algorithms as alg
-from digrate import graphs, mixing
+from digrate import graphs, harness, mixing
 from digrate.objectives import quadratic_suite, zero_suite
 
 
@@ -445,6 +445,36 @@ class TestLockstep:
                 assert_same_trace(trace, alg.run(algo, seq, rule, suite, alpha,
                                                  120, **kwargs))
 
+    def test_mixed_sequences_and_rules_equal_solo_runs(self):
+        # a subsample sequence under two rules, its directed view, and a
+        # static sequence, over three draw blocks
+        rng = np.random.default_rng(40)
+        n = 6
+        suite = quadratic_suite(rng.normal(size=(n, 2)), rng.uniform(0.5, 2, n))
+        base = graphs.random_connected_graph(n, 4, seed=41)
+        seq_w = graphs.subsample_sequence(base, 0.6, 42)
+        seq_c = harness.directed_view(seq_w)
+        members = (
+            ("diging", seq_w, mixing.metropolis, 0.05),
+            ("push-diging", seq_c, mixing.out_degree_column, 0.04),
+            ("diging-atc", seq_w, mixing.lazy_metropolis, 0.08),
+            ("dgd", graphs.static_sequence(base), mixing.metropolis, 0.05),
+            ("subgradient-push", seq_c, mixing.out_degree_column, 0.5),
+            ("diging", seq_w, mixing.metropolis, 0.02),
+        )
+        algos, seqs, rules, alphas = (tuple(c) for c in zip(*members))
+        kwargs = dict(x0="random", seed=43, record_audit=True,
+                      record_states=True)
+        traces = alg.run(algos, seqs, rules, suite, alphas, 150, **kwargs)
+        for trace, (algo, seq, rule, alpha) in zip(traces, members, strict=True):
+            assert_same_trace(trace, alg.run(algo, seq, rule, suite, alpha, 150,
+                                             **kwargs))
+            assert trace.metadata["graph"] == seq.description
+        # a one-member tuple of sequences or rules also gives a tuple
+        (single,) = alg.run("diging", (seq_w,), mixing.metropolis, suite, 0.05,
+                            150, **kwargs)
+        assert_same_trace(single, traces[0])
+
     def test_shared_algorithm_or_step_size(self):
         suite = quadratic_suite(np.array([[0.0], [2.0], [1.0]]), np.ones(3))
         seq = graphs.static_sequence(graphs.undirected(3, [(1, 2), (2, 3)]))
@@ -500,6 +530,12 @@ class TestLockstep:
         with pytest.raises(ValueError, match="differ in length"):
             alg.run(("diging", "dgd"), two_clique_seq(), mixing.metropolis,
                     suite, (0.1, 0.2, 0.3), 5)
+        with pytest.raises(ValueError, match="algorithm 2 and seq 3"):
+            alg.run(("diging", "dgd"), (two_clique_seq(),) * 3,
+                    mixing.metropolis, suite, 0.1, 5)
+        with pytest.raises(ValueError, match="alpha 1 and rule 2"):
+            alg.run("diging", two_clique_seq(), (mixing.metropolis,) * 2,
+                    suite, (0.1,), 5)
         with pytest.raises(ValueError, match="at least one member"):
             alg.run((), two_clique_seq(), mixing.metropolis, suite, 0.1, 5)
 
@@ -569,6 +605,32 @@ class TestMatrixReuse:
         assert draws == list(range(9))
         assert calls == [a, b, a, b, a, b]
         assert all(len(trace) == 10 for trace in traces)
+
+
+    def test_directed_view_reads_the_drawn_block(self, monkeypatch):
+        # a subsample sequence and its directed view in one call make one
+        # link draw per iteration; in two calls every block is drawn twice
+        suite = zero_suite(6, 1)
+        seq_w = graphs.subsample_sequence(
+            graphs.random_connected_graph(6, 4, seed=50), 0.5, 51)
+        seq_c = harness.directed_view(seq_w)
+        real, keys = np.random.default_rng, []
+
+        def counted(seed=None):
+            keys.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        iterations = 2 * graphs._BLOCK
+        alg.run(("diging", "push-diging"), (seq_w, seq_c),
+                (mixing.metropolis, mixing.out_degree_column), suite, 0.1,
+                iterations)
+        assert keys == [(51, k) for k in range(iterations)]
+        keys.clear()
+        alg.run("diging", seq_w, mixing.metropolis, suite, 0.1, iterations)
+        alg.run("push-diging", seq_c, mixing.out_degree_column, suite, 0.1,
+                iterations)
+        assert keys == [(51, k) for k in range(iterations)] * 2
 
 
 def oracle_series(trace, x_star):

@@ -87,6 +87,19 @@ class TestValidate:
         assert "theory_audit: delta=1.0 >= 1 certifies nothing" in captured.err
         assert "config valid" not in captured.out
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_custom_matrix(self, tmp_path, capsys, bad):
+        matrix = tmp_path / "w.csv"
+        matrix.write_text(f"{bad},0.5,0.5\n0.5,0.5,0\n0.5,0,0.5\n")
+        config = write_config(
+            tmp_path, graph={"type": "static-path", "n": 3},
+            objective={"family": "quadratic", "n": 3, "p": 2, "seed": 5},
+            mixing={"rule": "custom", "path": str(matrix), "mode": "doubly"})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "custom matrix entry (1, 1) is not finite" in captured.err
+        assert "config valid" not in captured.out
+
     def test_kind_mismatch(self, tmp_path, capsys):
         config = write_config(tmp_path, algorithm="push-diging")
         assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION

@@ -1,5 +1,7 @@
 """Graph sequence generation, joint connectivity, and serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,84 @@ class TestSubsample:
         for bad in (0.0, -0.2, 1.2):
             with pytest.raises(ValueError):
                 graphs.subsample_sequence(base, bad, seed=0)
+
+
+# the first, last and next-to-first iterations of the first two blocks
+BOUNDARY_KS = (0, 63, 64, 65, 127, 128)
+
+
+def subsample_base(kind):
+    if kind == graphs.UNDIRECTED:
+        return graphs.random_connected_graph(9, 6, seed=60)
+    return graphs.random_strongly_connected_digraph(9, 20, seed=61)
+
+
+class TestSubsampleBlocks:
+    """Subsample snapshots are drawn a block of iterations at a time; each
+    stays the pure function of (seed, k) it was when drawn alone."""
+
+    @pytest.mark.parametrize("kind", [graphs.UNDIRECTED, graphs.DIRECTED])
+    @pytest.mark.parametrize("fraction", [0.4, 1.0])
+    def test_block_boundaries(self, kind, fraction):
+        base = subsample_base(kind)
+        seq = graphs.subsample_sequence(base, fraction, seed=62)
+        order = np.random.default_rng(63).permutation(BOUNDARY_KS)
+        shuffled = {int(k): seq.snapshot(int(k)) for k in order}
+        fresh = graphs.subsample_sequence(base, fraction, seed=62)
+        links = sorted(base.links)   # row-major order
+        for k in BOUNDARY_KS:
+            snap = shuffled[k]
+            assert snap == fresh.snapshot(k)
+            assert hash(snap) == hash(fresh.snapshot(k))
+            if fraction < 1:
+                keep = np.random.default_rng((62, k)).uniform(size=len(links))
+                assert sorted(snap.links) == [
+                    link for link, u in zip(links, keep) if u < fraction]
+                assert snap.block[1] == k % graphs._BLOCK
+            else:
+                assert snap is base
+
+    @pytest.mark.parametrize("kind", [graphs.UNDIRECTED, graphs.DIRECTED])
+    def test_seeds_do_not_share_a_block(self, kind):
+        base = subsample_base(kind)
+        seq = graphs.subsample_sequence(base, 0.4, seed=70)
+        other = dataclasses.replace(seq, seed=71)
+        for k in BOUNDARY_KS:
+            a, b = seq.snapshot(k), other.snapshot(k)
+            assert a.block[0] is not b.block[0]
+            assert a == graphs.subsample_sequence(base, 0.4, seed=70).snapshot(k)
+            assert b == graphs.subsample_sequence(base, 0.4, seed=71).snapshot(k)
+        assert any(seq.snapshot(k) != other.snapshot(k) for k in BOUNDARY_KS)
+
+    def test_block_and_its_directed_twin(self):
+        seq = graphs.subsample_sequence(subsample_base(graphs.UNDIRECTED), 0.4, 72)
+        snap = seq.snapshot(70)
+        block, i = snap.block
+        assert i == 6 and block.kind == graphs.UNDIRECTED
+        assert block.adj.shape == (graphs._BLOCK, 9, 9)
+        assert not block.adj.flags.writeable
+        assert seq.snapshot(127).block[0] is block
+        # the directed view reads the same stack through one twin per block
+        arcs = snap.as_directed()
+        assert arcs.block == (block.directed, i)
+        assert block.directed.kind == graphs.DIRECTED
+        assert block.directed.adj is block.adj
+        assert seq.snapshot(64).as_directed().block[0] is block.directed
+        assert arcs == graphs.GraphSnapshot(9, graphs.DIRECTED, snap.adj)
+        # a standalone copy carries no block and compares equal
+        alone = graphs.GraphSnapshot(9, graphs.UNDIRECTED, snap.adj)
+        assert alone.block is None
+        assert alone == snap and hash(alone) == hash(snap)
+
+    def test_snapshot_must_match_its_slice(self):
+        seq = graphs.subsample_sequence(subsample_base(graphs.UNDIRECTED), 0.4, 73)
+        snap = seq.snapshot(5)
+        other = snap.adj.copy()
+        other[0, 1] = other[1, 0] = not other[0, 1]
+        with pytest.raises(ValueError, match="block's slice"):
+            graphs.GraphSnapshot(9, graphs.UNDIRECTED, other, snap.block)
+        with pytest.raises(ValueError, match="block's slice"):
+            graphs.GraphSnapshot(9, graphs.DIRECTED, snap.adj, snap.block)
 
 
 class TestDeterminism:

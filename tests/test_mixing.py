@@ -162,6 +162,21 @@ class TestValidateStochasticity:
           (("row", 1, 0.25), ("col", 2, 0.25), ("negative-row", 2, 0.5)))),
         ([[1.5, -0.25], [-0.5, 1.5]], mixing.COLUMN,
          (False, 0.5, ("col", 2, 0.25), (("col", 2, 0.25), ("negative-row", 2, 0.5)))),
+        # a non-finite entry fails, its row and column named first
+        ([[np.nan, 0.5], [0.5, 0.5]], mixing.DOUBLY,
+         (False, np.inf, ("non-finite-row", 1, np.inf),
+          (("non-finite-row", 1, np.inf), ("non-finite-col", 1, np.inf)))),
+        ([[np.nan, 0.5], [0.5, 0.5]], mixing.COLUMN,
+         (False, np.inf, ("non-finite-row", 1, np.inf),
+          (("non-finite-row", 1, np.inf), ("non-finite-col", 1, np.inf)))),
+        ([[0.5, np.inf], [0.5, 0.5]], mixing.DOUBLY,
+         (False, np.inf, ("non-finite-row", 1, np.inf),
+          (("non-finite-row", 1, np.inf), ("non-finite-col", 2, np.inf),
+           ("row", 1, np.inf), ("col", 2, np.inf)))),
+        ([[0.5, np.inf], [0.5, 0.5]], mixing.COLUMN,
+         (False, np.inf, ("non-finite-row", 1, np.inf),
+          (("non-finite-row", 1, np.inf), ("non-finite-col", 2, np.inf),
+           ("col", 2, np.inf)))),
     ]
 
     @pytest.mark.parametrize("matrix, mode, fields", REPORTS)
@@ -172,6 +187,16 @@ class TestValidateStochasticity:
     def test_custom_wrapper_raises_on_violation(self):
         with pytest.raises(ValueError):
             mixing.custom_mixing(np.array([[1.0, 0.0], [1.0, 0.0]]), mixing.DOUBLY)
+
+    @pytest.mark.parametrize("mode", [mixing.DOUBLY, mixing.COLUMN])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_custom_wrapper_rejects_non_finite(self, mode, bad):
+        with pytest.raises(ValueError, match=r"entry \(1, 1\) is not finite"):
+            mixing.custom_mixing(np.full((3, 3), bad), mode)
+        entries = np.full((3, 3), 1 / 3)
+        entries[2, 1] = bad
+        with pytest.raises(ValueError, match=r"entry \(3, 2\) is not finite"):
+            mixing.custom_mixing(entries, mode)
 
 
 class TestSpectralDeviation:
@@ -376,3 +401,65 @@ class TestVectorizedBuilders:
                            (mixing.out_degree_column, graphs.DIRECTED)):
             mat = rule(graphs.empty_snapshot(5, kind))
             assert np.array_equal(mat.entries, np.eye(5))
+
+
+# the first, last and next-to-first iterations of the first two blocks
+BOUNDARY_KS = (0, 63, 64, 65, 127, 128)
+
+
+class TestBlockBuilds:
+    """A snapshot drawn in a block gets its matrix and certificate from one
+    build of the whole block, equal to the build of a standalone copy."""
+
+    @pytest.mark.parametrize("fraction", [0.4, 1.0])
+    def test_block_matrix_equals_standalone_build(self, fraction):
+        und = graphs.random_connected_graph(10, 8, seed=80)
+        dig = graphs.random_strongly_connected_digraph(10, 25, seed=81)
+        seq_u = graphs.subsample_sequence(und, fraction, 82)
+        seq_d = graphs.subsample_sequence(dig, fraction, 83)
+        cases = ((seq_u.snapshot, mixing.metropolis),
+                 (seq_u.snapshot, mixing.lazy_metropolis),
+                 (lambda k: seq_u.snapshot(k).as_directed(),
+                  mixing.out_degree_column),
+                 (seq_d.snapshot, mixing.out_degree_column))
+        order = np.random.default_rng(84).permutation(BOUNDARY_KS)
+        for snapshot, rule in cases:
+            for k in order.tolist():
+                snap = snapshot(k)
+                mat = rule(snap)
+                alone = rule(graphs.GraphSnapshot(snap.n, snap.kind, snap.adj))
+                assert mat.entries.tobytes() == alone.entries.tobytes()
+                assert mat.certificate == alone.certificate
+                assert mat.certificate.ok
+                assert (mat.snapshot, mat.rule) == (snap, alone.rule)
+
+    def test_each_rule_builds_a_block_once(self):
+        seq = graphs.subsample_sequence(
+            graphs.random_connected_graph(10, 8, seed=85), 0.4, 86)
+        first, last = seq.snapshot(0), seq.snapshot(63)
+        block = first.block[0]
+        mixing.metropolis(first)
+        built = block.built["metropolis"]
+        assert mixing.metropolis(last).entries.tobytes() == \
+            built[0][63].tobytes()
+        assert block.built["metropolis"] is built
+        mixing.lazy_metropolis(last)
+        assert set(block.built) == {"metropolis", "lazy-metropolis"}
+        assert seq.snapshot(64).block[0].built == {}
+
+    @pytest.mark.parametrize("mode", [mixing.DOUBLY, mixing.COLUMN])
+    def test_block_certificate_equals_full_report(self, mode):
+        seq = graphs.subsample_sequence(
+            graphs.random_connected_graph(10, 8, seed=87), 0.4, 88)
+        stack = mixing._metropolis_weights(seq.snapshot(0).block[0].adj, lazy=False)
+        stack[1, 0, 0] += 2e-12           # a column (and row) sum off
+        stack[2, 0, 0] = -0.25            # a negative entry
+        stack[3, 4, 2] = np.nan
+        stack[4, 1, 0] = np.inf
+        stack[5, 0, 3] = -np.inf
+        stack[6, 1, 1] += 1e-13           # within the tolerance
+        reports = mixing._certify(stack, mode)
+        assert reports == [mixing.validate_stochasticity(m, mode) for m in stack]
+        assert [r.ok for r in reports[:7]] == [True] + [False] * 5 + [True]
+        assert reports[3].first_offender == ("non-finite-row", 5, np.inf)
+        assert all(r.ok for r in reports[7:])

@@ -255,6 +255,25 @@ class TestStackedOracle:
             assert not x.flags.c_contiguous
             assert np.array_equal(block_gradient(suite, x), loop_reference(suite, x))
 
+    def test_average_gradient_matches_loop(self):
+        """The stacked average gradient is the component loop's, byte for
+        byte, so a reference solve keeps its iterate and step count."""
+        suites = [harness.section6_problem(seed).suite for seed in range(16)]
+        suites.append(self.suites()["quadratic"])
+        rng = np.random.default_rng(25)
+        for suite in suites:
+            assert suite.stacked_grad is not None
+            for scale in (1e-2, 1.0, 1e2):
+                x = scale * rng.normal(size=suite.p)
+                g = np.zeros(suite.p)
+                for c in suite.components:
+                    g += c.grad(x)
+                assert suite.average_gradient(x).tobytes() == (g / suite.n).tobytes()
+            loop = dataclasses.replace(suite, stacked_grad=None)
+            got, want = solve_reference(suite), solve_reference(loop)
+            assert got.x_star.tobytes() == want.x_star.tobytes()
+            assert (got.iterations, got.grad_norm) == (want.iterations, want.grad_norm)
+
     def test_ragged_huber_uses_loop(self):
         rng = np.random.default_rng(24)
         sizes = (1, 3, 2)

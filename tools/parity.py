@@ -15,6 +15,10 @@ It covers:
 - `snapshot_to_text` of the seeded generators' output: random trees,
   connected graphs and strongly connected digraphs, and the snapshots of
   subsampled and block-connected sequences;
+- subsample snapshots of iterations 0 to 129 (two draw-block boundaries),
+  undirected, their directed view and directed, read in shuffled order:
+  `snapshot_to_text` of each, and the entries and certificate fields of
+  their Metropolis, lazy Metropolis and out-degree builds;
 - the `sweep-static` grid at seed 0: the trace CSV of DIGing and
   DIGing-ATC at each step size of the eight-point grid (times 1/L) on one
   static random graph, n = 48, p = 8, 500 iterations, each through its own
@@ -28,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -40,6 +45,7 @@ from digrate import algorithms, cli, graphs, harness, mixing
 REPRODUCE_SEEDS = (0, 11)
 AUDIT_SEEDS = (0, 1, 11)
 RANDOM_GRAPHS = 40
+BLOCK_SPAN = 130   # iterations 0..129 cross the draw blocks at 64 and 128
 SWEEP_GRID = (0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.2)
 
 
@@ -150,6 +156,31 @@ def generator_digests():
                digest("".join(graphs.snapshot_to_text(s) for s in listed)))
 
 
+def block_digests():
+    for seed in range(4):
+        und = graphs.subsample_sequence(
+            graphs.random_connected_graph(12, 11, seed), 0.4, seed)
+        dig = graphs.subsample_sequence(
+            graphs.random_strongly_connected_digraph(12, 24, seed), 0.8, seed)
+        cases = (("undirected", und, (mixing.metropolis, mixing.lazy_metropolis)),
+                 ("directed view", harness.directed_view(und),
+                  (mixing.out_degree_column,)),
+                 ("directed", dig, (mixing.out_degree_column,)))
+        for label, seq, rules in cases:
+            order = np.random.default_rng((seed, 5)).permutation(BLOCK_SPAN).tolist()
+            snaps = {k: seq.snapshot(k) for k in order}
+            yield (f"blocks seed={seed} {label} snapshot_to_text",
+                   digest("".join(graphs.snapshot_to_text(snaps[k])
+                                  for k in range(BLOCK_SPAN))))
+            for rule in rules:
+                mats = {k: rule(snaps[k]) for k in order}
+                h = hashlib.sha256()
+                for k in range(BLOCK_SPAN):
+                    h.update(mats[k].entries.tobytes())
+                    h.update(repr(dataclasses.astuple(mats[k].certificate)).encode())
+                yield f"blocks seed={seed} {label} {rule.__name__}", h.hexdigest()
+
+
 def sweep_static_digests(seed: int = 0):
     n, p = 48, 8
     seq = graphs.static_sequence(graphs.random_connected_graph(n, 48, seed))
@@ -171,7 +202,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in (reproduce_digests(work), audit_cli_digests(work),
-                     builder_digests(), generator_digests(),
+                     builder_digests(), generator_digests(), block_digests(),
                      sweep_static_digests()):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
