@@ -3,9 +3,12 @@
 Vertices are labeled 1..n and fixed over time; only the link set, an n x n
 boolean adjacency matrix, changes. A sequence is a pure function of
 (iteration, seed), so any snapshot can be regenerated at random access
-without replaying the stream. A subsample sequence draws its snapshots
-`_BLOCK` iterations at a time into one `GraphBlock`, which the mixing rules
-build and certify as a whole.
+without replaying the stream. Every snapshot is a slice of a `GraphBlock`,
+a read-only stack of adjacency matrices that the mixing rules build and
+certify as a whole: a drawn sequence draws a block of consecutive
+iterations on its first touch (`_BLOCK` for a subsample sequence, one
+window for a block-connected one), and a snapshot built on its own is the
+one slice of a block of its own.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ _BLOCK = 64
 
 @dataclass(frozen=True, eq=False)
 class GraphBlock:
-    """The snapshots of `_BLOCK` consecutive iterations as one read-only
-    (_BLOCK, n, n) boolean stack, slice i holding the adjacency matrix of
-    the block's i-th iteration. Mixing rules build and certify the whole
+    """Snapshots as one read-only (s, n, n) boolean stack, slice i holding
+    the adjacency matrix of the block's i-th iteration (s = 1 for a
+    snapshot built on its own). Mixing rules build and certify the whole
     stack on their first request and keep the result in `built`, keyed by
     rule; blocks compare by identity."""
 
@@ -49,8 +52,9 @@ class GraphSnapshot:
     adj[j-1, i-1] is the arc j -> i between the 1-based vertices j and i,
     symmetric for an undirected snapshot, with an empty diagonal (no
     self-loops). The matrix is copied and made read-only; equality and
-    hashing go by value, through its bytes. `block` is (GraphBlock, slice)
-    when the snapshot was drawn as part of a block, which it must match."""
+    hashing go by value, through its bytes. `block` is (GraphBlock, slice),
+    the block the snapshot was drawn in, whose slice it must match; a
+    snapshot given none becomes slice 0 of a one-slice block of its own."""
 
     n: int
     kind: str
@@ -83,6 +87,8 @@ class GraphSnapshot:
         adj = adj.copy()
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
+        if self.block is None:
+            object.__setattr__(self, "block", (GraphBlock(self.kind, adj[None]), 0))
 
     @property
     def links(self) -> frozenset[Link]:
@@ -95,8 +101,8 @@ class GraphSnapshot:
         """Replace each undirected edge by the two opposite arcs."""
         if self.kind == DIRECTED:
             return self
-        block = None if self.block is None else (self.block[0].directed, self.block[1])
-        return GraphSnapshot(self.n, DIRECTED, self.adj, block)
+        block, i = self.block
+        return GraphSnapshot(self.n, DIRECTED, self.adj, (block.directed, i))
 
     def as_undirected(self) -> "GraphSnapshot":
         """Forget arc directions (antiparallel arcs collapse to one edge)."""
@@ -121,13 +127,16 @@ def _link_arrays(snap: GraphSnapshot) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], cols[keep]
 
 
-def _adjacency(n: int, kind: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Boolean matrix with the zero-based links (rows[t], cols[t]), mirrored
-    for an undirected kind."""
-    adj = np.zeros((n, n), dtype=bool)
-    adj[rows, cols] = True
+def _adjacency(shape: tuple[int, ...], kind: str,
+               index: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Boolean array of `shape`, an (n, n) matrix or an (s, n, n) stack,
+    true at `index`, whose last two arrays are the zero-based link ends
+    (rows, cols); mirrored for an undirected kind."""
+    adj = np.zeros(shape, dtype=bool)
+    adj[index] = True
     if kind == UNDIRECTED:
-        adj[cols, rows] = True
+        *slots, rows, cols = index
+        adj[(*slots, cols, rows)] = True
     return adj
 
 
@@ -149,7 +158,8 @@ def _from_links(n: int, kind: str, links: Iterable[Link]) -> GraphSnapshot:
     if outside.size:
         j, i = ends[outside[0]].tolist()
         raise ValueError(f"link ({j},{i}) leaves vertex range 1..{n}")
-    return GraphSnapshot(n, kind, _adjacency(n, kind, ends[:, 0] - 1, ends[:, 1] - 1))
+    return GraphSnapshot(n, kind, _adjacency((n, n), kind,
+                                             (ends[:, 0] - 1, ends[:, 1] - 1)))
 
 
 def undirected(n: int, edges: Iterable[Link]) -> GraphSnapshot:
@@ -250,51 +260,56 @@ def periodic_sequence(snaps: list[GraphSnapshot], declared_B: int | None = None,
                          declared_B=declared_B, description=description)
 
 
+def _blocked_sequence(n: int, kind: str, size: int,
+                      draw: Callable[[int, int], np.ndarray], seed: int,
+                      description: str, declared_B: int | None = None) -> GraphSequence:
+    """Sequence served `size` iterations at a time: block t, iterations
+    t * size .. t * size + size - 1, is the (size, n, n) stack draw(seed, t),
+    drawn on its first touch. The sequence keeps the last block it drew for
+    each seed, so copies made with `dataclasses.replace` on other seeds do
+    not evict each other's block."""
+    kept: dict[int, tuple[int, GraphBlock]] = {}   # seed -> (t, block t)
+
+    def gen(k: int, s: int) -> GraphSnapshot:
+        t, i = divmod(k, size)
+        last = kept.get(s)
+        if last is None or last[0] != t:
+            adj = draw(s, t)
+            adj.flags.writeable = False
+            last = kept[s] = (t, GraphBlock(kind, adj))
+        block = last[1]
+        return GraphSnapshot(n, kind, block.adj[i], (block, i))
+
+    return GraphSequence(n, kind, gen, seed=seed, declared_B=declared_B,
+                         description=description)
+
+
 def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
                        description: str | None = None) -> GraphSequence:
     """Retain each base link independently with the given probability.
 
-    Draws are keyed by (seed, k) and by the link's position in row-major
-    order, so snapshots are random-access reproducible. The snapshots are
-    drawn a block of `_BLOCK` iterations at a time; the sequence keeps the
-    last block it drew.
+    At iteration k, link t (in row-major order) is kept when the t-th uniform
+    draw of default_rng((seed, k)) is below `fraction`, so snapshots are
+    random-access reproducible. They are drawn a block of `_BLOCK`
+    iterations at a time.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     rows, cols = _link_arrays(base)
-    drawn: dict[tuple[int, int], GraphBlock] = {}   # (seed, block start)
-
-    def gen(k: int, s: int) -> GraphSnapshot:
-        if fraction == 1.0:
-            return base
-        start = k - k % _BLOCK
-        block = drawn.get((s, start))
-        if block is None:
-            block = _subsample_block(base, rows, cols, fraction, s, start)
-            drawn.clear()
-            drawn[s, start] = block
-        i = k - start
-        return GraphSnapshot(base.n, base.kind, block.adj[i], (block, i))
-
     if description is None:
         description = f"subsample({fraction:g}) of {base.kind} base with {len(rows)} links"
-    return GraphSequence(base.n, base.kind, gen, seed=seed, description=description)
+    if fraction == 1.0:
+        return GraphSequence(base.n, base.kind, lambda k, s: base, seed=seed,
+                             description=description)
 
+    def draw(s: int, t: int) -> np.ndarray:
+        keep = np.array([np.random.default_rng((s, k)).uniform(size=len(rows))
+                         for k in range(t * _BLOCK, (t + 1) * _BLOCK)]) < fraction
+        slot, link = np.nonzero(keep)
+        return _adjacency((_BLOCK, base.n, base.n), base.kind,
+                          (slot, rows[link], cols[link]))
 
-def _subsample_block(base: GraphSnapshot, rows: np.ndarray, cols: np.ndarray,
-                     fraction: float, seed: int, start: int) -> GraphBlock:
-    """Iterations start .. start + _BLOCK - 1 of a subsample sequence: at
-    iteration k, link t is kept when the t-th uniform draw of
-    default_rng((seed, k)) is below `fraction`."""
-    keep = np.array([np.random.default_rng((seed, k)).uniform(size=len(rows))
-                     for k in range(start, start + _BLOCK)]) < fraction
-    slot, link = np.nonzero(keep)
-    adj = np.zeros((_BLOCK, base.n, base.n), dtype=bool)
-    adj[slot, rows[link], cols[link]] = True
-    if base.kind == UNDIRECTED:
-        adj[slot, cols[link], rows[link]] = True
-    adj.flags.writeable = False
-    return GraphBlock(base.kind, adj)
+    return _blocked_sequence(base.n, base.kind, _BLOCK, draw, seed, description)
 
 
 def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
@@ -302,8 +317,10 @@ def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
     random earlier vertex."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    parents = [order[rng.integers(0, idx)] for idx in range(1, n)]
-    return GraphSnapshot(n, UNDIRECTED, _adjacency(n, UNDIRECTED, order[1:], parents))
+    # vertex order[idx] attaches to order[j], j drawn from 0 .. idx - 1
+    parents = order[rng.integers(0, np.arange(1, n))]
+    return GraphSnapshot(n, UNDIRECTED, _adjacency((n, n), UNDIRECTED,
+                                                   (order[1:], parents)))
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> GraphSnapshot:
@@ -313,11 +330,10 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> GraphSnapshot
         return tree
     rng = np.random.default_rng((seed, 1))
     # candidates: the non-tree edges (a, b), a < b, in row-major order
-    non_tree = ~(tree.adj | np.eye(n, dtype=bool))
-    rows, cols = _link_arrays(GraphSnapshot(n, UNDIRECTED, non_tree))
+    rows, cols = np.nonzero(np.triu(~tree.adj, 1))
     picked = rng.choice(len(rows), size=min(extra_edges, len(rows)), replace=False)
     return GraphSnapshot(n, UNDIRECTED, tree.adj | _adjacency(
-        n, UNDIRECTED, rows[picked], cols[picked]))
+        (n, n), UNDIRECTED, (rows[picked], cols[picked])))
 
 
 def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapshot:
@@ -332,7 +348,7 @@ def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapsho
                          f"{n} vertices can hold")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    adj = _adjacency(n, DIRECTED, order, np.roll(order, -1))
+    adj = _adjacency((n, n), DIRECTED, (order, np.roll(order, -1)))
     # candidate arcs j -> i, j != i, off the cycle, in row-major order
     rows, cols = np.nonzero(~(adj | np.eye(n, dtype=bool)))
     picked = rng.choice(len(rows), size=m - n, replace=False)
@@ -343,33 +359,19 @@ def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapsho
 def block_connected_sequence(n: int, b_tilde: int, seed: int,
                              extra_edges: int = 0) -> GraphSequence:
     """Random sequence that is jointly connected over every aligned window of
-    length b_tilde: per block, the edges of a random connected graph are
-    scattered across the block's slots."""
+    length b_tilde: per window, the edges of a random connected graph are
+    scattered across the window's slots. Each window is one drawn block."""
     if b_tilde < 1:
         raise ValueError("window length must be >= 1")
 
-    def gen(k: int, s: int) -> GraphSnapshot:
-        t = k // b_tilde
-        rows, cols, slots = _block_links(n, b_tilde, extra_edges, s, t)
-        keep = slots == k - t * b_tilde
-        return GraphSnapshot(n, UNDIRECTED,
-                             _adjacency(n, UNDIRECTED, rows[keep], cols[keep]))
+    def draw(s: int, t: int) -> np.ndarray:
+        rows, cols = _link_arrays(random_connected_graph(n, extra_edges, seed=_mix(s, t)))
+        slots = np.random.default_rng((s, t, 2)).integers(0, b_tilde, size=len(rows))
+        return _adjacency((b_tilde, n, n), UNDIRECTED, (slots, rows, cols))
 
-    return GraphSequence(n, UNDIRECTED, gen, seed=seed, declared_B=b_tilde,
-                         description=f"block-connected(n={n}, window={b_tilde})")
-
-
-@functools.lru_cache(maxsize=16)
-def _block_links(n: int, b_tilde: int, extra_edges: int, seed: int,
-                 t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Links of block t's random connected graph and the slot each falls
-    in, drawn once per block and shared by its b_tilde snapshots (and by
-    every pass over the sequence, while the block stays cached)."""
-    rows, cols = _link_arrays(random_connected_graph(n, extra_edges, seed=_mix(seed, t)))
-    slots = np.random.default_rng((seed, t, 2)).integers(0, b_tilde, size=len(rows))
-    for a in (rows, cols, slots):
-        a.flags.writeable = False
-    return rows, cols, slots
+    return _blocked_sequence(n, UNDIRECTED, b_tilde, draw, seed,
+                             f"block-connected(n={n}, window={b_tilde})",
+                             declared_B=b_tilde)
 
 
 def _mix(seed: int, t: int) -> int:

@@ -2,12 +2,12 @@
 
 Doubly stochastic rules (Metropolis, lazy Metropolis) serve undirected
 snapshots; the out-degree rule builds column stochastic matrices for
-directed snapshots; each builder reads the snapshot's adjacency matrix,
-degrees being its row sums, and builds and certifies a snapshot drawn in a
-`GraphBlock` together with its whole block. Contraction is measured as the largest singular
-value of the windowed product minus the uniform averaging matrix, by
-LAPACK's SVD; a window whose union graph is not connected contracts nothing
-and has delta = 1.
+directed snapshots. Every snapshot is a slice of a `GraphBlock`, and each
+builder weighs and certifies the block's whole stack of adjacency matrices
+at once (degrees being their row sums), keeping the result on the block.
+Contraction is measured as the largest singular value of the windowed
+product minus the uniform averaging matrix, by LAPACK's SVD; a window whose
+union graph is not connected contracts nothing and has delta = 1.
 """
 
 from __future__ import annotations
@@ -126,24 +126,19 @@ _RULES = {
 
 
 def _build(snapshot: GraphSnapshot, rule: str) -> MixingMatrix:
-    """The rule's certified matrix for one snapshot. A snapshot drawn in a
-    block is built with its whole block on the block's first request for
-    the rule; any other snapshot is built and checked on its own."""
+    """The rule's certified matrix for one snapshot, a slice of its block:
+    the whole block is built and certified on its first request for the
+    rule, and the result is kept on the block."""
     kind, weights, mode, name = _RULES[rule]
     if snapshot.kind != kind:
         raise ValueError(f"{name} need {'an' if kind == UNDIRECTED else 'a'} "
                          f"{kind} snapshot")
-    if snapshot.block is None:
-        entries = weights(snapshot.adj)
-        certificate = validate_stochasticity(entries, mode)
-    else:
-        block, i = snapshot.block
-        built = block.built.get(rule)
-        if built is None:
-            stack = weights(block.adj)
-            built = block.built[rule] = (stack, _certify(stack, mode))
-        entries, certificate = built[0][i], built[1][i]
-    return MixingMatrix(snapshot.n, entries, rule, snapshot, certificate)
+    block, i = snapshot.block
+    built = block.built.get(rule)
+    if built is None:
+        stack = weights(block.adj)
+        built = block.built[rule] = (stack, _certify(stack, mode))
+    return MixingMatrix(snapshot.n, built[0][i], rule, snapshot, built[1][i])
 
 
 def _certify(stack: np.ndarray, mode: str) -> list[StochasticityReport]:

@@ -1,5 +1,6 @@
 """Step functions, their exact algebraic identities, and the run driver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -631,6 +632,27 @@ class TestMatrixReuse:
         alg.run("push-diging", seq_c, mixing.out_degree_column, suite, 0.1,
                 iterations)
         assert keys == [(51, k) for k in range(iterations)] * 2
+
+    def test_seed_copies_keep_their_own_blocks(self, monkeypatch):
+        # a copy on another seed shares the generator closure, but not its
+        # kept block: in one lockstep call each (seed, k) is drawn once
+        suite = zero_suite(12, 1)
+        a = graphs.subsample_sequence(
+            graphs.random_connected_graph(12, 8, seed=70), 0.5, 70)
+        b = dataclasses.replace(a, seed=71)
+        real, keys = np.random.default_rng, []
+
+        def counted(seed=None):
+            keys.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        iterations = 4 * graphs._BLOCK
+        alg.run(("diging", "diging"), (a, b), mixing.metropolis, suite, 0.1,
+                iterations, x0="random")
+        drawn = sorted(key for key in keys if isinstance(key, tuple))
+        assert drawn == sorted((s, k) for s in (70, 71)
+                               for k in range(iterations))
 
 
 def oracle_series(trace, x_star):

@@ -173,22 +173,23 @@ class TestBlockConnected:
             return real(n, extra_edges, seed)
 
         monkeypatch.setattr(graphs, "random_connected_graph", counted)
-        graphs._block_links.cache_clear()
         seq = graphs.block_connected_sequence(6, 3, seed=41, extra_edges=2)
         for k in (0, 1, 2, 1, 0):
             seq.snapshot(k)
         assert len(drawn) == 1
-        seq.snapshot(3)
+        snap = seq.snapshot(3)
         assert len(drawn) == 2
-        rows, cols, slots = graphs._block_links(6, 3, 2, 41, 0)
-        assert not (rows.flags.writeable or cols.flags.writeable
-                    or slots.flags.writeable)
+        # the window is one read-only block holding its three slots
+        block, i = snap.block
+        assert i == 0 and block.adj.shape == (3, 6, 6)
+        assert not block.adj.flags.writeable
+        assert seq.snapshot(5).block[0] is block
+        assert len(drawn) == 2
 
     def test_random_order_equals_fresh_sequence(self):
         seq = graphs.block_connected_sequence(7, 3, seed=42, extra_edges=3)
         order = np.random.default_rng(43).permutation(60)
         shuffled = {int(k): seq.snapshot(int(k)) for k in order}
-        graphs._block_links.cache_clear()
         fresh = graphs.block_connected_sequence(7, 3, seed=42, extra_edges=3)
         assert [shuffled[k] for k in range(60)] == [fresh.snapshot(k)
                                                     for k in range(60)]
@@ -327,10 +328,15 @@ class TestSubsampleBlocks:
         assert block.directed.adj is block.adj
         assert seq.snapshot(64).as_directed().block[0] is block.directed
         assert arcs == graphs.GraphSnapshot(9, graphs.DIRECTED, snap.adj)
-        # a standalone copy carries no block and compares equal
+        # a standalone copy is slice 0 of a one-slice block of its own, and
+        # compares and hashes equal to the drawn snapshot
         alone = graphs.GraphSnapshot(9, graphs.UNDIRECTED, snap.adj)
-        assert alone.block is None
+        own, j = alone.block
+        assert j == 0 and own is not block and own.kind == graphs.UNDIRECTED
+        assert own.adj.shape == (1, 9, 9) and not own.adj.flags.writeable
+        assert own.adj[0].tobytes() == snap.adj.tobytes()
         assert alone == snap and hash(alone) == hash(snap)
+        assert alone.as_directed().block == (own.directed, 0)
 
     def test_snapshot_must_match_its_slice(self):
         seq = graphs.subsample_sequence(subsample_base(graphs.UNDIRECTED), 0.4, 73)
@@ -380,6 +386,23 @@ class TestDeterminism:
         assert sorted(dig.links) == [
             (1, 3), (1, 5), (2, 3), (2, 4), (3, 2), (4, 3), (4, 5), (5, 1),
             (5, 4)]
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 48, 130])
+    def test_spanning_tree_equals_scalar_draws(self, n):
+        # one vectorized draw of every parent gives the values and leaves
+        # the generator where n - 1 scalar rng.integers calls do
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            order = rng.permutation(n)
+            picks = [int(rng.integers(0, idx)) for idx in range(1, n)]
+            vec = np.random.default_rng(seed)
+            vec.permutation(n)
+            assert vec.integers(0, np.arange(1, n)).tolist() == picks
+            assert vec.bit_generator.state == rng.bit_generator.state
+            # vertex order[idx] attaches to order[picks[idx - 1]]
+            want = graphs.undirected(n, [(int(order[idx]) + 1, int(order[j]) + 1)
+                                         for idx, j in enumerate(picks, start=1)])
+            assert graphs.random_spanning_tree(n, seed) == want
 
     def test_links_are_plain_ints(self):
         snap = graphs.random_spanning_tree(6, seed=2)

@@ -409,7 +409,8 @@ BOUNDARY_KS = (0, 63, 64, 65, 127, 128)
 
 class TestBlockBuilds:
     """A snapshot drawn in a block gets its matrix and certificate from one
-    build of the whole block, equal to the build of a standalone copy."""
+    build of the whole block, equal to the build of a standalone copy (the
+    one slice of its own block)."""
 
     @pytest.mark.parametrize("fraction", [0.4, 1.0])
     def test_block_matrix_equals_standalone_build(self, fraction):
@@ -417,11 +418,16 @@ class TestBlockBuilds:
         dig = graphs.random_strongly_connected_digraph(10, 25, seed=81)
         seq_u = graphs.subsample_sequence(und, fraction, 82)
         seq_d = graphs.subsample_sequence(dig, fraction, 83)
-        cases = ((seq_u.snapshot, mixing.metropolis),
+        cases = [(seq_u.snapshot, mixing.metropolis),
                  (seq_u.snapshot, mixing.lazy_metropolis),
                  (lambda k: seq_u.snapshot(k).as_directed(),
                   mixing.out_degree_column),
-                 (seq_d.snapshot, mixing.out_degree_column))
+                 (seq_d.snapshot, mixing.out_degree_column)]
+        # block-connected windows of 1, 2 and 3 slots, each one block
+        for b_tilde in (1, 2, 3):
+            seq_b = graphs.block_connected_sequence(10, b_tilde, 89, 3)
+            cases += [(seq_b.snapshot, mixing.metropolis),
+                      (seq_b.snapshot, mixing.lazy_metropolis)]
         order = np.random.default_rng(84).permutation(BOUNDARY_KS)
         for snapshot, rule in cases:
             for k in order.tolist():

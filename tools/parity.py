@@ -19,6 +19,10 @@ It covers:
   undirected, their directed view and directed, read in shuffled order:
   `snapshot_to_text` of each, and the entries and certificate fields of
   their Metropolis, lazy Metropolis and out-degree builds;
+- block-connected snapshots of iterations 0 to 129 (windows of 1 to 3
+  iterations), read in shuffled order: `snapshot_to_text` of each, and the
+  entries and certificate fields of their Metropolis and lazy Metropolis
+  builds;
 - the `sweep-static` grid at seed 0: the trace CSV of DIGing and
   DIGing-ATC at each step size of the eight-point grid (times 1/L) on one
   static random graph, n = 48, p = 8, 500 iterations, each through its own
@@ -162,10 +166,13 @@ def block_digests():
             graphs.random_connected_graph(12, 11, seed), 0.4, seed)
         dig = graphs.subsample_sequence(
             graphs.random_strongly_connected_digraph(12, 24, seed), 0.8, seed)
+        windows = graphs.block_connected_sequence(12, 1 + seed % 3, seed, seed % 4)
         cases = (("undirected", und, (mixing.metropolis, mixing.lazy_metropolis)),
                  ("directed view", harness.directed_view(und),
                   (mixing.out_degree_column,)),
-                 ("directed", dig, (mixing.out_degree_column,)))
+                 ("directed", dig, (mixing.out_degree_column,)),
+                 ("block-connected", windows,
+                  (mixing.metropolis, mixing.lazy_metropolis)))
         for label, seq, rules in cases:
             order = np.random.default_rng((seed, 5)).permutation(BLOCK_SPAN).tolist()
             snaps = {k: seq.snapshot(k) for k in order}
