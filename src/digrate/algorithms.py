@@ -19,7 +19,7 @@ import numpy as np
 from .graphs import DIRECTED, GraphSequence
 from .mixing import COLUMN, DOUBLY, MixingMatrix
 from .objectives import ObjectiveSuite, block_gradient, solve_reference
-from .traces import RunTrace
+from .traces import AUDIT_SERIES, SERIES, RunTrace
 
 
 class CertificateError(ValueError):
@@ -82,11 +82,15 @@ class IgdState:
     theta: float
 
 
-def _require(mat: MixingMatrix, modes: tuple[str, ...]) -> None:
+def require_certificate(method: Method, mat: MixingMatrix) -> None:
+    """Raise CertificateError unless `mat` carries a passing certificate in a
+    mode `method` steps on: column or doubly stochastic under push-sum,
+    doubly otherwise. `step` and a config's validation both apply it."""
     cert = mat.certificate
     if cert is None or not cert.ok:
         raise CertificateError("mixing matrix carries no valid stochasticity "
                                "certificate")
+    modes = (COLUMN, DOUBLY) if method.push else (DOUBLY,)
     if cert.mode not in modes:
         raise CertificateError(f"need a {' or '.join(modes)} stochastic matrix, "
                                f"got {cert.mode}")
@@ -119,7 +123,7 @@ def step(method: Method, state: State, mat: MixingMatrix, suite: ObjectiveSuite,
     fatal by design. The tracker then adds the newest gradient difference,
     mixed after it under adapt-then-combine.
     """
-    _require(mat, (COLUMN, DOUBLY) if method.push else (DOUBLY,))
+    require_certificate(method, mat)
     if method.tracking and alpha <= 0:
         raise ValueError("step size must be positive")
     w = mat.entries
@@ -280,8 +284,7 @@ def input_problems(algorithm: str, seq: GraphSequence, suite: ObjectiveSuite,
 
 # a member's row buffer: row i holds one series, column k iteration k; the
 # last two are filled only for a run that records audit series
-_SERIES = ("residual", "cons_viol_x", "cons_viol_y", "conservation_err",
-           "v_min", "q_norm", "z_norm", "grad_norm")
+_SERIES = SERIES + AUDIT_SERIES
 # states a member holds before it fills their batched series
 _CHUNK = 64
 
@@ -500,8 +503,12 @@ def run(algorithm: str | tuple[str, ...],
         if not math.isfinite(m.residual):
             m.terminated = f"residual is not finite at iteration {m.state.k}"
         rows = m.rows[:, :m.state.k + 1]
-        trace = RunTrace(
-            k=np.arange(rows.shape[1]), **dict(zip(_SERIES[:5], rows)),
+        audit = {}
+        if record_audit:
+            audit = dict(zip(AUDIT_SERIES, rows[len(SERIES):]), r0=r0,
+                         xbar0_error=float(np.linalg.norm(x0.mean(axis=0) - x_star)))
+        traces.append(RunTrace(
+            k=np.arange(rows.shape[1]), **dict(zip(SERIES, rows)), **audit,
             metadata={
                 "algorithm": m.algorithm,
                 "alpha": float(m.alpha),
@@ -512,13 +519,8 @@ def run(algorithm: str | tuple[str, ...],
                 "n": n, "p": p,
                 "terminated": m.terminated,
             },
-        )
-        if record_audit:
-            trace.q_norm, trace.z_norm, trace.grad_norm = rows[5:]
-            trace.xbar0_error = float(np.linalg.norm(x0.mean(axis=0) - x_star))
-            trace.r0 = r0
-        if record_states:
-            trace.history = {"states": m.states, "mixers": m.mixers}
-        traces.append(trace)
+            history={"states": m.states, "mixers": m.mixers}
+            if record_states else None,
+        ))
     lockstep = any(isinstance(v, tuple) for v in (algorithm, alpha, seq, rule))
     return tuple(traces) if lockstep else traces[0]

@@ -349,15 +349,12 @@ def validate_config(config: ExperimentConfig) -> list[str]:
                         f"{check.first_failure * B + B - 1}) is not "
                         "connected")
 
-    push = algorithms.METHODS[config.algorithm].push
-    mode = mixing.COLUMN if push else mixing.DOUBLY
+    method = algorithms.METHODS[config.algorithm]
     for k in range(4):
-        mat = rule(seq.snapshot(k))
-        report = mixing.validate_stochasticity(mat.entries, mode)
-        if not report.ok:
-            axis, idx, dev = report.first_offender
-            problems.append(f"stochasticity: snapshot {k} {axis} {idx} sums off "
-                            f"by {dev:.3e}")
+        try:
+            algorithms.require_certificate(method, rule(seq.snapshot(k)))
+        except algorithms.CertificateError as exc:
+            problems.append(f"stochasticity: snapshot {k}: {exc}")
             break
 
     if isinstance(audit, NoGuaranteeError):

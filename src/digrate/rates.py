@@ -309,7 +309,6 @@ def push_sum_contraction(n: int, b_minus: int) -> PushSumContraction:
     if d < 0.0:
         threshold = ln_q1 / (-d)
         b_req_real = math.floor(threshold) + 2
-        b_req_log = LogValue.from_float(float(b_req_real))
     else:
         # -d ~ exp(a)/nb underflowed; carry the threshold in logs only
         a = nb * ln_tau

@@ -1,22 +1,26 @@
 """Per-iteration run records and their on-disk formats.
 
-The canonical trace file is a CSV with a fixed six-column schema. Series
-needed only by the small-gain audit (raw optimality distance, successive
-gradient differences) do not fit that schema and travel in a JSON sidecar
-written next to the CSV.
+The canonical trace file is a CSV with a fixed six-column schema: `k`, then
+the `SERIES`. The series needed only by the small-gain audit,
+`AUDIT_SERIES`, do not fit that schema and travel in a JSON sidecar written
+next to the CSV. Every reader and writer loops over these two name lists.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-CSV_COLUMNS = ("k", "residual", "cons_viol_x", "cons_viol_y",
-               "conservation_err", "v_min")
+# the CSV series after `k`, in column order
+SERIES = ("residual", "cons_viol_x", "cons_viol_y", "conservation_err", "v_min")
+# the sidecar series of an audited run
+AUDIT_SERIES = ("q_norm", "z_norm", "grad_norm")
+CSV_COLUMNS = ("k",) + SERIES
+# the one series whose NaN (no push-sum weight) is an empty cell
+_BLANK_NAN = "v_min"
 
 AUDIT_SUFFIX = ".audit.json"
 
@@ -50,8 +54,7 @@ class RunTrace:
 
     def __post_init__(self):
         rows = len(self.k)
-        for name in ("residual", "cons_viol_x", "cons_viol_y",
-                     "conservation_err", "v_min"):
+        for name in SERIES:
             if len(getattr(self, name)) != rows:
                 raise ValueError(f"column {name} has mismatched length")
         if rows and not np.all(np.diff(self.k) > 0):
@@ -61,54 +64,47 @@ class RunTrace:
         return len(self.k)
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for i in range(len(self)):
-            cells = [str(int(self.k[i]))]
-            for col in ("residual", "cons_viol_x", "cons_viol_y", "conservation_err"):
-                cells.append(_fmt(getattr(self, col)[i]))
-            v = self.v_min[i]
-            cells.append("" if math.isnan(v) else _fmt(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return "".join(self._lines())
+
+    def _lines(self):
+        """The CSV lines, made one at a time from each column's lazy cells."""
+        columns = [(str(int(v)) for v in np.asarray(self.k).tolist())]
+        columns += [_cells(getattr(self, name), name == _BLANK_NAN)
+                    for name in SERIES]
+        yield ",".join(CSV_COLUMNS) + "\n"
+        for row in zip(*columns, strict=True):
+            yield ",".join(row) + "\n"
 
     def write(self, path: str | Path) -> None:
         path = Path(path)
-        path.write_text(self.to_csv())
+        with path.open("w") as f:
+            f.writelines(self._lines())
         if self.q_norm is not None:
+            payload = {"metadata": _plain(self.metadata),
+                       **{name: list(map(float, getattr(self, name)))
+                          for name in AUDIT_SERIES},
+                       "xbar0_error": self.xbar0_error, "r0": self.r0}
             sidecar = path.with_name(path.name + AUDIT_SUFFIX)
-            sidecar.write_text(json.dumps(self._audit_payload(), indent=1) + "\n")
-
-    def _audit_payload(self) -> dict:
-        return {
-            "metadata": _plain(self.metadata),
-            "q_norm": [float(v) for v in self.q_norm],
-            "z_norm": [float(v) for v in self.z_norm],
-            "grad_norm": [float(v) for v in self.grad_norm],
-            "xbar0_error": self.xbar0_error,
-            "r0": self.r0,
-        }
+            sidecar.write_text(json.dumps(payload, indent=1) + "\n")
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "RunTrace":
+        """Parse a trace CSV row by row; the first bad row raises."""
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or lines[0].split(",") != list(CSV_COLUMNS):
             raise ValueError("trace CSV must start with the canonical header "
                              + ",".join(CSV_COLUMNS))
-        cols: list[list[float]] = [[] for _ in CSV_COLUMNS]
+        cols: list[list] = [[] for _ in CSV_COLUMNS]
+        parsers = [int] + [_float_or_blank if name == _BLANK_NAN else float
+                           for name in SERIES]
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != len(CSV_COLUMNS):
                 raise ValueError(f"malformed trace row: {ln!r}")
-            cols[0].append(int(cells[0]))
-            for j in range(1, 5):
-                cols[j].append(float(cells[j]))
-            cols[5].append(float("nan") if cells[5] == "" else float(cells[5]))
+            for col, parse, cell in zip(cols, parsers, cells):
+                col.append(parse(cell))
         return cls(k=np.array(cols[0], dtype=int),
-                   residual=np.array(cols[1]),
-                   cons_viol_x=np.array(cols[2]),
-                   cons_viol_y=np.array(cols[3]),
-                   conservation_err=np.array(cols[4]),
-                   v_min=np.array(cols[5]),
+                   **{name: np.array(col) for name, col in zip(SERIES, cols[1:])},
                    metadata=metadata or {})
 
     @classmethod
@@ -119,29 +115,31 @@ class RunTrace:
         if sidecar.exists():
             payload = json.loads(sidecar.read_text())
             trace.metadata = payload.get("metadata", {})
-            trace.q_norm = np.array(payload["q_norm"])
-            trace.z_norm = np.array(payload["z_norm"])
-            trace.grad_norm = np.array(payload["grad_norm"])
+            for name in AUDIT_SERIES:
+                setattr(trace, name, np.array(payload[name]))
             trace.xbar0_error = payload["xbar0_error"]
             trace.r0 = payload["r0"]
         return trace
 
     def same_rows(self, other: "RunTrace") -> bool:
         """Exact equality of the six canonical columns (NaN-aware)."""
-        if len(self) != len(other):
-            return False
-        if not np.array_equal(self.k, other.k):
-            return False
-        for name in ("residual", "cons_viol_x", "cons_viol_y", "conservation_err",
-                     "v_min"):
-            a, b = getattr(self, name), getattr(other, name)
-            if not np.array_equal(a, b, equal_nan=True):
-                return False
-        return True
+        return (len(self) == len(other) and np.array_equal(self.k, other.k)
+                and all(np.array_equal(getattr(self, name), getattr(other, name),
+                                       equal_nan=True) for name in SERIES))
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _cells(values, blank_nan: bool):
+    """The CSV cells of one series, made lazily from values bound now: 17
+    significant digits, which read back to the same double, and an empty
+    cell for NaN when `blank_nan`."""
+    values = np.asarray(values).tolist()
+    if blank_nan:
+        return ("" if v != v else f"{v:.17g}" for v in values)
+    return (f"{v:.17g}" for v in values)
+
+
+def _float_or_blank(cell: str) -> float:
+    return float("nan") if cell == "" else float(cell)
 
 
 def _plain(obj):

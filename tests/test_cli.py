@@ -100,6 +100,24 @@ class TestValidate:
         assert "custom matrix entry (1, 1) is not finite" in captured.err
         assert "config valid" not in captured.out
 
+    def test_custom_matrix_mode_checked_as_run_checks_it(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # doubly stochastic entries declared column stochastic: DIGing steps
+        # only on a matrix certified doubly stochastic, so both commands fail
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        matrix = tmp_path / "w.csv"
+        matrix.write_text("\n".join([",".join(["0.25"] * 4)] * 4) + "\n")
+        config = write_config(
+            tmp_path, graph={"type": "static-path", "n": 4},
+            mixing={"rule": "custom", "path": str(matrix), "mode": "column"})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.count("need a doubly stochastic matrix, got column") == 2
+        assert "config valid" not in captured.out
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_kind_mismatch(self, tmp_path, capsys):
         config = write_config(tmp_path, algorithm="push-diging")
         assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION

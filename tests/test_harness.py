@@ -117,11 +117,55 @@ class TestTraceRoundTrip:
                 vals = rng.uniform(-1, 1, rows) * 10.0 ** rng.integers(
                     -300, 300, rows)
                 vals[rng.random(rows) < 0.1] = 0.0
-                cols[name] = np.abs(vals)
+                vals = np.abs(vals)
+                # a diverged or non-tracking run holds these in any series
+                for special in (np.nan, np.inf, -np.inf):
+                    vals[rng.random(rows) < 0.1] = special
+                cols[name] = vals
             v_min = rng.uniform(0, 1, rows)
             v_min[rng.random(rows) < 0.3] = np.nan
             trace = RunTrace(k=np.arange(rows), v_min=v_min, **cols)
-            assert RunTrace.from_csv(trace.to_csv()).same_rows(trace)
+            text = trace.to_csv()
+            again = RunTrace.from_csv(text)
+            assert again.same_rows(trace)
+            assert again.to_csv() == text
+            # NaN is an empty cell in v_min only
+            for row, line in enumerate(text.splitlines()[1:]):
+                cells = line.split(",")
+                assert "" not in cells[:5]
+                assert (cells[5] == "") == bool(np.isnan(v_min[row]))
+
+    def test_zero_row_round_trip(self, tmp_path):
+        empty = np.array([])
+        trace = RunTrace(k=np.arange(0), residual=empty, cons_viol_x=empty,
+                         cons_viol_y=empty, conservation_err=empty,
+                         v_min=empty, q_norm=empty, z_norm=empty,
+                         grad_norm=empty, xbar0_error=0.0, r0=0.0)
+        assert trace.to_csv() == "k,residual,cons_viol_x,cons_viol_y," \
+                                 "conservation_err,v_min\n"
+        path = tmp_path / "empty.csv"
+        trace.write(path)
+        back = RunTrace.read(path)
+        assert len(back) == 0 and back.same_rows(trace)
+        assert back.q_norm.shape == back.z_norm.shape == (0,)
+
+    def test_float_k_column_written_as_integers(self):
+        ones = np.ones(3)
+        trace = RunTrace(k=np.array([0.0, 1.0, 5.0]), residual=ones,
+                         cons_viol_x=ones, cons_viol_y=ones,
+                         conservation_err=ones, v_min=ones)
+        text = trace.to_csv()
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == \
+            ["0", "1", "5"]
+        again = RunTrace.from_csv(text)
+        assert again.k.dtype.kind == "i" and again.same_rows(trace)
+
+    def test_first_bad_row_raises_its_own_error(self):
+        header = "k,residual,cons_viol_x,cons_viol_y,conservation_err,v_min\n"
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            RunTrace.from_csv(header + "0,1,x,1,1,\n1,1,1\n")
+        with pytest.raises(ValueError, match="malformed trace row"):
+            RunTrace.from_csv(header + "0,1,1\n1,1,x,1,1,\n")
 
     def test_weight_floor_matches_declared_window(self):
         snap = graphs.random_strongly_connected_digraph(4, 8, seed=1)

@@ -26,7 +26,12 @@ It covers:
 - the `sweep-static` grid at seed 0: the trace CSV of DIGing and
   DIGing-ATC at each step size of the eight-point grid (times 1/L) on one
   static random graph, n = 48, p = 8, 500 iterations, each through its own
-  `run` call (p > 1, and the upper grid points diverge).
+  `run` call (p > 1, and the upper grid points diverge);
+- every trace written above, read back with `RunTrace.read` and written
+  again: its CSV plus its sidecar;
+- a zero-iteration audited run and an audited run that ends on a NaN
+  residual (its last row must read `nan`): trace CSV and sidecar, for
+  DIGing, DIGing-ATC and DGD in one lockstep call.
 
 The first line names the `digrate` package that was imported.
 """
@@ -44,7 +49,8 @@ from pathlib import Path
 import numpy as np
 
 import digrate
-from digrate import algorithms, cli, graphs, harness, mixing
+from digrate import algorithms, cli, graphs, harness, mixing, objectives
+from digrate.traces import AUDIT_SUFFIX, RunTrace
 
 REPRODUCE_SEEDS = (0, 11)
 AUDIT_SEEDS = (0, 1, 11)
@@ -59,14 +65,31 @@ def digest(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def written(path: Path) -> bytes:
+    """A trace CSV's bytes followed by its sidecar's, when it has one."""
+    sidecar = path.with_name(path.name + AUDIT_SUFFIX)
+    return path.read_bytes() + (sidecar.read_bytes() if sidecar.exists() else b"")
+
+
+def reread_digest(path: Path) -> str:
+    """Digest of a written trace read back and written again."""
+    again = path.with_name("again-" + path.name)
+    RunTrace.read(path).write(again)
+    return digest(written(again))
+
+
 def reproduce_digests(work: Path):
     for seed in REPRODUCE_SEEDS:
         out = work / f"reproduce-{seed}"
         for case in harness.CASES:
             harness.reproduce_section6(case, seed=seed, out_dir=out)
         # each trace CSV and its `.csv.audit.json` sidecar
-        for path in sorted(out.glob("*.csv*")):
+        paths = sorted(out.glob("*.csv*"))
+        for path in paths:
             yield f"reproduce seed={seed} {path.name}", digest(path.read_bytes())
+        for path in paths:
+            if path.suffix == ".csv":
+                yield f"reproduce seed={seed} {path.name} reread", reread_digest(path)
 
 
 def audit_cli_digests(work: Path):
@@ -110,6 +133,7 @@ def audit_cli_digests(work: Path):
         yield f"audit-cli seed={seed} trace.csv", digest(trace_path.read_bytes())
         sidecar = trace_path.with_name(trace_path.name + ".audit.json")
         yield f"audit-cli seed={seed} trace.csv.audit.json", digest(sidecar.read_bytes())
+        yield f"audit-cli seed={seed} trace.csv reread", reread_digest(trace_path)
 
 
 def random_graphs():
@@ -204,13 +228,41 @@ def sweep_static_digests(seed: int = 0):
                        digest(trace.to_csv()))
 
 
+def edge_run_digests(work: Path):
+    n, p = 6, 2
+    seq = graphs.static_sequence(graphs.random_connected_graph(n, 3, 0))
+    suite = harness.build_suite({"family": "quadratic", "n": n, "p": p,
+                                 "seed": 0})
+
+    def guarded(c):
+        # the gradient turns NaN once the iterate leaves [-1e3, 1e3]
+        return dataclasses.replace(
+            c, grad=lambda x, g=c.grad: g(x) if np.abs(x).max() < 1e3
+            else np.full(p, np.nan))
+
+    nan_suite = objectives.ObjectiveSuite(
+        tuple(map(guarded, suite.components)), x_star=suite.x_star)
+    algos = ("diging", "diging-atc", "dgd")
+    runs = {"zero-iteration": (suite, 0.1, 0), "nan-residual": (nan_suite, 5.0, 400)}
+    for label, (run_suite, alpha, iterations) in runs.items():
+        traces = algorithms.run(algos, seq, mixing.metropolis, run_suite, alpha,
+                                iterations, x0="random", record_audit=True)
+        for algo, trace in zip(algos, traces):
+            path = work / f"{label}-{algo}.csv"
+            trace.write(path)
+            last = path.read_text().splitlines()[-1].split(",")
+            if label == "nan-residual" and last[1] != "nan":
+                raise SystemExit(f"{path.name}: last row {last} has no nan residual")
+            yield f"{label} {algo} {len(trace)} rows", digest(written(path))
+
+
 def main() -> None:
     print(f"# digrate from {Path(digrate.__file__).parent}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in (reproduce_digests(work), audit_cli_digests(work),
                      builder_digests(), generator_digests(), block_digests(),
-                     sweep_static_digests()):
+                     sweep_static_digests(), edge_run_digests(work)):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
