@@ -6,9 +6,10 @@ boolean adjacency matrix, changes. A sequence is a pure function of
 without replaying the stream. Every snapshot is a slice of a `GraphBlock`,
 a read-only stack of adjacency matrices that the mixing rules build and
 certify as a whole: a drawn sequence draws a block of consecutive
-iterations on its first touch (`_BLOCK` for a subsample sequence, one
-window for a block-connected one), and a snapshot built on its own is the
-one slice of a block of its own.
+iterations on its first touch (`_BLOCK` for a subsample sequence,
+`_BLOCK // b_tilde` whole windows of b_tilde slots, or one longer window,
+for a block-connected one), and a snapshot built on its own is the one
+slice of a block of its own.
 """
 
 from __future__ import annotations
@@ -312,28 +313,35 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
     return _blocked_sequence(base.n, base.kind, _BLOCK, draw, seed, description)
 
 
-def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
-    """Uniform-ish random tree: attach each vertex (in random order) to a
-    random earlier vertex."""
+def _connected_edges(n: int, extra_edges: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Zero-based (min, max) edge ends, in row-major order, of a random
+    spanning tree, each vertex (in random order) attached to a random earlier
+    one, plus `extra_edges` distinct random non-tree edges."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     # vertex order[idx] attaches to order[j], j drawn from 0 .. idx - 1
     parents = order[rng.integers(0, np.arange(1, n))]
-    return GraphSnapshot(n, UNDIRECTED, _adjacency((n, n), UNDIRECTED,
-                                                   (order[1:], parents)))
+    upper = np.zeros((n, n), dtype=bool)
+    upper[np.minimum(order[1:], parents), np.maximum(order[1:], parents)] = True
+    if extra_edges:
+        # candidates: the non-tree edges (a, b), a < b, in row-major order
+        rows, cols = np.nonzero(np.triu(~upper, 1))
+        picked = np.random.default_rng((seed, 1)).choice(
+            len(rows), size=min(extra_edges, len(rows)), replace=False)
+        upper[rows[picked], cols[picked]] = True
+    return np.nonzero(upper)
+
+
+def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
+    """Uniform-ish random tree: attach each vertex (in random order) to a
+    random earlier vertex."""
+    return random_connected_graph(n, 0, seed)
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> GraphSnapshot:
     """Random spanning tree plus `extra_edges` distinct random non-tree edges."""
-    tree = random_spanning_tree(n, seed)
-    if not extra_edges:
-        return tree
-    rng = np.random.default_rng((seed, 1))
-    # candidates: the non-tree edges (a, b), a < b, in row-major order
-    rows, cols = np.nonzero(np.triu(~tree.adj, 1))
-    picked = rng.choice(len(rows), size=min(extra_edges, len(rows)), replace=False)
-    return GraphSnapshot(n, UNDIRECTED, tree.adj | _adjacency(
-        (n, n), UNDIRECTED, (rows[picked], cols[picked])))
+    return GraphSnapshot(n, UNDIRECTED, _adjacency(
+        (n, n), UNDIRECTED, _connected_edges(n, extra_edges, seed)))
 
 
 def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapshot:
@@ -359,24 +367,31 @@ def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapsho
 def block_connected_sequence(n: int, b_tilde: int, seed: int,
                              extra_edges: int = 0) -> GraphSequence:
     """Random sequence that is jointly connected over every aligned window of
-    length b_tilde: per window, the edges of a random connected graph are
-    scattered across the window's slots. Each window is one drawn block."""
+    length b_tilde: per window w, the edges of a random connected graph
+    (seeded `_mix(seed, w)`) are scattered across the window's slots (drawn
+    from default_rng((seed, w, 2))). A drawn block holds
+    `_BLOCK // b_tilde` whole windows, or one window longer than `_BLOCK`."""
     if b_tilde < 1:
         raise ValueError("window length must be >= 1")
+    per = max(1, _BLOCK // b_tilde)   # windows per block
 
     def draw(s: int, t: int) -> np.ndarray:
-        rows, cols = _link_arrays(random_connected_graph(n, extra_edges, seed=_mix(s, t)))
-        slots = np.random.default_rng((s, t, 2)).integers(0, b_tilde, size=len(rows))
-        return _adjacency((b_tilde, n, n), UNDIRECTED, (slots, rows, cols))
+        index = []
+        for i, w in enumerate(range(t * per, (t + 1) * per)):
+            rows, cols = _connected_edges(n, extra_edges, _mix(s, w))
+            slots = np.random.default_rng((s, w, 2)).integers(0, b_tilde, size=len(rows))
+            index.append((i * b_tilde + slots, rows, cols))
+        return _adjacency((per * b_tilde, n, n), UNDIRECTED,
+                          tuple(map(np.concatenate, zip(*index))))
 
-    return _blocked_sequence(n, UNDIRECTED, b_tilde, draw, seed,
+    return _blocked_sequence(n, UNDIRECTED, per * b_tilde, draw, seed,
                              f"block-connected(n={n}, window={b_tilde})",
                              declared_B=b_tilde)
 
 
-def _mix(seed: int, t: int) -> int:
-    # distinct deterministic sub-seed per block
-    return int(np.random.SeedSequence((seed, t)).generate_state(1)[0])
+def _mix(seed: int, w: int) -> int:
+    # distinct deterministic sub-seed per window
+    return int(np.random.SeedSequence((seed, w)).generate_state(1)[0])
 
 
 def snapshot_to_text(snap: GraphSnapshot) -> str:

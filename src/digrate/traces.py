@@ -79,13 +79,16 @@ class RunTrace:
         path = Path(path)
         with path.open("w") as f:
             f.writelines(self._lines())
-        if self.q_norm is not None:
-            payload = {"metadata": _plain(self.metadata),
-                       **{name: list(map(float, getattr(self, name)))
-                          for name in AUDIT_SERIES},
-                       "xbar0_error": self.xbar0_error, "r0": self.r0}
-            sidecar = path.with_name(path.name + AUDIT_SUFFIX)
-            sidecar.write_text(json.dumps(payload, indent=1) + "\n")
+        sidecar = path.with_name(path.name + AUDIT_SUFFIX)
+        if self.q_norm is None:
+            # an earlier run's sidecar would be read as this trace's
+            sidecar.unlink(missing_ok=True)
+            return
+        payload = {"metadata": _plain(self.metadata),
+                   **{name: list(map(float, getattr(self, name)))
+                      for name in AUDIT_SERIES},
+                   "xbar0_error": self.xbar0_error, "r0": self.r0}
+        sidecar.write_text(json.dumps(payload, indent=1) + "\n")
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "RunTrace":
@@ -116,6 +119,9 @@ class RunTrace:
             payload = json.loads(sidecar.read_text())
             trace.metadata = payload.get("metadata", {})
             for name in AUDIT_SERIES:
+                if len(payload[name]) != len(trace):
+                    raise ValueError(f"{sidecar.name} holds {len(payload[name])} "
+                                     f"{name} values but {path.name} has {len(trace)} rows")
                 setattr(trace, name, np.array(payload[name]))
             trace.xbar0_error = payload["xbar0_error"]
             trace.r0 = payload["r0"]

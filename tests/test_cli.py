@@ -28,8 +28,8 @@ def write_config(tmp_path, **overrides):
 
 
 # block-connected windows of two slots audited with B = 2: at seed 1 some
-# window straddles two blocks and its union graph is not connected, so
-# delta = 1 and the audit block certifies nothing
+# audit window straddles two graph windows and its union graph is not
+# connected, so delta = 1 and the audit block certifies nothing
 DELTA_ONE_AUDIT = dict(
     graph={"type": "block-connected", "n": 12, "window": 2, "seed": 1},
     objective={"family": "quadratic", "n": 12, "p": 4, "seed": 1},
@@ -255,6 +255,46 @@ class TestAuditAndReproduce:
         assert code == cli.EXIT_PARSE
         assert "audit constants" in capsys.readouterr().err
 
+    def test_unaudited_rerun_leaves_no_stale_sidecar(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # an audited run, then a shorter one without the block into the same
+        # --out: the first run's ledger must not be printed for the second
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        trace = tmp_path / "out" / "trace.csv"
+        audited = write_config(
+            tmp_path, iterations=300, alpha=0.0004,
+            theory_audit={"B": 1, "delta": "empirical", "lambda": "certified"})
+        assert cli.main(["run", "--config", str(audited), "--out",
+                         str(trace.parent)]) == 0
+        assert (tmp_path / "out" / "trace.csv.audit.json").exists()
+        plain = write_config(tmp_path, iterations=50, alpha=0.0004)
+        assert cli.main(["run", "--config", str(plain), "--out",
+                         str(trace.parent)]) == 0
+        assert not (tmp_path / "out" / "trace.csv.audit.json").exists()
+        capsys.readouterr()
+        assert cli.main(["audit", "--trace", str(trace)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "K=" not in captured.out
+        assert "no audit sidecar" in captured.err
+
+    def test_audit_rejects_sidecar_of_other_length(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        audited = write_config(
+            tmp_path, iterations=300, alpha=0.0004,
+            theory_audit={"B": 1, "delta": "empirical", "lambda": "certified"})
+        cli.main(["run", "--config", str(audited), "--out", str(tmp_path / "a")])
+        plain = write_config(tmp_path, iterations=50, alpha=0.0004)
+        cli.main(["run", "--config", str(plain), "--out", str(tmp_path / "b")])
+        sidecar = "trace.csv.audit.json"
+        (tmp_path / "b" / sidecar).write_bytes((tmp_path / "a" / sidecar).read_bytes())
+        capsys.readouterr()
+        code = cli.main(["audit", "--trace", str(tmp_path / "b" / "trace.csv")])
+        assert code == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "301 q_norm values" in captured.err and "51 rows" in captured.err
+
     def test_reproduce_prints_summary(self, tmp_path, capsys):
         code = cli.main(["reproduce", "--case", "tv-directed", "--seed", "0",
                          "--iterations", "120", "--out", str(tmp_path)])
@@ -323,3 +363,34 @@ class TestFailureExits:
         assert "certifies nothing" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
         assert not (tmp_path / "trace.csv.audit.json").exists()
+
+
+class TestWindowDraws:
+    """The benchmark's audited block-connected config draws each window of
+    its sequence once per command, whatever order the command reads it in."""
+
+    def test_validate_and_run_draw_each_window_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        drawn = []
+        real = graphs._mix
+
+        def counted(seed, w):
+            drawn.append((seed, w))
+            return real(seed, w)
+
+        monkeypatch.setattr(graphs, "_mix", counted)
+        config = write_config(
+            tmp_path,
+            graph={"type": "block-connected", "n": 12, "window": 2, "seed": 0},
+            objective={"family": "quadratic", "n": 12, "p": 4, "seed": 0},
+            alpha=0.3, iterations=4000, seed=0,
+            theory_audit={"B": 3, "delta": "empirical", "lambda": "certified"})
+        assert cli.main(["validate", "--config", str(config)]) == 0
+        assert drawn and len(set(drawn)) == len(drawn)
+        drawn.clear()
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == 0
+        assert len(set(drawn)) == len(drawn)
+        # every window the 4,000 iterations step through was drawn
+        assert {w for _, w in drawn} >= set(range(2000))

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from digrate import graphs
+from digrate import graphs, mixing
 
 
 def path3():
@@ -166,25 +166,58 @@ class TestJointConnectivity:
 class TestBlockConnected:
     def test_block_draws_its_graph_once(self, monkeypatch):
         drawn = []
-        real = graphs.random_connected_graph
+        real = graphs._mix
 
-        def counted(n, extra_edges, seed):
-            drawn.append(seed)
-            return real(n, extra_edges, seed)
+        def counted(seed, w):
+            drawn.append((seed, w))
+            return real(seed, w)
 
-        monkeypatch.setattr(graphs, "random_connected_graph", counted)
+        monkeypatch.setattr(graphs, "_mix", counted)
         seq = graphs.block_connected_sequence(6, 3, seed=41, extra_edges=2)
-        for k in (0, 1, 2, 1, 0):
+        windows = graphs._BLOCK // 3          # whole windows in one block
+        span = windows * 3
+        # every slot of the first block, in shuffled order and read twice
+        order = np.random.default_rng(44).permutation(span).tolist()
+        for k in order + order[::-1]:
             seq.snapshot(k)
-        assert len(drawn) == 1
-        snap = seq.snapshot(3)
-        assert len(drawn) == 2
-        # the window is one read-only block holding its three slots
+        assert drawn == [(41, w) for w in range(windows)]
+        snap = seq.snapshot(span + 4)
+        assert drawn == [(41, w) for w in range(2 * windows)]
+        # the block is read-only, holds its windows' slots and is shared by them
         block, i = snap.block
-        assert i == 0 and block.adj.shape == (3, 6, 6)
+        assert i == 4 and block.adj.shape == (span, 6, 6)
         assert not block.adj.flags.writeable
-        assert seq.snapshot(5).block[0] is block
-        assert len(drawn) == 2
+        later = np.random.default_rng(45).permutation(
+            np.arange(span, 2 * span)).tolist()
+        assert all(seq.snapshot(k).block == (block, k - span) for k in later)
+        assert len(drawn) == 2 * windows
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    @pytest.mark.parametrize("b_tilde", [1, 2, 3, 5, 64, 65])
+    @pytest.mark.parametrize("extra_edges", [0, 3])
+    def test_slices_equal_per_window_construction(self, n, b_tilde, extra_edges):
+        seed = 46
+        seq = graphs.block_connected_sequence(n, b_tilde, seed, extra_edges)
+        size = b_tilde * max(1, graphs._BLOCK // b_tilde)
+        # both ends of the first three blocks and a slot next to each end
+        ks = sorted({k for t in range(3) for k in
+                     (t * size, t * size + 1, (t + 1) * size - 2, (t + 1) * size - 1)})
+        for k in np.random.default_rng(47).permutation(ks).tolist():
+            snap = seq.snapshot(k)
+            w, j = divmod(k, b_tilde)
+            graph = graphs.random_connected_graph(n, extra_edges, graphs._mix(seed, w))
+            rows, cols = graphs._link_arrays(graph)
+            slots = np.random.default_rng((seed, w, 2)).integers(
+                0, b_tilde, size=len(rows))
+            want = graphs.undirected(n, zip((rows[slots == j] + 1).tolist(),
+                                            (cols[slots == j] + 1).tolist()))
+            assert snap.adj_bytes == want.adj_bytes
+            assert snap.block[1] == k % size
+            for rule in (mixing.metropolis, mixing.lazy_metropolis):
+                mat, ref = rule(snap), rule(want)
+                assert mat.entries.tobytes() == ref.entries.tobytes()
+                assert dataclasses.astuple(mat.certificate) == \
+                    dataclasses.astuple(ref.certificate)
 
     def test_random_order_equals_fresh_sequence(self):
         seq = graphs.block_connected_sequence(7, 3, seed=42, extra_edges=3)

@@ -81,6 +81,18 @@ class TestTraceRoundTrip:
         assert trace.same_rows(again)
         assert again.to_csv() == trace.to_csv()
 
+    def test_sidecar_of_other_length_rejected(self, tmp_path):
+        trace = self.make_trace()
+        path = tmp_path / "trace.csv"
+        trace.write(path)
+        # the CSV is rewritten with fewer rows beside the audited sidecar
+        rows = trace.to_csv().splitlines(keepends=True)
+        path.write_text("".join(rows[:12]))
+        with pytest.raises(ValueError, match="41 q_norm values .* 11 rows"):
+            RunTrace.read(path)
+        path.write_text("".join(rows))
+        assert RunTrace.read(path).q_norm.tolist() == trace.q_norm.tolist()
+
     def test_vmin_column_empty_for_undirected(self):
         trace = self.make_trace()
         rows = trace.to_csv().strip().splitlines()[1:]

@@ -423,7 +423,7 @@ class TestBlockBuilds:
                  (lambda k: seq_u.snapshot(k).as_directed(),
                   mixing.out_degree_column),
                  (seq_d.snapshot, mixing.out_degree_column)]
-        # block-connected windows of 1, 2 and 3 slots, each one block
+        # block-connected windows of 1, 2 and 3 slots, drawn whole into blocks
         for b_tilde in (1, 2, 3):
             seq_b = graphs.block_connected_sequence(10, b_tilde, 89, 3)
             cases += [(seq_b.snapshot, mixing.metropolis),

@@ -31,7 +31,12 @@ It covers:
   again: its CSV plus its sidecar;
 - a zero-iteration audited run and an audited run that ends on a NaN
   residual (its last row must read `nan`): trace CSV and sidecar, for
-  DIGing, DIGing-ATC and DGD in one lockstep call.
+  DIGing, DIGing-ATC and DGD in one lockstep call;
+- block-connected snapshots with windows of 5, 64 and 65 iterations and
+  extra edges, over three draw blocks each (a block holds the whole windows
+  that fit in `graphs._BLOCK` iterations, at least one), read in shuffled
+  order: `snapshot_to_text` of each, and the entries and certificate fields
+  of their Metropolis and lazy Metropolis builds.
 
 The first line names the `digrate` package that was imported.
 """
@@ -56,6 +61,8 @@ REPRODUCE_SEEDS = (0, 11)
 AUDIT_SEEDS = (0, 1, 11)
 RANDOM_GRAPHS = 40
 BLOCK_SPAN = 130   # iterations 0..129 cross the draw blocks at 64 and 128
+WINDOWS = ((5, 3), (64, 20), (65, 30))   # (b_tilde, extra_edges), n = 12
+WINDOW_BLOCKS = 3   # draw blocks read per window length
 SWEEP_GRID = (0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.2)
 
 
@@ -198,18 +205,37 @@ def block_digests():
                  ("block-connected", windows,
                   (mixing.metropolis, mixing.lazy_metropolis)))
         for label, seq, rules in cases:
-            order = np.random.default_rng((seed, 5)).permutation(BLOCK_SPAN).tolist()
-            snaps = {k: seq.snapshot(k) for k in order}
-            yield (f"blocks seed={seed} {label} snapshot_to_text",
-                   digest("".join(graphs.snapshot_to_text(snaps[k])
-                                  for k in range(BLOCK_SPAN))))
-            for rule in rules:
-                mats = {k: rule(snaps[k]) for k in order}
-                h = hashlib.sha256()
-                for k in range(BLOCK_SPAN):
-                    h.update(mats[k].entries.tobytes())
-                    h.update(repr(dataclasses.astuple(mats[k].certificate)).encode())
-                yield f"blocks seed={seed} {label} {rule.__name__}", h.hexdigest()
+            order = np.random.default_rng((seed, 5)).permutation(BLOCK_SPAN)
+            yield from slice_digests(f"blocks seed={seed} {label}", seq, rules,
+                                     order.tolist())
+
+
+def window_digests():
+    for seed, (b_tilde, extra_edges) in enumerate(WINDOWS):
+        seq = graphs.block_connected_sequence(12, b_tilde, seed, extra_edges)
+        # whole windows per draw block, or one window longer than a block
+        span = WINDOW_BLOCKS * b_tilde * max(1, graphs._BLOCK // b_tilde)
+        order = np.random.default_rng((seed, 6)).permutation(span)
+        yield from slice_digests(
+            f"windows seed={seed} b_tilde={b_tilde} extra={extra_edges}", seq,
+            (mixing.metropolis, mixing.lazy_metropolis), order.tolist())
+
+
+def slice_digests(label: str, seq, rules, order: list):
+    """Snapshots of iterations 0..len(order)-1, read in `order`:
+    `snapshot_to_text` of each, and per rule the entries and certificate
+    fields of their matrices, built in the same order."""
+    snaps = {k: seq.snapshot(k) for k in order}
+    yield (f"{label} snapshot_to_text",
+           digest("".join(graphs.snapshot_to_text(snaps[k])
+                          for k in range(len(order)))))
+    for rule in rules:
+        mats = {k: rule(snaps[k]) for k in order}
+        h = hashlib.sha256()
+        for k in range(len(order)):
+            h.update(mats[k].entries.tobytes())
+            h.update(repr(dataclasses.astuple(mats[k].certificate)).encode())
+        yield f"{label} {rule.__name__}", h.hexdigest()
 
 
 def sweep_static_digests(seed: int = 0):
@@ -262,7 +288,8 @@ def main() -> None:
         work = Path(tmp)
         for part in (reproduce_digests(work), audit_cli_digests(work),
                      builder_digests(), generator_digests(), block_digests(),
-                     sweep_static_digests(), edge_run_digests(work)):
+                     sweep_static_digests(), edge_run_digests(work),
+                     window_digests()):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
