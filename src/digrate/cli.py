@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="rerun a benchmark graph case")
     p_rep.add_argument("--case", required=True, choices=harness.CASES)
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=_nonnegative_int, default=0)
     p_rep.add_argument("--iterations", type=_nonnegative_int, default=None)
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(handler=_cmd_reproduce)
@@ -83,7 +83,7 @@ def _nonnegative_int(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is not a nonnegative count")
+        raise argparse.ArgumentTypeError(f"{value} is not a nonnegative integer")
     return value
 
 
@@ -98,9 +98,9 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV}={raw!r} is not an integer") from exc
+        return _nonnegative_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{SEED_ENV}: {exc}") from exc
 
 
 def _cmd_run(args) -> int:

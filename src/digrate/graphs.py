@@ -31,15 +31,31 @@ _BLOCK = 64
 
 @dataclass(frozen=True, eq=False)
 class GraphBlock:
-    """Snapshots as one read-only (s, n, n) boolean stack, slice i holding
-    the adjacency matrix of the block's i-th iteration (s = 1 for a
-    snapshot built on its own). Mixing rules build and certify the whole
-    stack on their first request and keep the result in `built`, keyed by
-    rule; blocks compare by identity."""
+    """Snapshots as one (s, n, n) boolean stack, slice i holding the
+    adjacency matrix of the block's i-th iteration (s = 1 for a snapshot
+    built on its own), checked once and made read-only here. Mixing rules
+    build and certify the whole stack on their first request and keep the
+    result in `built`, keyed by rule; blocks compare by identity."""
 
     kind: str
     adj: np.ndarray
     built: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.kind not in (UNDIRECTED, DIRECTED):
+            raise ValueError(f"unknown graph kind {self.kind!r}")
+        adj = self.adj
+        if (not isinstance(adj, np.ndarray) or adj.dtype != bool or adj.ndim != 3
+                or adj.shape[1] != adj.shape[2]):
+            raise ValueError("adjacency stack must be an (s, n, n) boolean array")
+        loops = np.nonzero(adj.diagonal(axis1=1, axis2=2))[1]
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {loops[0] + 1} not allowed")
+        # a byte comparison is several times cheaper than an elementwise one
+        # at the sizes simulated here
+        if self.kind == UNDIRECTED and adj.swapaxes(1, 2).tobytes() != adj.tobytes():
+            raise ValueError("undirected adjacency must be symmetric")
+        adj.flags.writeable = False
 
     @functools.cached_property
     def directed(self) -> "GraphBlock":
@@ -52,44 +68,36 @@ class GraphSnapshot:
     """One communication round as an n x n boolean adjacency matrix:
     adj[j-1, i-1] is the arc j -> i between the 1-based vertices j and i,
     symmetric for an undirected snapshot, with an empty diagonal (no
-    self-loops). The matrix is copied and made read-only; equality and
-    hashing go by value, through its bytes. `block` is (GraphBlock, slice),
-    the block the snapshot was drawn in, whose slice it must match; a
-    snapshot given none becomes slice 0 of a one-slice block of its own."""
+    self-loops). `block` is (GraphBlock, slice), the block the snapshot was
+    drawn in, and `adj` is that read-only slice itself, neither copied nor
+    checked again. A snapshot given a matrix instead copies it into slice 0
+    of a one-slice block of its own, checked as every block is. Equality
+    and hashing go by value, through the matrix's bytes."""
 
     n: int
     kind: str
-    adj: np.ndarray = field(compare=False)
+    adj: np.ndarray | None = field(default=None, compare=False)
     adj_bytes: bytes = field(init=False, repr=False)
     block: tuple[GraphBlock, int] | None = field(default=None, compare=False,
                                                  repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        if self.kind not in (UNDIRECTED, DIRECTED):
-            raise ValueError(f"unknown graph kind {self.kind!r}")
-        adj = self.adj
-        if (not isinstance(adj, np.ndarray) or adj.dtype != bool
-                or adj.shape != (self.n, self.n)):
-            raise ValueError(f"adjacency must be a {self.n}x{self.n} boolean array")
-        if np.count_nonzero(adj.diagonal()):
-            vertex = np.flatnonzero(adj.diagonal())[0] + 1
-            raise ValueError(f"self-loop at vertex {vertex} not allowed")
-        object.__setattr__(self, "adj_bytes", adj.tobytes())
-        # a byte comparison is several times cheaper than an elementwise one
-        # at the sizes simulated here
-        if self.kind == UNDIRECTED and adj.T.tobytes() != self.adj_bytes:
-            raise ValueError("undirected adjacency must be symmetric")
-        if self.block is not None:
-            block, i = self.block
-            if block.kind != self.kind or block.adj[i].tobytes() != self.adj_bytes:
-                raise ValueError("snapshot differs from its block's slice")
-        adj = adj.copy()
-        adj.flags.writeable = False
-        object.__setattr__(self, "adj", adj)
         if self.block is None:
-            object.__setattr__(self, "block", (GraphBlock(self.kind, adj[None]), 0))
+            adj = self.adj
+            if self.n < 1:
+                raise ValueError(f"vertex count must be positive, got {self.n}")
+            if (not isinstance(adj, np.ndarray) or adj.dtype != bool
+                    or adj.shape != (self.n, self.n)):
+                raise ValueError(f"adjacency must be a {self.n}x{self.n} boolean array")
+            object.__setattr__(self, "block", (GraphBlock(self.kind, adj[None].copy()), 0))
+        elif self.adj is not None:
+            raise ValueError("a block's snapshot reads its matrix from the block")
+        block, i = self.block
+        if block.kind != self.kind or block.adj.shape[1] != self.n:
+            raise ValueError("snapshot differs from its block's slice")
+        adj = block.adj[i]
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj_bytes", adj.tobytes())
 
     @property
     def links(self) -> frozenset[Link]:
@@ -103,7 +111,7 @@ class GraphSnapshot:
         if self.kind == DIRECTED:
             return self
         block, i = self.block
-        return GraphSnapshot(self.n, DIRECTED, self.adj, (block.directed, i))
+        return GraphSnapshot(self.n, DIRECTED, block=(block.directed, i))
 
     def as_undirected(self) -> "GraphSnapshot":
         """Forget arc directions (antiparallel arcs collapse to one edge)."""
@@ -275,11 +283,8 @@ def _blocked_sequence(n: int, kind: str, size: int,
         t, i = divmod(k, size)
         last = kept.get(s)
         if last is None or last[0] != t:
-            adj = draw(s, t)
-            adj.flags.writeable = False
-            last = kept[s] = (t, GraphBlock(kind, adj))
-        block = last[1]
-        return GraphSnapshot(n, kind, block.adj[i], (block, i))
+            last = kept[s] = (t, GraphBlock(kind, draw(s, t)))
+        return GraphSnapshot(n, kind, block=(last[1], i))
 
     return GraphSequence(n, kind, gen, seed=seed, declared_B=declared_B,
                          description=description)

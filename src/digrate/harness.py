@@ -167,15 +167,17 @@ class ExperimentConfig:
 
 _REQUIRED = object()
 
-# what a config entry may hold, by the words that name it in errors;
-# a bool is none of these (JSON true is not the integer 1)
+# what a config entry may hold, by the words that name it in errors; a bool
+# is only "a boolean" (JSON true is not the integer 1)
 _KINDS = {
+    "a boolean": lambda v: isinstance(v, bool),
     "an integer": lambda v: isinstance(v, int),
     "a number": lambda v: isinstance(v, (int, float)),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
     "a number or 'empirical'": lambda v: v == "empirical" or isinstance(v, (int, float)),
     "a number or 'certified'": lambda v: v == "certified" or isinstance(v, (int, float)),
+    "'undirected' or 'directed'": lambda v: v in (graphs.UNDIRECTED, graphs.DIRECTED),
 }
 
 
@@ -196,7 +198,7 @@ class ConfigBlock:
             if default is _REQUIRED:
                 raise ConfigError(f"{self.where}: needs {key!r}")
             return default
-        if isinstance(value, bool) or not _KINDS[kind](value):
+        if isinstance(value, bool) != (kind == "a boolean") or not _KINDS[kind](value):
             raise ConfigError(f"{self.where}: {key}={value!r} is not {kind}")
         return value
 
@@ -206,7 +208,7 @@ def _static_snapshot(cfg, where: str) -> graphs.GraphSnapshot:
     gtype = get("type", "a string")
     if gtype == "static-edges":
         n, links = get("n"), get("links", "a list")
-        if get("kind", "a string", graphs.UNDIRECTED) == graphs.DIRECTED:
+        if get("kind", "'undirected' or 'directed'", graphs.UNDIRECTED) == graphs.DIRECTED:
             return graphs.directed(n, links)
         return graphs.undirected(n, links)
     if gtype == "static-path":
@@ -244,9 +246,8 @@ def build_sequence(cfg) -> graphs.GraphSequence:
                                      description=f"static {gtype}")
     declared_B = get("declared_B", default=None)
     if declared_B is not None:
-        seq = graphs.GraphSequence(seq.n, seq.kind, seq.generator, seq.seed,
-                                   declared_B, seq.description)
-    if cfg.get("directed_view"):
+        seq = replace(seq, declared_B=declared_B)
+    if get("directed_view", "a boolean", False):
         seq = directed_view(seq)
     return seq
 
@@ -287,7 +288,8 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
 
 
 def build_rule(cfg):
-    """Mixing rule name (or custom block) -> callable snapshot -> matrix."""
+    """Mixing rule name (or custom block) -> callable snapshot -> matrix; a
+    custom rule returns its one matrix whatever the snapshot."""
     if isinstance(cfg, dict):
         get = ConfigBlock(cfg, "mixing")
         if get("rule", "a string") != "custom":
@@ -324,6 +326,9 @@ def _assemble(config: ExperimentConfig):
     rule = build_rule(config.mixing)
     problems = algorithms.input_problems(
         config.algorithm, seq, suite, schedule=isinstance(config.alpha, dict))
+    size = rule(None).n if isinstance(config.mixing, dict) else seq.n
+    if size != seq.n:
+        problems.append(f"size: custom matrix is {size}x{size}, graph has {seq.n} vertices")
     audit = None
     if not problems and config.theory_audit is not None:
         try:
@@ -518,7 +523,6 @@ TUNED = {
 
 def reproduce_section6(case: str, seed: int = 0,
                        out_dir: str | Path | None = None,
-                       alphas: dict | None = None,
                        iterations: int | None = None) -> dict:
     """Rebuild the benchmark problem and run every applicable algorithm on
     the requested graph case, returning traces and a comparison summary."""
@@ -526,9 +530,7 @@ def reproduce_section6(case: str, seed: int = 0,
         raise ValueError(f"unknown case {case!r}; pick one of {CASES}")
     problem = section6_problem(seed)
     suite = problem.suite
-    params = dict(TUNED[case])
-    if alphas:
-        params.update(alphas)
+    params = TUNED[case]
     iters = params["iterations"] if iterations is None else iterations
 
     reference = objectives.solve_reference(suite, tolerance=1e-12)

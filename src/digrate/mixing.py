@@ -39,21 +39,14 @@ class StochasticityReport:
 
 @dataclass(frozen=True)
 class MixingMatrix:
+    """A certified n x n matrix: `entries` is read-only and checked where it
+    is made, by `_build` for a rule's block or by `custom_mixing`."""
+
     n: int
     entries: np.ndarray
     rule: str
     snapshot: GraphSnapshot | None = None
     certificate: StochasticityReport | None = None
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}, got {e.shape}")
-        if np.any(e < 0):
-            raise ValueError("mixing weights must be nonnegative")
-        e = e.copy()
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
 
 
 @dataclass(frozen=True)
@@ -126,9 +119,9 @@ _RULES = {
 
 
 def _build(snapshot: GraphSnapshot, rule: str) -> MixingMatrix:
-    """The rule's certified matrix for one snapshot, a slice of its block:
-    the whole block is built and certified on its first request for the
-    rule, and the result is kept on the block."""
+    """The rule's certified matrix for one snapshot, a read-only slice of
+    its block's stack: the whole block is built and certified on its first
+    request for the rule, and the result is kept on the block."""
     kind, weights, mode, name = _RULES[rule]
     if snapshot.kind != kind:
         raise ValueError(f"{name} need {'an' if kind == UNDIRECTED else 'a'} "
@@ -137,31 +130,60 @@ def _build(snapshot: GraphSnapshot, rule: str) -> MixingMatrix:
     built = block.built.get(rule)
     if built is None:
         stack = weights(block.adj)
-        built = block.built[rule] = (stack, _certify(stack, mode))
+        # certified as the weights return it, then kept in C order (np.where
+        # may return a Fortran-ordered stack) so a slice steps as a copy would
+        certificates = _certify(stack, mode)
+        stack = np.ascontiguousarray(stack)
+        stack.flags.writeable = False
+        built = block.built[rule] = (stack, certificates)
     return MixingMatrix(snapshot.n, built[0][i], rule, snapshot, built[1][i])
 
 
 def _certify(stack: np.ndarray, mode: str) -> list[StochasticityReport]:
-    """`validate_stochasticity` of each slice of an (s, n, n) stack, field for
-    field: one vectorized pass certifies the slices that pass, and a failing
-    or non-finite slice gets the full report."""
-    dev = np.abs(stack.sum(axis=1) - 1.0)           # column deviations
+    """The stochasticity report of each slice of an (s, n, n) stack: row sums
+    (doubly) and column sums (both modes) against 1 within
+    STOCHASTICITY_TOL absolute, and signs. One vectorized pass certifies the
+    slices that pass; a failing slice gets the worst deviation and each
+    offender, and a non-finite entry fails it with an infinite deviation,
+    its row and column named first."""
+    if mode not in (DOUBLY, COLUMN):
+        raise ValueError(f"unknown stochasticity mode {mode!r}")
+    checks = [("col", np.abs(stack.sum(axis=1) - 1.0))]
     if mode == DOUBLY:
-        dev = np.concatenate([np.abs(stack.sum(axis=2) - 1.0), dev], axis=1)
-    max_dev = dev.max(axis=1)
+        checks.insert(0, ("row", np.abs(stack.sum(axis=2) - 1.0)))
+    max_dev = np.max([dev.max(axis=1) for _, dev in checks], axis=0)
     # a NaN reaches both the deviation and the minimum, an inf the deviation
     passes = (max_dev <= STOCHASTICITY_TOL) & (stack.min(axis=(1, 2)) >= 0)
-    return [StochasticityReport(mode, True, d) if ok
-            else validate_stochasticity(m, mode)
-            for m, d, ok in zip(stack, max_dev.tolist(), passes.tolist())]
+    reports = []
+    for s, (m, d, ok) in enumerate(zip(stack, max_dev.tolist(), passes.tolist())):
+        if ok:
+            reports.append(StochasticityReport(mode, True, d))
+            continue
+        violations = []
+        bad = np.argwhere(~np.isfinite(m))
+        if len(bad):
+            i, j = bad[0].tolist()
+            violations += [("non-finite-row", i + 1, math.inf),
+                           ("non-finite-col", j + 1, math.inf)]
+            d = math.inf
+        for axis, dev in checks:
+            for idx in np.nonzero(dev[s] > STOCHASTICITY_TOL)[0]:
+                violations.append((axis, int(idx) + 1, float(dev[s, idx])))
+        if np.any(m < 0):
+            idx = int(np.argmin(m.min(axis=1)))
+            violations.append(("negative-row", idx + 1, float(-m.min())))
+            d = max(d, float(-m.min()))
+        reports.append(StochasticityReport(mode, False, d, violations[0],
+                                           tuple(violations)))
+    return reports
 
 
 def custom_mixing(entries: np.ndarray, mode: str,
                   snapshot: GraphSnapshot | None = None) -> MixingMatrix:
-    """Wrap an externally supplied matrix, validating the requested
-    stochasticity; raises if the certificate fails."""
-    entries = np.asarray(entries, dtype=float)
-    n = entries.shape[0]
+    """Wrap a read-only copy of an externally supplied matrix, validating
+    the requested stochasticity; raises if the certificate fails."""
+    entries = np.array(entries, dtype=float)
+    entries.flags.writeable = False
     report = validate_stochasticity(entries, mode)
     if not report.ok:
         axis, idx, dev = report.first_offender
@@ -170,47 +192,18 @@ def custom_mixing(entries: np.ndarray, mode: str,
             raise ValueError(f"custom matrix entry ({idx}, {col}) is not finite")
         raise ValueError(f"custom matrix is not {mode} stochastic: "
                          f"{axis} {idx} off by {dev:.3e}")
-    return MixingMatrix(n, entries, "custom", snapshot, report)
+    return MixingMatrix(len(entries), entries, "custom", snapshot, report)
 
 
-def validate_stochasticity(matrix: np.ndarray | MixingMatrix, mode: str,
-                           tol: float = STOCHASTICITY_TOL) -> StochasticityReport:
-    """Check row sums (doubly), column sums (both modes) against 1 within
-    `tol` absolute, reporting the worst deviation and each offender. A
-    non-finite entry fails the check with an infinite deviation, its row
-    and column named first."""
+def validate_stochasticity(matrix: np.ndarray | MixingMatrix,
+                           mode: str) -> StochasticityReport:
+    """The stochasticity report of one square matrix, as `_certify` gives it."""
     if isinstance(matrix, MixingMatrix):
         matrix = matrix.entries
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("stochasticity check needs a square matrix")
-    if mode not in (DOUBLY, COLUMN):
-        raise ValueError(f"unknown stochasticity mode {mode!r}")
-    checks = [("col", np.abs(m.sum(axis=0) - 1.0))]
-    if mode == DOUBLY:
-        checks.insert(0, ("row", np.abs(m.sum(axis=1) - 1.0)))
-    max_dev = 0.0
-    for _, dev in checks:
-        max_dev = max(max_dev, float(dev.max()))
-    # a certificate needs no offender list; a NaN fails `m.min() >= 0`
-    if max_dev <= tol and m.min() >= 0:
-        return StochasticityReport(mode, True, max_dev)
-    violations = []
-    bad = np.argwhere(~np.isfinite(m))
-    if len(bad):
-        i, j = bad[0].tolist()
-        violations += [("non-finite-row", i + 1, math.inf),
-                       ("non-finite-col", j + 1, math.inf)]
-        max_dev = math.inf
-    for axis, dev in checks:
-        for idx in np.nonzero(dev > tol)[0]:
-            violations.append((axis, int(idx) + 1, float(dev[idx])))
-    if np.any(m < 0):
-        idx = int(np.argmin(m.min(axis=1)))
-        violations.append(("negative-row", idx + 1, float(-m.min())))
-        max_dev = max(max_dev, float(-m.min()))
-    first = violations[0] if violations else None
-    return StochasticityReport(mode, not violations, max_dev, first, tuple(violations))
+    return _certify(m[None], mode)[0]
 
 
 def averaging_gap(matrix: np.ndarray) -> np.ndarray:

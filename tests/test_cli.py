@@ -118,6 +118,25 @@ class TestValidate:
         assert "config valid" not in captured.out
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_custom_matrix_of_other_size(self, tmp_path, capsys, monkeypatch):
+        # a 3x3 matrix on a 4-vertex graph: both commands name both sizes,
+        # and run stops before any iteration
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        matrix = tmp_path / "w.csv"
+        matrix.write_text("\n".join([",".join([str(1 / 3)] * 3)] * 3) + "\n")
+        config = write_config(
+            tmp_path, graph={"type": "static-path", "n": 4},
+            mixing={"rule": "custom", "path": str(matrix), "mode": "doubly"})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.count("size: custom matrix is 3x3, graph has "
+                                  "4 vertices") == 2
+        assert "matmul" not in captured.err
+        assert "config valid" not in captured.out
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_kind_mismatch(self, tmp_path, capsys):
         config = write_config(tmp_path, algorithm="push-diging")
         assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_VALIDATION
@@ -170,8 +189,13 @@ class TestMalformedBlocks:
         ({"graph": {"type": "subsample", "fraction": "x",
                     "base": {"type": "static-path", "n": 4}}}, "graph"),
         ({"objective": {"family": "quadratic", "p": 2, "seed": 5}}, "objective"),
+        ({"graph": {"type": "static-edges", "n": 4, "kind": "directd",
+                    "links": [[1, 2], [2, 3], [3, 4], [4, 1]]}}, "graph"),
+        ({"graph": {"type": "static-path", "n": 4, "directed_view": "no"}}, "graph"),
+        ({"graph": {"type": "static-path", "n": 4, "directed_view": 1}}, "graph"),
     ], ids=["graph-without-n", "graph-number", "audit-B-list", "audit-eta-string",
-            "fraction-string", "objective-without-n"])
+            "fraction-string", "objective-without-n", "kind-misspelt",
+            "directed-view-string", "directed-view-integer"])
     def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
                                           override, block):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -310,6 +334,28 @@ class TestAuditAndReproduce:
             cli.main(["reproduce", "--case", "tv-directed", "--iterations", count])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+class TestNegativeSeeds:
+    def test_reproduce_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce", "--case", "tv-directed", "--seed", "-1",
+                      "--iterations", "0"])
+        assert exc.value.code == 2
+        assert "-1 is not a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        ("-3", "DIGRATE_SEED: -3 is not a nonnegative integer"),
+        ("x", "DIGRATE_SEED: 'x' is not an integer")])
+    def test_negative_env_seed_is_parse_error(self, tmp_path, capsys,
+                                              monkeypatch, raw, message):
+        monkeypatch.setenv(cli.SEED_ENV, raw)
+        config = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "trace.csv").exists()
 
 
 class TestFailureExits:

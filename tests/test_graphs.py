@@ -67,6 +67,9 @@ class TestSnapshot:
         snap = graphs.GraphSnapshot(2, graphs.DIRECTED, adj)
         adj[1, 0] = True
         assert snap.links == frozenset({(1, 2)})
+        # the copy is the one slice of the snapshot's own block
+        assert np.shares_memory(snap.adj, snap.block[0].adj)
+        assert adj.flags.writeable
         with pytest.raises(ValueError):
             snap.adj[1, 0] = True
 
@@ -374,12 +377,60 @@ class TestSubsampleBlocks:
     def test_snapshot_must_match_its_slice(self):
         seq = graphs.subsample_sequence(subsample_base(graphs.UNDIRECTED), 0.4, 73)
         snap = seq.snapshot(5)
-        other = snap.adj.copy()
-        other[0, 1] = other[1, 0] = not other[0, 1]
         with pytest.raises(ValueError, match="block's slice"):
-            graphs.GraphSnapshot(9, graphs.UNDIRECTED, other, snap.block)
-        with pytest.raises(ValueError, match="block's slice"):
-            graphs.GraphSnapshot(9, graphs.DIRECTED, snap.adj, snap.block)
+            graphs.GraphSnapshot(9, graphs.DIRECTED, block=snap.block)
+        # a block's snapshot takes no matrix of its own beside the slice
+        with pytest.raises(ValueError, match="reads its matrix from the block"):
+            graphs.GraphSnapshot(9, graphs.UNDIRECTED, snap.adj, snap.block)
+
+
+class TestSliceViews:
+    """A block's stack is checked once, when the block is made; a drawn
+    snapshot's matrix is then a read-only view of its slice, neither copied
+    nor checked again."""
+
+    @pytest.mark.parametrize("seq", [
+        graphs.subsample_sequence(subsample_base(graphs.UNDIRECTED), 0.4, 74),
+        graphs.subsample_sequence(subsample_base(graphs.DIRECTED), 0.4, 75),
+        graphs.block_connected_sequence(9, 3, 76, 2),
+    ], ids=["subsample-undirected", "subsample-directed", "block-connected"])
+    def test_drawn_snapshot_is_a_view_of_its_slice(self, seq):
+        for k in BOUNDARY_KS:
+            for snap in (seq.snapshot(k), seq.snapshot(k).as_directed()):
+                block, i = snap.block
+                assert np.shares_memory(snap.adj, block.adj)
+                assert snap.adj.base is not None
+                assert snap.adj_bytes == block.adj[i].tobytes()
+                assert not snap.adj.flags.writeable
+                with pytest.raises(ValueError):
+                    snap.adj[0, 1] = True
+
+    @pytest.mark.parametrize("kind", [graphs.UNDIRECTED, graphs.DIRECTED])
+    def test_block_with_self_loop_rejected(self, kind):
+        stack = np.zeros((4, 5, 5), dtype=bool)
+        stack[2, 3, 3] = True
+        with pytest.raises(ValueError, match="self-loop at vertex 4 not allowed"):
+            graphs.GraphBlock(kind, stack)
+        # the stack a rejected block was given stays writeable
+        assert stack.flags.writeable
+
+    def test_asymmetric_undirected_block_rejected(self):
+        stack = np.zeros((4, 5, 5), dtype=bool)
+        stack[1, 0, 2] = True
+        with pytest.raises(ValueError, match="undirected adjacency must be symmetric"):
+            graphs.GraphBlock(graphs.UNDIRECTED, stack)
+        block = graphs.GraphBlock(graphs.DIRECTED, stack)
+        assert block.adj is stack and not stack.flags.writeable
+
+    @pytest.mark.parametrize("kind, stack", [
+        ("directd", np.zeros((1, 3, 3), dtype=bool)),
+        (graphs.DIRECTED, np.zeros((3, 3), dtype=bool)),
+        (graphs.DIRECTED, np.zeros((1, 3, 4), dtype=bool)),
+        (graphs.DIRECTED, np.zeros((1, 3, 3), dtype=int)),
+    ], ids=["kind", "two-axes", "not-square", "not-boolean"])
+    def test_malformed_block_rejected(self, kind, stack):
+        with pytest.raises(ValueError, match="unknown graph kind|boolean array"):
+            graphs.GraphBlock(kind, stack)
 
 
 class TestDeterminism:

@@ -469,3 +469,44 @@ class TestBlockBuilds:
         assert [r.ok for r in reports[:7]] == [True] + [False] * 5 + [True]
         assert reports[3].first_offender == ("non-finite-row", 5, np.inf)
         assert all(r.ok for r in reports[7:])
+
+
+class TestSliceViews:
+    """A rule-built matrix is a read-only, C-ordered view of its block's
+    built stack; a custom matrix is a read-only copy of what it was given."""
+
+    @pytest.mark.parametrize("source", ["drawn", "directed-view", "standalone"])
+    def test_rule_matrix_is_a_view_of_the_built_stack(self, source):
+        und = graphs.random_connected_graph(10, 8, seed=90)
+        dig = graphs.random_strongly_connected_digraph(10, 25, seed=91)
+        seq_u = graphs.subsample_sequence(und, 0.4, 92)
+        seq_d = graphs.subsample_sequence(dig, 0.4, 93)
+        for k in BOUNDARY_KS:
+            snap_u, snap_d = seq_u.snapshot(k), seq_d.snapshot(k)
+            if source == "directed-view":
+                snap_d = snap_u.as_directed()
+            elif source == "standalone":
+                snap_u = graphs.GraphSnapshot(10, graphs.UNDIRECTED, snap_u.adj)
+                snap_d = graphs.GraphSnapshot(10, graphs.DIRECTED, snap_d.adj)
+            for rule, snap in ((mixing.metropolis, snap_u),
+                               (mixing.lazy_metropolis, snap_u),
+                               (mixing.out_degree_column, snap_d)):
+                mat = rule(snap)
+                block, i = snap.block
+                stack = block.built[mat.rule][0]
+                assert np.shares_memory(mat.entries, stack)
+                assert mat.entries.tobytes() == stack[i].tobytes()
+                assert mat.entries.flags.c_contiguous
+                assert not mat.entries.flags.writeable
+                assert rule(snap).entries.base is mat.entries.base
+                with pytest.raises(ValueError):
+                    mat.entries[0, 0] = 0.5
+
+    def test_custom_matrix_keeps_a_read_only_copy(self):
+        given = np.full((3, 3), 1 / 3)
+        mat = mixing.custom_mixing(given, mixing.DOUBLY)
+        given[0, 0] = 5.0
+        assert np.array_equal(mat.entries, np.full((3, 3), 1 / 3))
+        assert not np.shares_memory(mat.entries, given)
+        assert not mat.entries.flags.writeable
+        assert mat.n == 3 and mat.certificate.ok
