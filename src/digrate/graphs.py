@@ -2,20 +2,19 @@
 
 Vertices are labeled 1..n and fixed over time; only the link set, an n x n
 boolean adjacency matrix, changes. A sequence is a pure function of
-(iteration, seed), so any snapshot can be regenerated at random access
-without replaying the stream. Every snapshot is a slice of a `GraphBlock`,
-a read-only stack of adjacency matrices that the mixing rules build and
-certify as a whole: a drawn sequence draws a block of consecutive
-iterations on its first touch (`_BLOCK` for a subsample sequence,
-`_BLOCK // b_tilde` whole windows of b_tilde slots, or one longer window,
-for a block-connected one), and a snapshot built on its own is the one
-slice of a block of its own.
+(iteration, seed), served one way: `GraphSequence` draws a block of
+consecutive snapshots on its first touch and keeps it. A static or periodic
+sequence's block is the given snapshots; a subsample or block-connected
+sequence's block is the slices of one `GraphBlock`, a read-only stack of
+adjacency matrices that the mixing rules build and certify as a whole; a
+directed view's block is the directed twins of its base's block. A snapshot
+built on its own is the one slice of a block of its own.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -197,26 +196,55 @@ def _reaches_all(adj: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class GraphSequence:
-    """Seeded map from iteration index k to a graph snapshot.
-
-    The generator must be pure: the same (k, seed) always yields the same
-    snapshot, in this process or any other.
-    """
+    """Seeded map from iteration index k to a graph snapshot. Block t,
+    iterations t * size .. t * size + size - 1, is the snapshots
+    draw(seed, t), checked to be `size` snapshots of the sequence's n and
+    kind. The draw must be pure: the same (seed, t) always yields the same
+    snapshots, in this process or any other. The sequence keeps the last
+    block it drew; a `dataclasses.replace` copy keeps its own."""
 
     n: int
     kind: str
-    generator: Callable[[int, int], GraphSnapshot]
+    size: int
+    draw: Callable[[int, int], tuple[GraphSnapshot, ...]]
     seed: int = 0
     declared_B: int | None = None
     description: str = ""
+    kept: dict = field(default_factory=dict, init=False, compare=False,
+                       repr=False)   # {t: block t}, the last block drawn
 
     def snapshot(self, k: int) -> GraphSnapshot:
         if k < 0:
             raise ValueError("iteration index must be nonnegative")
-        snap = self.generator(k, self.seed)
-        if snap.n != self.n or snap.kind != self.kind:
-            raise ValueError("generator produced a snapshot of mismatched shape")
-        return snap
+        t, i = divmod(k, self.size)
+        return self.snapshots(t)[i]
+
+    def snapshots(self, t: int) -> tuple[GraphSnapshot, ...]:
+        """The snapshots of block t."""
+        snaps = self.kept.get(t)
+        if snaps is None:
+            snaps = tuple(self.draw(self.seed, t))
+            if len(snaps) != self.size or any(s.n != self.n or s.kind != self.kind
+                                              for s in snaps):
+                raise ValueError(f"block {t} is not {self.size} {self.kind} "
+                                 f"snapshots of {self.n} vertices")
+            self.kept.clear()
+            self.kept[t] = snaps
+        return snaps
+
+
+def directed_view(seq: GraphSequence) -> GraphSequence:
+    """Each undirected edge becomes two opposite arcs, for push-sum rules:
+    block t is the directed twins of the block t the base keeps."""
+    if seq.kind == DIRECTED:
+        return seq
+
+    def draw(s: int, t: int) -> tuple[GraphSnapshot, ...]:
+        base = seq if s == seq.seed else replace(seq, seed=s)
+        return tuple(snap.as_directed() for snap in base.snapshots(t))
+
+    return GraphSequence(seq.n, DIRECTED, seq.size, draw, seq.seed, seq.declared_B,
+                         seq.description + " (directed view)")
 
 
 @dataclass(frozen=True)
@@ -250,44 +278,28 @@ def is_jointly_connected(seq: GraphSequence, B: int, horizon: int) -> Connectivi
     return ConnectivityCheck(True, None)
 
 
+def _slices(kind: str, stack: np.ndarray) -> tuple[GraphSnapshot, ...]:
+    """The snapshots of a drawn (s, n, n) stack, one per slice of its block."""
+    block = GraphBlock(kind, stack)
+    return tuple(GraphSnapshot(stack.shape[1], kind, block=(block, i))
+                 for i in range(len(stack)))
+
+
 def static_sequence(snap: GraphSnapshot, description: str = "static") -> GraphSequence:
-    return GraphSequence(snap.n, snap.kind, lambda k, seed: snap, seed=0,
-                         declared_B=1 if snap.is_connected() else None,
-                         description=description)
+    return periodic_sequence([snap], 1 if snap.is_connected() else None, description)
 
 
 def periodic_sequence(snaps: list[GraphSnapshot], declared_B: int | None = None,
                       description: str = "periodic") -> GraphSequence:
-    """Cycle through the given snapshots with period len(snaps)."""
+    """Cycle through the given snapshot objects, one block per period."""
     if not snaps:
         raise ValueError("need at least one snapshot")
     n, kind = snaps[0].n, snaps[0].kind
     if any(s.n != n or s.kind != kind for s in snaps):
         raise ValueError("snapshots must share vertex count and kind")
-    frozen = list(snaps)
-    return GraphSequence(n, kind, lambda k, seed: frozen[k % len(frozen)], seed=0,
-                         declared_B=declared_B, description=description)
-
-
-def _blocked_sequence(n: int, kind: str, size: int,
-                      draw: Callable[[int, int], np.ndarray], seed: int,
-                      description: str, declared_B: int | None = None) -> GraphSequence:
-    """Sequence served `size` iterations at a time: block t, iterations
-    t * size .. t * size + size - 1, is the (size, n, n) stack draw(seed, t),
-    drawn on its first touch. The sequence keeps the last block it drew for
-    each seed, so copies made with `dataclasses.replace` on other seeds do
-    not evict each other's block."""
-    kept: dict[int, tuple[int, GraphBlock]] = {}   # seed -> (t, block t)
-
-    def gen(k: int, s: int) -> GraphSnapshot:
-        t, i = divmod(k, size)
-        last = kept.get(s)
-        if last is None or last[0] != t:
-            last = kept[s] = (t, GraphBlock(kind, draw(s, t)))
-        return GraphSnapshot(n, kind, block=(last[1], i))
-
-    return GraphSequence(n, kind, gen, seed=seed, declared_B=declared_B,
-                         description=description)
+    snaps = tuple(snaps)
+    return GraphSequence(n, kind, len(snaps), lambda s, t: snaps, 0, declared_B,
+                         description)
 
 
 def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
@@ -305,17 +317,16 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
     if description is None:
         description = f"subsample({fraction:g}) of {base.kind} base with {len(rows)} links"
     if fraction == 1.0:
-        return GraphSequence(base.n, base.kind, lambda k, s: base, seed=seed,
-                             description=description)
+        return replace(periodic_sequence([base], description=description), seed=seed)
 
-    def draw(s: int, t: int) -> np.ndarray:
+    def draw(s: int, t: int) -> tuple[GraphSnapshot, ...]:
         keep = np.array([np.random.default_rng((s, k)).uniform(size=len(rows))
                          for k in range(t * _BLOCK, (t + 1) * _BLOCK)]) < fraction
         slot, link = np.nonzero(keep)
-        return _adjacency((_BLOCK, base.n, base.n), base.kind,
-                          (slot, rows[link], cols[link]))
+        return _slices(base.kind, _adjacency((_BLOCK, base.n, base.n), base.kind,
+                                             (slot, rows[link], cols[link])))
 
-    return _blocked_sequence(base.n, base.kind, _BLOCK, draw, seed, description)
+    return GraphSequence(base.n, base.kind, _BLOCK, draw, seed, description=description)
 
 
 def _connected_edges(n: int, extra_edges: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -380,18 +391,17 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
         raise ValueError("window length must be >= 1")
     per = max(1, _BLOCK // b_tilde)   # windows per block
 
-    def draw(s: int, t: int) -> np.ndarray:
+    def draw(s: int, t: int) -> tuple[GraphSnapshot, ...]:
         index = []
         for i, w in enumerate(range(t * per, (t + 1) * per)):
             rows, cols = _connected_edges(n, extra_edges, _mix(s, w))
             slots = np.random.default_rng((s, w, 2)).integers(0, b_tilde, size=len(rows))
             index.append((i * b_tilde + slots, rows, cols))
-        return _adjacency((per * b_tilde, n, n), UNDIRECTED,
-                          tuple(map(np.concatenate, zip(*index))))
+        return _slices(UNDIRECTED, _adjacency((per * b_tilde, n, n), UNDIRECTED,
+                                              tuple(map(np.concatenate, zip(*index)))))
 
-    return _blocked_sequence(n, UNDIRECTED, per * b_tilde, draw, seed,
-                             f"block-connected(n={n}, window={b_tilde})",
-                             declared_B=b_tilde)
+    return GraphSequence(n, UNDIRECTED, per * b_tilde, draw, seed, b_tilde,
+                         f"block-connected(n={n}, window={b_tilde})")
 
 
 def _mix(seed: int, w: int) -> int:

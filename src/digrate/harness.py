@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms, graphs, mixing, objectives
+from .graphs import directed_view
 from .rates import (NoGuaranteeError, TheoryParams, diging_rate,
                     diging_step_size_window)
 from .traces import RunTrace
@@ -172,6 +173,7 @@ _REQUIRED = object()
 _KINDS = {
     "a boolean": lambda v: isinstance(v, bool),
     "an integer": lambda v: isinstance(v, int),
+    "a positive integer": lambda v: isinstance(v, int) and v > 0,
     "a number": lambda v: isinstance(v, (int, float)),
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
@@ -244,24 +246,12 @@ def build_sequence(cfg) -> graphs.GraphSequence:
     else:
         seq = graphs.static_sequence(_static_snapshot(cfg, "graph"),
                                      description=f"static {gtype}")
-    declared_B = get("declared_B", default=None)
+    declared_B = get("declared_B", "a positive integer", None)
     if declared_B is not None:
         seq = replace(seq, declared_B=declared_B)
     if get("directed_view", "a boolean", False):
         seq = directed_view(seq)
     return seq
-
-
-def directed_view(seq: graphs.GraphSequence) -> graphs.GraphSequence:
-    """Each undirected edge becomes the pair of opposite arcs, so push-sum
-    rules apply on an undirected sequence."""
-    if seq.kind == graphs.DIRECTED:
-        return seq
-    gen = seq.generator
-    return graphs.GraphSequence(
-        seq.n, graphs.DIRECTED,
-        lambda k, seed: gen(k, seed).as_directed(),
-        seq.seed, seq.declared_B, seq.description + " (directed view)")
 
 
 def build_suite(cfg) -> objectives.ObjectiveSuite:

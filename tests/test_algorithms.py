@@ -568,11 +568,13 @@ class TestMatrixReuse:
             assert len(calls) - before == 1
 
     def test_equal_snapshots_share_a_build(self):
-        # a directed view makes a new but equal snapshot at every iteration
+        # the directed view of a static sequence makes a new but equal
+        # snapshot at every iteration, each block being one iteration
         suite = zero_suite(3, 1)
         base = graphs.static_sequence(graphs.undirected(3, [(1, 2), (2, 3)]))
-        seq = graphs.GraphSequence(3, graphs.DIRECTED,
-                                   lambda k, s: base.snapshot(k).as_directed())
+        seq = graphs.directed_view(base)
+        assert seq.snapshot(1) is not seq.snapshot(0)
+        assert seq.snapshot(1) == seq.snapshot(0)
         rule, calls = self.counting(mixing.out_degree_column)
         trace = alg.run("push-diging", seq, rule, suite, 0.1, 40, x0="random")
         assert len(calls) == 1
@@ -595,11 +597,11 @@ class TestMatrixReuse:
         periodic = graphs.periodic_sequence([a, a, b], declared_B=3)
         draws = []
 
-        def drawn(k, s):
-            draws.append(k)
-            return periodic.snapshot(k)
+        def drawn(s, t):
+            draws.append(t)
+            return (periodic.snapshot(t),)
 
-        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, drawn)
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, drawn)
         rule, calls = self.counting(mixing.metropolis)
         traces = alg.run(("diging", "diging-atc", "dgd", "diging")[:members],
                          seq, rule, suite, 0.1, 9, x0="random")

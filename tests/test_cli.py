@@ -193,9 +193,13 @@ class TestMalformedBlocks:
                     "links": [[1, 2], [2, 3], [3, 4], [4, 1]]}}, "graph"),
         ({"graph": {"type": "static-path", "n": 4, "directed_view": "no"}}, "graph"),
         ({"graph": {"type": "static-path", "n": 4, "directed_view": 1}}, "graph"),
+        ({"graph": {"type": "static-path", "n": 4, "declared_B": 0}}, "graph"),
+        ({"graph": {"type": "static-path", "n": 4, "declared_B": -2}}, "graph"),
+        ({"graph": {"type": "static-path", "n": 4, "declared_B": True}}, "graph"),
     ], ids=["graph-without-n", "graph-number", "audit-B-list", "audit-eta-string",
             "fraction-string", "objective-without-n", "kind-misspelt",
-            "directed-view-string", "directed-view-integer"])
+            "directed-view-string", "directed-view-integer", "declared-B-zero",
+            "declared-B-negative", "declared-B-boolean"])
     def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
                                           override, block):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)

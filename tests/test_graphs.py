@@ -1,6 +1,8 @@
 """Graph sequence generation, joint connectivity, and serialization."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -431,6 +433,96 @@ class TestSliceViews:
     def test_malformed_block_rejected(self, kind, stack):
         with pytest.raises(ValueError, match="unknown graph kind|boolean array"):
             graphs.GraphBlock(kind, stack)
+
+
+# a fresh sequence of each drawn undirected kind
+DRAWN_BASES = pytest.mark.parametrize("make", [
+    lambda: graphs.subsample_sequence(subsample_base(graphs.UNDIRECTED), 0.4, 77),
+    lambda: graphs.block_connected_sequence(9, 3, 78, 2),
+], ids=["subsample", "block-connected"])
+
+
+class TestServing:
+    """Every sequence serves its snapshots a checked block at a time, and a
+    directed view serves the directed twins of its base's kept block."""
+
+    @DRAWN_BASES
+    def test_view_serves_the_twins_of_its_base_block(self, make):
+        base = make()
+        view = graphs.directed_view(base)
+        assert view.size == base.size
+        for k in np.random.default_rng(79).permutation(BOUNDARY_KS).tolist():
+            block, i = base.snapshot(k).block
+            snap = view.snapshot(k)
+            assert snap.block == (block.directed, i)
+            assert snap == base.snapshot(k).as_directed()
+            # another slice of the block, then k again: the same object
+            other = k - i + (i + 1) % view.size
+            assert view.snapshot(other).block == (block.directed, (i + 1) % view.size)
+            assert view.snapshot(k) is snap
+        # a copy of the view on another seed views the base on that seed
+        copy = dataclasses.replace(view, seed=base.seed + 1)
+        fresh = graphs.directed_view(dataclasses.replace(base, seed=base.seed + 1))
+        span = range(2 * view.size)
+        assert [copy.snapshot(k) for k in span] == [fresh.snapshot(k) for k in span]
+        assert [copy.snapshot(k) for k in span] != [view.snapshot(k) for k in span]
+
+    @DRAWN_BASES
+    def test_base_and_view_draw_each_block_once(self, make):
+        drawn, plain = [], make()
+
+        def draw(s, t):
+            drawn.append(t)
+            return plain.draw(s, t)
+
+        base = dataclasses.replace(plain, draw=draw)
+        view = graphs.directed_view(base)
+        for k in range(2 * base.size):
+            assert view.snapshot(k).block[0] is base.snapshot(k).block[0].directed
+        assert drawn == [0, 1]
+
+    def test_static_and_periodic_serve_the_given_snapshots(self):
+        a, b = graphs.undirected(3, [(1, 2)]), graphs.undirected(3, [(2, 3)])
+        static = graphs.static_sequence(a)
+        periodic = graphs.periodic_sequence([a, a, b], declared_B=3)
+        assert (static.size, periodic.size) == (1, 3)
+        for k in (0, 1, 5, 7):
+            assert static.snapshot(k) is a
+            assert periodic.snapshot(k) is (a, a, b)[k % 3]
+            assert graphs.directed_view(periodic).snapshot(k).block == \
+                ((a, a, b)[k % 3].block[0].directed, 0)
+
+    @pytest.mark.parametrize("snaps", [
+        (graphs.undirected(3, [(1, 2)]),),
+        (graphs.undirected(3, [(1, 2)]), graphs.directed(3, [(1, 2)])),
+        (graphs.undirected(3, [(1, 2)]), graphs.undirected(4, [(1, 2)])),
+    ], ids=["count", "kind", "n"])
+    def test_malformed_draw_rejected(self, snaps):
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 2, lambda s, t: snaps)
+        for _ in range(2):   # a rejected block is not kept
+            with pytest.raises(ValueError,
+                               match="block 0 is not 2 undirected snapshots of 3 vertices"):
+                seq.snapshot(1)
+
+    @DRAWN_BASES
+    def test_dropped_block_is_freed_without_gc(self, make):
+        # nothing a drawn block holds leads back to it, so reference counts
+        # alone free it once its sequence, snapshots and matrices are dropped
+        gc.disable()
+        try:
+            seq = make()
+            view = graphs.directed_view(seq)
+            snaps = [seq.snapshot(k) for k in (0, 1, 2)]
+            arcs = [view.snapshot(k) for k in (0, 1, 2)]
+            mats = ([mixing.metropolis(s) for s in snaps]
+                    + [mixing.out_degree_column(s) for s in arcs])
+            block = weakref.ref(snaps[0].block[0])
+            twin = weakref.ref(arcs[0].block[0])
+            assert twin() is block().directed
+            del seq, view, snaps, arcs, mats
+            assert block() is None and twin() is None
+        finally:
+            gc.enable()
 
 
 class TestDeterminism:

@@ -262,20 +262,21 @@ class TestEstimateDelta:
         # by every window that holds it; the windows still match the
         # per-window union_graph and window_product bit for bit
         seq = graphs.block_connected_sequence(12, 2, seed=0)
-        calls = {"generator": 0, "rule": 0}
+        calls = {"draw": 0, "rule": 0}
 
-        def generator(k, seed):
-            calls["generator"] += 1
-            return seq.generator(k, seed)
+        def draw(seed, t):
+            calls["draw"] += 1
+            return seq.draw(seed, t)
 
         def rule(snap):
             calls["rule"] += 1
             return mixing.metropolis(snap)
 
-        counted = graphs.GraphSequence(seq.n, seq.kind, generator, seq.seed,
+        counted = graphs.GraphSequence(seq.n, seq.kind, seq.size, draw, seq.seed,
                                        seq.declared_B, seq.description)
         est = mixing.estimate_delta(counted, rule, B=3, horizon=9)
-        assert calls == {"generator": 9, "rule": 9}
+        # the horizon lies in the first block
+        assert calls == {"draw": 1, "rule": 9}
         reference = []
         for k in range(2, 9):
             sigma = 1.0

@@ -36,7 +36,11 @@ It covers:
   extra edges, over three draw blocks each (a block holds the whole windows
   that fit in `graphs._BLOCK` iterations, at least one), read in shuffled
   order: `snapshot_to_text` of each, and the entries and certificate fields
-  of their Metropolis and lazy Metropolis builds.
+  of their Metropolis and lazy Metropolis builds;
+- static and periodic sequences (periods 1, 4 and 5, a period repeating a
+  snapshot object), undirected with their directed views and directed,
+  over six periods read in shuffled order: `snapshot_to_text` of each, and
+  the entries and certificate fields of their builds.
 
 The first line names the `digrate` package that was imported.
 """
@@ -63,6 +67,7 @@ RANDOM_GRAPHS = 40
 BLOCK_SPAN = 130   # iterations 0..129 cross the draw blocks at 64 and 128
 WINDOWS = ((5, 3), (64, 20), (65, 30))   # (b_tilde, extra_edges), n = 12
 WINDOW_BLOCKS = 3   # draw blocks read per window length
+CYCLE_PERIODS = 6   # periods read per static or periodic sequence
 SWEEP_GRID = (0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.2)
 
 
@@ -221,6 +226,28 @@ def window_digests():
             (mixing.metropolis, mixing.lazy_metropolis), order.tolist())
 
 
+def cycle_digests():
+    und_rules = (mixing.metropolis, mixing.lazy_metropolis)
+    dig_rules = (mixing.out_degree_column,)
+    for seed in range(2):
+        und = [graphs.random_connected_graph(12, j, 10 * seed + j) for j in range(4)]
+        dig = [graphs.random_strongly_connected_digraph(12, 12 + 3 * j, 10 * seed + j)
+               for j in range(5)]
+        static = graphs.static_sequence(und[0])
+        periodic = graphs.periodic_sequence([und[1], und[2], und[1], und[3]])
+        cases = (("static", static, 1, und_rules),
+                 ("static directed view", harness.directed_view(static), 1, dig_rules),
+                 ("static directed", graphs.static_sequence(dig[0]), 1, dig_rules),
+                 ("periodic", periodic, 4, und_rules),
+                 ("periodic directed view", harness.directed_view(periodic), 4,
+                  dig_rules),
+                 ("periodic directed", graphs.periodic_sequence(dig), 5, dig_rules))
+        for label, seq, period, rules in cases:
+            order = np.random.default_rng((seed, 7)).permutation(CYCLE_PERIODS * period)
+            yield from slice_digests(f"cycles seed={seed} {label}", seq, rules,
+                                     order.tolist())
+
+
 def slice_digests(label: str, seq, rules, order: list):
     """Snapshots of iterations 0..len(order)-1, read in `order`:
     `snapshot_to_text` of each, and per rule the entries and certificate
@@ -289,7 +316,7 @@ def main() -> None:
         for part in (reproduce_digests(work), audit_cli_digests(work),
                      builder_digests(), generator_digests(), block_digests(),
                      sweep_static_digests(), edge_run_digests(work),
-                     window_digests()):
+                     window_digests(), cycle_digests()):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
