@@ -136,6 +136,9 @@ def _cmd_bounds(args) -> int:
     eta = get("eta", "a number", 1.0)
     params = rates.TheoryParams(n=n, B=B, delta=delta, mu_bar=mu_bar, L=L,
                                 mu_hat=mu_hat, beta=beta, eta=eta)
+    alpha, tau = get("alpha", "a number", None), get("tau", "a number", 1.0 / n)
+    b_minus = get("B_minus", default=None)
+    get.done()
     kappa = params.kappa_bar
     print(f"inputs: n={n} B={B} delta={delta:g} mu_bar={mu_bar:g} L={L:g} "
           f"kappa_bar={kappa:g}")
@@ -144,17 +147,15 @@ def _cmd_bounds(args) -> int:
     print(f"J1 = {j1:.6g}")
     print(f"alpha window: (0, {window.alpha_max:.6g}], branch point "
           f"{window.breakpoint:.6g}")
-    alpha = float(get("alpha", "a number", 0.9 * window.breakpoint))
+    alpha = float(0.9 * window.breakpoint if alpha is None else alpha)
     est = rates.diging_rate(alpha, params)
     flag = " (degenerate endpoint)" if est.degenerate else ""
     print(f"lambda at alpha={alpha:.6g}: {est.lam:.12g} "
           f"(branch {est.branch}){flag}")
-    tau = get("tau", "a number", 1.0 / n)
     scal = rates.network_scalability_rate(tau, B, n, kappa, L, mu_bar)
     print(f"scalability at tau={tau:g}: alpha={scal.alpha:.6g} "
           f"lambda={scal.lam:.12g}")
     print(f"lazy-Metropolis rate (B=1): {rates.lazy_metropolis_rate(n, kappa):.12g}")
-    b_minus = get("B_minus", default=None)
     if b_minus is not None:
         cons = rates.push_sum_contraction(n, b_minus)
         print(f"push-sum: tau_tilde={cons.tau_tilde} Q1={cons.q1} "

@@ -220,16 +220,19 @@ class GraphSequence:
         return self.snapshots(t)[i]
 
     def snapshots(self, t: int) -> tuple[GraphSnapshot, ...]:
-        """The snapshots of block t."""
+        """The snapshots of block t. A draw that returns the tuple already
+        kept (a periodic sequence's one block) is not checked again."""
         snaps = self.kept.get(t)
         if snaps is None:
-            snaps = tuple(self.draw(self.seed, t))
-            if len(snaps) != self.size or any(s.n != self.n or s.kind != self.kind
-                                              for s in snaps):
-                raise ValueError(f"block {t} is not {self.size} {self.kind} "
-                                 f"snapshots of {self.n} vertices")
+            drawn = self.draw(self.seed, t)
+            if drawn is not next(iter(self.kept.values()), None):
+                drawn = tuple(drawn)
+                if len(drawn) != self.size or any(s.n != self.n or s.kind != self.kind
+                                                  for s in drawn):
+                    raise ValueError(f"block {t} is not {self.size} {self.kind} "
+                                     f"snapshots of {self.n} vertices")
             self.kept.clear()
-            self.kept[t] = snaps
+            self.kept[t] = snaps = drawn
         return snaps
 
 

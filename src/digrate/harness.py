@@ -185,16 +185,18 @@ _KINDS = {
 
 class ConfigBlock:
     """Typed reads from one JSON object of a config or params file; each bad
-    read is a ConfigError naming the block."""
+    read, and each key that no read asked for, is a ConfigError naming the
+    block."""
 
     def __init__(self, raw, where: str):
         if not isinstance(raw, dict):
             raise ConfigError(f"{where}: must be an object, got {raw!r}")
-        self.raw, self.where = raw, where
+        self.raw, self.where, self.read = raw, where, set()
 
     def __call__(self, key: str, kind: str = "an integer", default=_REQUIRED):
         """raw[key], checked to be `kind` (a key of _KINDS). A missing or
         null entry gives `default`, and is an error without one."""
+        self.read.add(key)
         value = self.raw.get(key)
         if value is None:
             if default is _REQUIRED:
@@ -204,9 +206,19 @@ class ConfigBlock:
             raise ConfigError(f"{self.where}: {key}={value!r} is not {kind}")
         return value
 
+    def block(self, key: str) -> "ConfigBlock":
+        """raw[key] as a block of its own, named `where.key`."""
+        self.read.add(key)
+        return ConfigBlock(self.raw.get(key), f"{self.where}.{key}")
 
-def _static_snapshot(cfg, where: str) -> graphs.GraphSnapshot:
-    get = ConfigBlock(cfg, where)
+    def done(self) -> None:
+        """Reject the keys that no read asked for, such as a misspelt one."""
+        unread = sorted(set(self.raw) - self.read)
+        if unread:
+            raise ConfigError(f"{self.where}: unknown keys {', '.join(unread)}")
+
+
+def _static_snapshot(get: ConfigBlock) -> graphs.GraphSnapshot:
     gtype = get("type", "a string")
     if gtype == "static-edges":
         n, links = get("n"), get("links", "a list")
@@ -236,45 +248,50 @@ def build_sequence(cfg) -> graphs.GraphSequence:
     get = ConfigBlock(cfg, "graph")
     gtype = get("type", "a string")
     if gtype == "subsample":
-        base = _static_snapshot(cfg.get("base"), "graph.base")
-        seq = graphs.subsample_sequence(base, get("fraction", "a number"),
+        base = get.block("base")
+        snap = _static_snapshot(base)
+        base.done()
+        seq = graphs.subsample_sequence(snap, get("fraction", "a number"),
                                         get("seed", default=0))
     elif gtype == "block-connected":
         seq = graphs.block_connected_sequence(get("n"), get("window"),
                                               get("seed", default=0),
                                               get("extra_edges", default=0))
     else:
-        seq = graphs.static_sequence(_static_snapshot(cfg, "graph"),
+        seq = graphs.static_sequence(_static_snapshot(get),
                                      description=f"static {gtype}")
     declared_B = get("declared_B", "a positive integer", None)
+    view = get("directed_view", "a boolean", False)
+    get.done()
     if declared_B is not None:
         seq = replace(seq, declared_B=declared_B)
-    if get("directed_view", "a boolean", False):
-        seq = directed_view(seq)
-    return seq
+    return directed_view(seq) if view else seq
 
 
 def build_suite(cfg) -> objectives.ObjectiveSuite:
     get = ConfigBlock(cfg, "objective")
     family = get("family", "a string")
-    if family == "quadratic":
-        if "targets" in cfg:
-            return objectives.quadratic_suite(
-                np.asarray(get("targets", "a list"), dtype=float),
-                np.asarray(get("curvatures", "a list"), dtype=float))
+    if family == "quadratic" and "targets" in cfg:
+        suite = objectives.quadratic_suite(
+            np.asarray(get("targets", "a list"), dtype=float),
+            np.asarray(get("curvatures", "a list"), dtype=float))
+    elif family == "quadratic":
         rng = np.random.default_rng(get("seed", default=0))
         n, p = get("n"), get("p", default=1)
         lo, hi = get("curvature_range", "a list", (0.5, 2.0))
         curv = rng.uniform(lo, hi, size=n)
         targets = rng.normal(scale=get("target_scale", "a number", 1.0), size=(n, p))
-        return objectives.quadratic_suite(targets, curv)
-    if family == "zero":
-        return objectives.zero_suite(get("n"), get("p", default=1))
-    if family == "bundle":
-        return objectives.load_suite(get("path", "a string"))
-    if family == "huber-benchmark":
-        return section6_problem(get("seed", default=0)).suite
-    raise ConfigError(f"unknown objective family {family!r}")
+        suite = objectives.quadratic_suite(targets, curv)
+    elif family == "zero":
+        suite = objectives.zero_suite(get("n"), get("p", default=1))
+    elif family == "bundle":
+        suite = objectives.load_suite(get("path", "a string"))
+    elif family == "huber-benchmark":
+        suite = section6_problem(get("seed", default=0)).suite
+    else:
+        raise ConfigError(f"unknown objective family {family!r}")
+    get.done()
+    return suite
 
 
 def build_rule(cfg):
@@ -284,8 +301,9 @@ def build_rule(cfg):
         get = ConfigBlock(cfg, "mixing")
         if get("rule", "a string") != "custom":
             raise ConfigError("mixing block form is only for custom matrices")
-        entries = mixing.matrix_from_csv(Path(get("path", "a string")).read_text())
-        mat = mixing.custom_mixing(entries, get("mode", "a string", mixing.DOUBLY))
+        path, mode = get("path", "a string"), get("mode", "a string", mixing.DOUBLY)
+        get.done()
+        mat = mixing.custom_mixing(mixing.matrix_from_csv(Path(path).read_text()), mode)
         return lambda snap: mat
     if cfg == "metropolis":
         return mixing.metropolis
@@ -404,6 +422,7 @@ def _audit_params(config: ExperimentConfig, seq, suite, rule) -> dict:
     horizon = get("delta_horizon", default=max(3 * B, 6))
     beta, eta = get("beta", "a number", None), get("eta", "a number", 1.0)
     lam = get("lambda", "a number or 'certified'", "certified")
+    get.done()
     if config.algorithm != "diging":
         raise NoGuaranteeError(
             f"no certified rate for {config.algorithm} from a config; only "

@@ -154,62 +154,89 @@ class StepSizeWindow:
     breakpoint: float       # where the certified rate switches branch
 
 
-def diging_step_size_window(params: TheoryParams) -> StepSizeWindow:
-    """Admissible (0, alpha_max] window and the internal branch point of the
-    certified rate for the undirected algorithm."""
-    if params.delta >= 1:
-        raise NoGuaranteeError(f"delta={params.delta} >= 1 certifies nothing")
-    j = diging_rate_constant(params.kappa_bar, params.B, params.n)
-    d = params.delta
-    alpha_max = 1.5 * (1 - d) ** 2 / (params.mu_bar * j)
-    root = math.sqrt(j * j + (1 - d * d) * j)
-    # root - d*j, rationalized: the plain difference cancels as delta -> 1
-    # and can push the branch point above alpha_max
-    gap = (1 - d) * (1 + d) * j * (j + 1) / (root + d * j)
-    breakpoint = 1.5 * gap ** 2 / (params.mu_bar * j * (j + 1) ** 2)
-    return StepSizeWindow(alpha_max, breakpoint)
-
-
 @dataclass(frozen=True)
 class RateEstimate:
     lam: float
     branch: int
     degenerate: bool        # window endpoint collapsed the rate onto 1
     lam_pow_B: float
+    one_minus_lambda: LogValue  # certified gap 1 - lam (0 when degenerate)
+    j: LogValue             # step-size constant of the certificate
+    alpha_max: LogValue
 
 
-def diging_rate(alpha: float, params: TheoryParams) -> RateEstimate:
-    """Certified geometric rate of the undirected algorithm at step `alpha`.
+_ENDPOINT_TOL = 1e-12   # slack in ln alpha around the window's right end
+
+
+def _window(params: TheoryParams, ln_j: float) -> tuple[float, float]:
+    """(ln alpha_max, ln breakpoint) of the two-branch certificate with
+    step-size constant J = exp(ln_j)."""
+    d = params.delta
+    if d >= 1:
+        raise NoGuaranteeError(f"delta={d} >= 1 certifies nothing")
+    ln_alpha_max = math.log(1.5) + 2 * math.log1p(-d) - math.log(params.mu_bar) - ln_j
+    # breakpoint 1.5 (sqrt(J^2+(1-d^2)J) - dJ)^2 / (mu J (J+1)^2), rationalized
+    # to alpha_max ((1+d) / (r+d))^2 with r = sqrt(1 + (1-d^2)/J): the plain
+    # difference cancels as delta -> 1
+    ln_r = 0.5 * float(np.logaddexp(0.0, math.log1p(-d) + math.log1p(d) - ln_j))
+    ln_bp = ln_alpha_max + 2 * (math.log1p(d) - ln_r - math.log1p(d * math.exp(-ln_r)))
+    return ln_alpha_max, ln_bp
+
+
+def _certificate(alpha: float, params: TheoryParams, ln_j: float) -> RateEstimate:
+    """Certified geometric rate at step `alpha` for step-size constant
+    J = exp(ln_j), evaluated in log space so astronomic constants stay finite.
 
     Two branches meet at the window's breakpoint (the first branch applies
     at exact equality). Inside the open window the result satisfies
-    delta < lam^B < 1; at the closed right end the second branch evaluates
-    to 1, which is reported clamped just below 1 with the degenerate flag.
+    delta < lam^B < 1. At the closed right end, which lies on the second
+    branch, the rate is 1 and certifies nothing: a step within the window's
+    tolerance of it is reported as LAMBDA_CLAMP with the degenerate flag and
+    a zero gap. A rate that rounds to 1 is reported just below 1; its gap
+    keeps the true value.
     """
-    window = diging_step_size_window(params)
-    if not 0 < alpha <= window.alpha_max * (1 + 1e-12):
+    ln_alpha_max, ln_bp = _window(params, ln_j)
+    if not alpha > 0 or math.log(alpha) > ln_alpha_max + _ENDPOINT_TOL:
         raise RateWindowError(
-            f"alpha={alpha:g} outside the certified window (0, "
-            f"{window.alpha_max:g}]")
-    j = diging_rate_constant(params.kappa_bar, params.B, params.n)
+            f"alpha={alpha:g} outside the certified window "
+            f"(0, {LogValue.from_ln(ln_alpha_max)}]")
     B, d, mu = params.B, params.delta, params.mu_bar
-    degenerate = False
-    if alpha <= window.breakpoint:
-        lam = math.exp(math.log1p(-alpha * mu / 1.5) / (2 * B))
-        if lam >= 1.0:  # alpha below float resolution
-            lam = math.nextafter(1.0, 0.0)
+    ln_alpha = math.log(alpha)
+    j, alpha_max = LogValue.from_ln(ln_j), LogValue.from_ln(ln_alpha_max)
+    if ln_alpha >= ln_alpha_max - _ENDPOINT_TOL:
+        return RateEstimate(LAMBDA_CLAMP, 2, True, LAMBDA_CLAMP ** B,
+                            LogValue.from_float(0.0), j, alpha_max)
+    if alpha <= math.exp(ln_bp):
         branch = 1
+        ln_lam = math.log1p(-alpha * mu / 1.5) / (2 * B)
+        # alpha * mu underflowed: the gap is alpha mu / (3B) to first order
+        ln_gap = (math.log(-math.expm1(ln_lam)) if ln_lam < 0 else
+                  ln_alpha + math.log(mu) - math.log(3.0 * B))
     else:
-        lam_b = math.sqrt(alpha * mu * j / 1.5) + d
-        if lam_b >= 1.0:
-            # closed right end of the window: the formula gives exactly 1,
-            # which certifies nothing; report just under 1 and flag it
-            degenerate = True
-            lam = LAMBDA_CLAMP
-        else:
-            lam = lam_b ** (1.0 / B)
         branch = 2
-    return RateEstimate(lam, branch, degenerate, lam ** B)
+        # 1 - lam^B = (1 - delta) - sqrt(alpha mu J / 1.5), never 1 - lam
+        gap_b = (1 - d) - math.exp(0.5 * (ln_alpha + math.log(mu) + ln_j
+                                          - math.log(1.5)))
+        ln_lam = math.log1p(-gap_b) / B
+        ln_gap = math.log(-math.expm1(ln_lam)) if ln_lam < 0 else -math.inf
+    lam = min(math.exp(ln_lam), math.nextafter(1.0, 0.0))
+    return RateEstimate(lam, branch, False, lam ** B, LogValue.from_ln(ln_gap),
+                        j, alpha_max)
+
+
+def diging_step_size_window(params: TheoryParams) -> StepSizeWindow:
+    """Admissible (0, alpha_max] window and the internal branch point of the
+    certified rate for the undirected algorithm."""
+    j = diging_rate_constant(params.kappa_bar, params.B, params.n)
+    ln_alpha_max, ln_bp = _window(params, math.log(j))
+    return StepSizeWindow(math.exp(ln_alpha_max), math.exp(ln_bp))
+
+
+def diging_rate(alpha: float, params: TheoryParams) -> RateEstimate:
+    """Certified geometric rate of the undirected algorithm at step `alpha`,
+    with the constant of diging_rate_constant."""
+    j = diging_rate_constant(params.kappa_bar, params.B, params.n)
+    return _certificate(alpha, params, math.log(j))
 
 
 @dataclass(frozen=True)
@@ -273,12 +300,6 @@ def push_sum_delta(n: int, b_minus: int, B: int) -> LogValue:
     """Contraction factor Q1 * (1 - tau_tilde^(n*B_minus))^((B-1)/(n*B_minus))
     of length-B windows, as a LogValue."""
     ln_q1, d = _push_sum_ln_constants(n, b_minus)
-    if d == 0.0:
-        # decrement per extra window step underflowed; delta is 1 minus an
-        # unrepresentably small amount unless B is itself astronomic
-        nb = n * b_minus
-        a = -nb * (2 + nb) * math.log(n)
-        d = -math.exp(a) / nb if a > -745 else 0.0
     return LogValue.from_ln(ln_q1 + (B - 1) * d)
 
 
@@ -307,35 +328,16 @@ def push_sum_contraction(n: int, b_minus: int) -> PushSumContraction:
     vinv = LogValue.from_ln(nb * math.log(n))
 
     if d < 0.0:
-        threshold = ln_q1 / (-d)
-        b_req_real = math.floor(threshold) + 2
+        b_req = max(math.floor(ln_q1 / (-d)) + 2, b_minus)
+        b_req_log = LogValue.from_float(float(b_req))
+        delta = push_sum_delta(n, b_minus, b_req)
+        b_req_int = b_req if b_req <= 2 ** 53 else None
     else:
         # -d ~ exp(a)/nb underflowed; carry the threshold in logs only
-        a = nb * ln_tau
-        ln_threshold = math.log(ln_q1) - a + math.log(nb)
-        b_req_log = LogValue.from_ln(ln_threshold)
-        b_req_real = None
-
-    if b_req_real is not None:
-        b_req_real = max(b_req_real, b_minus)
-        b_req_log = LogValue.from_float(float(b_req_real))
-        ln_delta = min(ln_q1 + (b_req_real - 1) * d, 0.0)
-        b_req_int = b_req_real if b_req_real <= 2 ** 53 else None
-    else:
-        ln_delta = 0.0   # 1 minus an amount far below float resolution
-        b_req_int = None
-    return PushSumContraction(n, b_minus, tau_tilde, q1, vinv, b_req_int,
-                              b_req_log, LogValue.from_ln(ln_delta))
-
-
-@dataclass(frozen=True)
-class PushRateEstimate:
-    j2: LogValue
-    lam: float
-    one_minus_lambda: LogValue
-    branch: int
-    degenerate: bool
-    alpha_max: LogValue
+        b_req_log = LogValue.from_ln(math.log(ln_q1) - nb * ln_tau + math.log(nb))
+        delta, b_req_int = LogValue(0.0), None   # 1 minus far below resolution
+    return PushSumContraction(n, b_minus, tau_tilde, q1, vinv, b_req_int, b_req_log,
+                              delta if delta.log10 < 0 else LogValue(0.0))
 
 
 def push_rate_constant(params: TheoryParams) -> LogValue:
@@ -355,55 +357,10 @@ def push_rate_constant(params: TheoryParams) -> LogValue:
     return LogValue.from_ln(float(ln_j2))
 
 
-def push_diging_rate(params: TheoryParams, alpha: float) -> PushRateEstimate:
-    """Certified geometric rate for the push-sum variant; same two-branch
-    shape as the undirected certificate with the directed constant."""
-    d = params.delta
-    if d >= 1:
-        raise NoGuaranteeError(f"delta={d} >= 1 certifies nothing")
-    if alpha <= 0:
-        raise RateWindowError("step size must be positive")
-    j2 = push_rate_constant(params)
-    ln_j2 = j2.ln
-    mu, B = params.mu_bar, params.B
-    ln_alpha = math.log(alpha)
-    ln_alpha_max = math.log(1.5) + 2 * math.log1p(-d) - math.log(mu) - ln_j2
-    if ln_alpha > ln_alpha_max + 1e-12:
-        raise RateWindowError(
-            f"alpha={alpha:g} outside the certified window "
-            f"(0, {LogValue.from_ln(ln_alpha_max)}]")
-
-    # branch point: 1.5 (sqrt(J^2+(1-d^2)J) - dJ)^2 / (mu J (J+1)^2)
-    c_over_j = math.exp(min(math.log1p(-d * d) - ln_j2, 700.0))
-    s = math.expm1(0.5 * math.log1p(c_over_j))      # sqrt(1 + c/J) - 1
-    ln_u_minus = ln_j2 + math.log((1 - d) + s)
-    ln_j2_plus1 = float(np.logaddexp(ln_j2, 0.0))   # ln(J2 + 1)
-    ln_bp = (math.log(1.5) + 2 * ln_u_minus - math.log(mu) - ln_j2
-             - 2 * ln_j2_plus1)
-
-    if ln_alpha <= ln_bp:
-        q = math.exp(ln_alpha + math.log(mu) - math.log(1.5))
-        ln_lam = math.log1p(-q) / (2 * B)
-        branch = 1
-        if ln_lam < 0:
-            oml = LogValue.from_float(-math.expm1(ln_lam))
-        else:
-            # q underflowed even log1p; lam rounds to 1.0 but the gap to 1
-            # is still meaningful and carried in log form
-            oml = LogValue.from_ln(ln_alpha + math.log(mu) - math.log(1.5)
-                                   - math.log(2 * B))
-    else:
-        ln_g = 0.5 * (ln_alpha + math.log(mu) + ln_j2 - math.log(1.5))
-        one_minus_lam_b = max((1 - d) - math.exp(ln_g), 0.0)
-        ln_lam = math.log1p(-one_minus_lam_b) / B
-        oml = LogValue.from_float(-math.expm1(ln_lam))
-        branch = 2
-    lam = math.exp(ln_lam)
-    degenerate = branch == 2 and oml.log10 == -math.inf  # endpoint collapse
-    if degenerate:
-        lam = LAMBDA_CLAMP
-    return PushRateEstimate(j2, lam, oml, branch, degenerate,
-                            LogValue.from_ln(ln_alpha_max))
+def push_diging_rate(params: TheoryParams, alpha: float) -> RateEstimate:
+    """Certified geometric rate for the push-sum variant: the undirected
+    certificate with the directed constant of push_rate_constant."""
+    return _certificate(alpha, params, push_rate_constant(params).ln)
 
 
 # ---------------------------------------------------------------------------

@@ -196,10 +196,21 @@ class TestMalformedBlocks:
         ({"graph": {"type": "static-path", "n": 4, "declared_B": 0}}, "graph"),
         ({"graph": {"type": "static-path", "n": 4, "declared_B": -2}}, "graph"),
         ({"graph": {"type": "static-path", "n": 4, "declared_B": True}}, "graph"),
+        ({"graph": {"type": "static-path", "n": 4, "declaredB": 3}}, "graph"),
+        ({"graph": {"type": "block-connected", "n": 4, "window": 2, "windw": 2}},
+         "graph"),
+        ({"graph": {"type": "subsample", "fraction": 0.5,
+                    "base": {"type": "static-path", "n": 4, "sede": 1}}}, "graph.base"),
+        ({"objective": {"family": "quadratic", "n": 4, "p": 2, "sede": 5}}, "objective"),
+        ({"mixing": {"rule": "custom", "path": "matrix.csv", "mdoe": "doubly"}},
+         "mixing"),
+        ({"theory_audit": {"B": 1, "lamda": 0.5}}, "theory_audit"),
     ], ids=["graph-without-n", "graph-number", "audit-B-list", "audit-eta-string",
             "fraction-string", "objective-without-n", "kind-misspelt",
             "directed-view-string", "directed-view-integer", "declared-B-zero",
-            "declared-B-negative", "declared-B-boolean"])
+            "declared-B-negative", "declared-B-boolean", "declared-B-misspelt",
+            "window-misspelt", "base-key-misspelt", "objective-key-misspelt",
+            "mixing-key-misspelt", "audit-key-misspelt"])
     def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
                                           override, block):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -235,8 +246,10 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "push-sum" in out and "Q1=" in out
 
-    @pytest.mark.parametrize("raw", [{"B": 1, "mu_bar": 1.0, "L": 2.0}, [12, 1]],
-                             ids=["without-n", "list-root"])
+    @pytest.mark.parametrize("raw", [
+        {"B": 1, "mu_bar": 1.0, "L": 2.0}, [12, 1],
+        {"n": 12, "B": 1, "mu_bar": 1.0, "L": 2.0, "alhpa": 0.01},
+    ], ids=["without-n", "list-root", "key-misspelt"])
     def test_malformed_params_is_parse_error(self, tmp_path, capsys, raw):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(raw))

@@ -492,6 +492,28 @@ class TestServing:
             assert graphs.directed_view(periodic).snapshot(k).block == \
                 ((a, a, b)[k % 3].block[0].directed, 0)
 
+    def test_kept_block_drawn_again_is_not_checked_again(self):
+        reads = []
+
+        class Probe:
+            kind = graphs.UNDIRECTED
+
+            @property
+            def n(self):
+                reads.append(1)
+                return 3
+
+        probe = Probe()
+        block = (probe,)
+        # a periodic draw hands back the tuple the sequence keeps: checked once
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, lambda s, t: block)
+        assert all(seq.snapshot(k) is probe for k in range(10))
+        assert len(reads) == 1
+        # a draw that builds a new tuple each time is checked each time
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, lambda s, t: (probe,))
+        assert all(seq.snapshot(k) is probe for k in range(10))
+        assert len(reads) == 11
+
     @pytest.mark.parametrize("snaps", [
         (graphs.undirected(3, [(1, 2)]),),
         (graphs.undirected(3, [(1, 2)]), graphs.directed(3, [(1, 2)])),

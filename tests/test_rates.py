@@ -345,7 +345,76 @@ class TestPushRate:
         est = push_diging_rate(p, math.exp(p_ln_alpha(cons)))
         assert est.lam <= 1.0
         assert est.one_minus_lambda.log10 < -20
-        assert math.isfinite(est.j2.log10)
+        assert math.isfinite(est.j.log10)
+
+
+class TestCertificateAccuracy:
+    """Window ends, breakpoint and gap against 50-digit evaluations of the
+    displayed formulas, on a seeded grid with delta up to 1 - 1e-15 and
+    push-sum constants up to ~1e276."""
+
+    @staticmethod
+    def grid_delta(rng):
+        u = rng.uniform()
+        if u < 0.2:
+            return 0.0
+        if u < 0.5:
+            return float(rng.uniform(0, 0.999))
+        return 1 - 10 ** -float(rng.uniform(1, 15))
+
+    def test_diging_window_and_gap(self):
+        rng = np.random.default_rng(1607)
+        rounded = 0
+        with mpmath.workdps(50):
+            for _ in range(200):
+                mu = float(10 ** rng.uniform(-3, 2))
+                p = params(n=int(rng.integers(1, 60)), B=int(rng.integers(1, 8)),
+                           delta=self.grid_delta(rng), mu_bar=mu,
+                           L=mu * float(10 ** rng.uniform(0, 3)))
+                kappa, d, m = (mpmath.mpf(p.L) / mpmath.mpf(mu), mpmath.mpf(p.delta),
+                               mpmath.mpf(mu))
+                j = 3 * kappa * p.B ** 2 * (1 + 4 * mpmath.sqrt(p.n * kappa))
+                alpha_max = mpmath.mpf(1.5) * (1 - d) ** 2 / (m * j)
+                u = mpmath.sqrt(j ** 2 + (1 - d ** 2) * j)
+                bp = mpmath.mpf(1.5) * (u - d * j) ** 2 / (m * j * (j + 1) ** 2)
+                w = diging_step_size_window(p)
+                assert float(abs(w.alpha_max / alpha_max - 1)) < 1e-13
+                assert float(abs(w.breakpoint / bp - 1)) < 1e-13
+                # steps down to 1e-22 of the breakpoint, where lam rounds to 1
+                alpha = w.breakpoint * 10 ** -float(rng.uniform(0, 22))
+                est = diging_rate(alpha, p)
+                if est.lam == math.nextafter(1.0, 0.0):
+                    rounded += 1
+                    gap = -mpmath.expm1(mpmath.log1p(-mpmath.mpf(alpha) * m / 1.5)
+                                        / (2 * p.B))
+                    assert float(abs(est.one_minus_lambda.to_float() / gap - 1)) < 1e-12
+        assert rounded > 20
+
+    def test_push_alpha_max_in_log_space(self):
+        rng = np.random.default_rng(1608)
+        pairs = [(n, 1) for n in range(2, 11)] + [(n, 2) for n in range(2, 7)]
+        with mpmath.workdps(50):
+            for t in range(100):
+                n, b_minus = pairs[t % len(pairs)]
+                cons = push_sum_contraction(n, b_minus)
+                mu, delta = float(10 ** rng.uniform(-2, 1)), self.grid_delta(rng)
+                # J2 vanishes at delta = 0 with B = 1
+                p = TheoryParams(n=n, B=int(rng.integers(1 if delta else 2, 5)),
+                                 delta=delta, mu_bar=mu,
+                                 L=mu * float(10 ** rng.uniform(0, 2)),
+                                 mu_hat=mu, q1=cons.q1, vinv_bound=cons.vinv_bound)
+                kappa, d = mpmath.mpf(p.L) / mpmath.mpf(mu), mpmath.mpf(p.delta)
+                q1, vinv = mpmath.mpf(10) ** cons.q1.log10, \
+                    mpmath.mpf(10) ** cons.vinv_bound.log10
+                j2 = (3 * q1 * vinv * kappa * p.B * (d + q1 * (p.B - 1))
+                      * (1 + mpmath.sqrt(n)) * (1 + 4 * mpmath.sqrt(n * kappa)))
+                ln_alpha_max = mpmath.log(mpmath.mpf(1.5) * (1 - d) ** 2
+                                          / (mpmath.mpf(mu) * j2))
+                alpha = float(mpmath.exp(ln_alpha_max)) * 1e-3
+                est = push_diging_rate(p, alpha)
+                assert float(abs(est.alpha_max.ln - ln_alpha_max)) \
+                    < 1e-12 * float(abs(ln_alpha_max))
+                assert est.j.log10 == pytest.approx(float(mpmath.log10(j2)), rel=1e-12)
 
 
 def p_ln_alpha(cons):

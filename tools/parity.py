@@ -40,7 +40,12 @@ It covers:
 - static and periodic sequences (periods 1, 4 and 5, a period repeating a
   snapshot object), undirected with their directed views and directed,
   over six periods read in shuffled order: `snapshot_to_text` of each, and
-  the entries and certificate fields of their builds.
+  the entries and certificate fields of their builds;
+- `digrate bounds` on 300 seeded params files in three groups of 100
+  (delta in [0, 0.99), delta within 1e-1 to 1e-14 of 1, and with
+  `B_minus` on 1 to 6 vertices), each with a step far below the window
+  end, on either branch, beyond the window, or none: the stdout of all
+  files of a group, and a tally of their exit codes.
 
 The first line names the `digrate` package that was imported.
 """
@@ -69,6 +74,8 @@ WINDOWS = ((5, 3), (64, 20), (65, 30))   # (b_tilde, extra_edges), n = 12
 WINDOW_BLOCKS = 3   # draw blocks read per window length
 CYCLE_PERIODS = 6   # periods read per static or periodic sequence
 SWEEP_GRID = (0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.2)
+BOUNDS_GROUPS = ("delta moderate", "delta near 1", "B_minus")
+BOUNDS_FILES = 100  # params files per group
 
 
 def digest(data: bytes | str) -> str:
@@ -146,6 +153,54 @@ def audit_cli_digests(work: Path):
         sidecar = trace_path.with_name(trace_path.name + ".audit.json")
         yield f"audit-cli seed={seed} trace.csv.audit.json", digest(sidecar.read_bytes())
         yield f"audit-cli seed={seed} trace.csv reread", reread_digest(trace_path)
+
+
+def bounds_params(rng, group: str) -> dict:
+    """One seeded params file. Its step, when it has one, is placed against
+    the window end 1.5 (1 - delta)^2 / (mu_bar J1) and the branch point,
+    computed here: far below, on either branch or beyond the window. A step
+    within 1e-9 of the window end is left out, as the endpoint rule decides
+    there."""
+    n = int(rng.integers(1, 7 if group == "B_minus" else 40))
+    B = int(rng.integers(1, 6))
+    mu, kappa = float(10 ** rng.uniform(-2, 1)), float(10 ** rng.uniform(0, 3))
+    if group == "delta near 1":
+        delta = 1 - float(10 ** -rng.uniform(1, 14))
+    else:
+        delta = float(rng.uniform(0, 0.99)) if rng.uniform() < 0.8 else 0.0
+    params = {"n": n, "B": B, "delta": delta, "mu_bar": mu, "mu_hat": mu}
+    if rng.uniform() < 0.5:
+        params["L"] = mu * kappa
+    else:
+        params["kappa_bar"] = kappa
+    if group == "B_minus":
+        params["B_minus"] = int(rng.integers(1, 4))
+    j1 = 3 * kappa * B * B * (1 + 4 * np.sqrt(n * kappa))
+    alpha_max = 1.5 * (1 - delta) ** 2 / (mu * j1)
+    ratio = ((1 + delta) / (np.sqrt(1 + (1 - delta * delta) / j1) + delta)) ** 2
+    fraction = float(rng.choice([
+        0.0, 1e-6 * rng.uniform(), ratio * rng.uniform(0.1, 1),
+        ratio + rng.uniform(0.05, 0.95) * (1 - ratio), rng.uniform(1.01, 2)]))
+    if fraction > 0 and abs(1 - fraction) > 1e-9:
+        params["alpha"] = fraction * alpha_max
+    return params
+
+
+def bounds_digests(work: Path):
+    rng = np.random.default_rng(1607)
+    for group in BOUNDS_GROUPS:
+        stdout, codes = hashlib.sha256(), {}
+        for t in range(BOUNDS_FILES):
+            path = work / f"bounds-{group.replace(' ', '-')}-{t}.json"
+            path.write_text(json.dumps(bounds_params(rng, group)))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["bounds", "--params", str(path)])
+            stdout.update(f"{out.getvalue()}\n--\n".encode())
+            codes[code] = codes.get(code, 0) + 1
+        yield f"bounds {BOUNDS_FILES} params {group} stdout", stdout.hexdigest()
+        tally = ",".join(f"{code}:{count}" for code, count in sorted(codes.items()))
+        yield f"bounds {BOUNDS_FILES} params {group} exit codes", tally
 
 
 def random_graphs():
@@ -316,7 +371,7 @@ def main() -> None:
         for part in (reproduce_digests(work), audit_cli_digests(work),
                      builder_digests(), generator_digests(), block_digests(),
                      sweep_static_digests(), edge_run_digests(work),
-                     window_digests(), cycle_digests()):
+                     window_digests(), cycle_digests(), bounds_digests(work)):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
