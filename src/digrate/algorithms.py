@@ -1,7 +1,8 @@
 """Iteration engines: one step function, configured per method by the
 `METHODS` table, runs DIGing, its adapt-then-combine variant, Push-DIGing
-and two baselines (distributed gradient descent, subgradient-push); a
-centralized inexact gradient method sits beside it.
+and two baselines (distributed gradient descent, subgradient-push); the
+centralized inexact gradient method `run_igd` is one loop beside it. Both
+evaluate every gradient through `block_gradient`.
 
 Every step is a pure function from explicit state to the next state; no
 randomness lives inside a step, so runs replay bit-for-bit.
@@ -74,14 +75,6 @@ class State:
     grad: np.ndarray     # cached block gradient at x
 
 
-@dataclass(frozen=True)
-class IgdState:
-    k: int
-    p: np.ndarray                 # central iterate
-    s: np.ndarray                 # n x p evaluation points used at this step
-    theta: float
-
-
 def require_certificate(method: Method, mat: MixingMatrix) -> None:
     """Raise CertificateError unless `mat` carries a passing certificate in a
     mode `method` steps on: column or doubly stochastic under push-sum,
@@ -96,17 +89,10 @@ def require_certificate(method: Method, mat: MixingMatrix) -> None:
                                f"got {cert.mode}")
 
 
-def _check_block(x: np.ndarray, suite: ObjectiveSuite) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (suite.n, suite.p):
-        raise ValueError(f"iterate block must be {suite.n}x{suite.p}, got {x.shape}")
-    return x
-
-
 def init(suite: ObjectiveSuite, x0: np.ndarray) -> State:
     """Unit weights, mass and readout at x0, tracker at the initial block
-    gradient."""
-    x0 = _check_block(x0, suite)
+    gradient; `block_gradient` rejects a block of the wrong shape."""
+    x0 = np.asarray(x0, dtype=float)
     g = block_gradient(suite, x0)
     return State(0, x0.copy(), np.ones(suite.n), x0.copy(), g.copy(), g)
 
@@ -171,49 +157,33 @@ def radius_perturbation(rho: float) -> Callable[[int, int, int], np.ndarray]:
     return offset
 
 
-def igd_init(suite: ObjectiveSuite, p0: np.ndarray, theta: float,
-             perturbation: Callable[[int, int, int], np.ndarray]) -> IgdState:
-    p0 = np.asarray(p0, dtype=float).reshape(suite.p)
-    s = np.vstack([p0 + perturbation(i, 0, suite.p) for i in range(suite.n)])
-    return IgdState(0, p0, s, theta)
-
-
-def igd_step(state: IgdState, suite: ObjectiveSuite,
-             perturbation: Callable[[int, int, int], np.ndarray]) -> IgdState:
-    """Centralized descent along the average of gradients taken at perturbed
-    evaluation points s_i instead of the iterate itself."""
-    g = np.zeros(suite.p)
-    for i, c in enumerate(suite.components):
-        g += c.grad(state.s[i])
-    p1 = state.p - state.theta * g / suite.n
-    k1 = state.k + 1
-    s1 = np.vstack([p1 + perturbation(i, k1, suite.p) for i in range(suite.n)])
-    return IgdState(k1, p1, s1, state.theta)
-
-
 @dataclass(frozen=True)
 class IgdRun:
     """Distance-to-optimum and perturbation-size series of an inexact run."""
 
     r: np.ndarray                  # ||p^k - p*|| per iteration
     s_dev: np.ndarray              # n columns: ||p^k - s_i^k|| per iteration
-    p_final: np.ndarray
 
 
 def run_igd(suite: ObjectiveSuite, p0: np.ndarray, theta: float,
             perturbation: Callable[[int, int, int], np.ndarray],
             iterations: int, p_star: np.ndarray | None = None) -> IgdRun:
+    """Centralized descent p^k = p^(k-1) - theta (1/n) sum_i grad f_i(s_i^(k-1))
+    along gradients taken at the perturbed points s_i^k = p^k +
+    perturbation(i, k, p) instead of the iterate itself."""
     if p_star is None:
         p_star = suite.x_star if suite.x_star is not None \
             else solve_reference(suite).x_star
-    state = igd_init(suite, p0, theta, perturbation)
-    r = [float(np.linalg.norm(state.p - p_star))]
-    s_dev = [np.linalg.norm(state.s - state.p, axis=1)]
-    for _ in range(iterations):
-        state = igd_step(state, suite, perturbation)
-        r.append(float(np.linalg.norm(state.p - p_star)))
-        s_dev.append(np.linalg.norm(state.s - state.p, axis=1))
-    return IgdRun(np.array(r), np.vstack(s_dev), state.p)
+    pk = np.asarray(p0, dtype=float).reshape(suite.p)
+    r, s_dev = [], []
+    for k in range(iterations + 1):
+        if k:
+            g = np.sum(block_gradient(suite, s), axis=0, initial=0.0)
+            pk = pk - theta * g / suite.n
+        s = np.vstack([pk + perturbation(i, k, suite.p) for i in range(suite.n)])
+        r.append(float(np.linalg.norm(pk - p_star)))
+        s_dev.append(np.linalg.norm(s - pk, axis=1))
+    return IgdRun(np.array(r), np.vstack(s_dev))
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,8 @@ def _cmd_audit(args) -> int:
         raise ConfigError("trace has no audit sidecar; rerun with a "
                           "theory_audit block in the config")
     meta = trace.metadata.get("theory_audit", {})
+    if not isinstance(meta, dict):
+        raise ConfigError("trace's theory_audit block must be an object")
     lam = args.lam if args.lam is not None else meta.get("lambda")
     if lam is None:
         raise ConfigError("no rate given: pass --lambda or store one in the "

@@ -285,7 +285,11 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
     elif family == "zero":
         suite = objectives.zero_suite(get("n"), get("p", default=1))
     elif family == "bundle":
-        suite = objectives.load_suite(get("path", "a string"))
+        path = get("path", "a string")
+        try:
+            suite = objectives.load_suite(path)
+        except ValueError as exc:
+            raise ConfigError(f"objective: bundle {exc}") from exc
     elif family == "huber-benchmark":
         suite = section6_problem(get("seed", default=0)).suite
     else:

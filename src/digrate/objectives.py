@@ -4,9 +4,10 @@ Each agent i holds f_i with a Lipschitz gradient constant L_i and a strong
 convexity modulus mu_i >= 0. Suite-level constants (max/mean Lipschitz,
 mean/max modulus, condition number) feed every rate bound.
 
-The built-in families also carry a stacked oracle that evaluates all n
-gradients on the n x p block at once, bit for bit equal to the per-agent
-loop, which stays the reference path for every other suite.
+Every gradient the package evaluates goes through `block_gradient`. The
+built-in families carry a stacked oracle that evaluates all n gradients on
+the n x p block at once, bit for bit equal to the per-agent loop, which
+stays the reference path for every other suite.
 """
 
 from __future__ import annotations
@@ -105,23 +106,12 @@ class ObjectiveSuite:
                              "(set mu_bar_override for suites without one)")
         return self.L / mu
 
-    def value(self, x: np.ndarray) -> float:
-        """f(x) = (1/n) sum f_i(x), all components at the same point."""
-        x = np.asarray(x, dtype=float).reshape(self.p)
-        return sum(c.value(x) for c in self.components) / self.n
-
     def average_gradient(self, x: np.ndarray) -> np.ndarray:
-        """(1/n) sum grad f_i(x): the stacked oracle on n copies of x when
-        the suite has one, summed from 0.0 in component order as the loop
-        over the components does."""
+        """(1/n) sum grad f_i(x): `block_gradient` on n copies of x, its rows
+        summed from 0.0."""
         x = np.asarray(x, dtype=float).reshape(self.p)
-        if self.stacked_grad is not None:
-            rows = self.stacked_grad(np.tile(x, (self.n, 1)))
-            return np.sum(rows, axis=0, initial=0.0) / self.n
-        g = np.zeros(self.p)
-        for c in self.components:
-            g += c.grad(x)
-        return g / self.n
+        rows = block_gradient(self, np.tile(x, (self.n, 1)))
+        return np.sum(rows, axis=0, initial=0.0) / self.n
 
 
 def block_gradient(suite: ObjectiveSuite, x: np.ndarray) -> np.ndarray:
@@ -185,6 +175,8 @@ def huber_regression_suite(rows: list[np.ndarray], targets: list[np.ndarray],
     threshold xi; the gradient clips each residual to [-xi, xi]."""
     if xi <= 0:
         raise ValueError("Huber threshold must be positive")
+    if not rows:
+        raise ValueError("suite needs at least one component")
     if len(rows) != len(targets):
         raise ValueError("one target vector per row block required")
     mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in rows]
@@ -288,9 +280,21 @@ def save_suite(suite: ObjectiveSuite, directory: str | Path) -> None:
 
 
 def load_suite(directory: str | Path) -> ObjectiveSuite:
+    """The suite `save_suite` wrote; a malformed manifest is a ValueError
+    naming the manifest and the key."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    family = manifest["family"]
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: root must be an object")
+
+    def entry(key: str, kind):
+        value = manifest.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{path}: {key}={value!r} is missing or of the wrong type")
+        return value
+
+    family = entry("family", str)
     if family == "quadratic":
         targets = _read_csv(directory / "targets.csv")
         curv = _read_csv(directory / "curvatures.csv").reshape(-1)
@@ -298,11 +302,11 @@ def load_suite(directory: str | Path) -> ObjectiveSuite:
     if family == "huber":
         stacked = _read_csv(directory / "rows.csv")
         rows, targets = [], []
-        for i in range(1, manifest["n"] + 1):
+        for i in range(1, entry("n", int) + 1):
             block = stacked[stacked[:, 0] == i]
             rows.append(block[:, 1:-1])
             targets.append(block[:, -1])
-        return huber_regression_suite(rows, targets, manifest["xi"])
+        return huber_regression_suite(rows, targets, entry("xi", (int, float)))
     raise ValueError(f"unknown suite family {family!r} in manifest")
 
 

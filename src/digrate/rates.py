@@ -174,6 +174,9 @@ def _window(params: TheoryParams, ln_j: float) -> tuple[float, float]:
     d = params.delta
     if d >= 1:
         raise NoGuaranteeError(f"delta={d} >= 1 certifies nothing")
+    if ln_j == -math.inf:
+        raise NoGuaranteeError("step-size constant J = 0 defines no window (the push "
+                               "constant vanishes at delta = 0 with B = 1)")
     ln_alpha_max = math.log(1.5) + 2 * math.log1p(-d) - math.log(params.mu_bar) - ln_j
     # breakpoint 1.5 (sqrt(J^2+(1-d^2)J) - dJ)^2 / (mu J (J+1)^2), rationalized
     # to alpha_max ((1+d) / (r+d))^2 with r = sqrt(1 + (1-d^2)/J): the plain

@@ -117,7 +117,17 @@ class RunTrace:
         sidecar = path.with_name(path.name + AUDIT_SUFFIX)
         if sidecar.exists():
             payload = json.loads(sidecar.read_text())
-            trace.metadata = payload.get("metadata", {})
+            if not isinstance(payload, dict):
+                raise ValueError(f"{sidecar.name}: root must be an object")
+            metadata = payload.get("metadata", {})
+            bad = [key for key in AUDIT_SERIES if not isinstance(payload.get(key), list)]
+            bad += [key for key in ("xbar0_error", "r0")   # a number or null
+                    if not isinstance(payload.get(key, ""), (int, float, type(None)))]
+            if not isinstance(metadata, dict):
+                bad.append("metadata")
+            if bad:
+                raise ValueError(f"{sidecar.name}: {', '.join(bad)} missing or malformed")
+            trace.metadata = metadata
             for name in AUDIT_SERIES:
                 if len(payload[name]) != len(trace):
                     raise ValueError(f"{sidecar.name} holds {len(payload[name])} "

@@ -8,7 +8,8 @@ import pytest
 
 from digrate import algorithms as alg
 from digrate import graphs, harness, mixing
-from digrate.objectives import quadratic_suite, zero_suite
+from digrate.objectives import (ObjectiveSuite, huber_regression_suite,
+                                 quadratic_suite, solve_reference, zero_suite)
 
 
 def two_clique_seq():
@@ -312,6 +313,35 @@ class TestInexactGradient:
         # limiting offset is proportional to the perturbation radius
         assert tails[0] <= 0.01 * suite.L / suite.mu_bar * 4
         assert tails[1] <= 0.1 * suite.L / suite.mu_bar * 4
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    @pytest.mark.parametrize("shape", ["quadratic", "quadratic p=1", "huber"])
+    def test_stacked_oracle_and_loop_agree(self, shape, rho):
+        """The same suite with and without its stacked oracle gives the same
+        bytes: both reach the gradients through block_gradient and sum them
+        the same way, also in one dimension with eight or more agents."""
+        rng = np.random.default_rng(26)
+        if shape == "huber":
+            suite = huber_regression_suite(
+                [rng.normal(size=(3, 3)) for _ in range(9)],
+                [3.0 * rng.normal(size=3) for _ in range(9)], xi=1.0)
+        else:
+            n, p = (12, 1) if shape == "quadratic p=1" else (5, 2)
+            suite = quadratic_suite(rng.normal(size=(n, p)), rng.uniform(0.5, 2, n))
+        loop = ObjectiveSuite(suite.components, x_star=suite.x_star)
+        assert suite.stacked_grad is not None and loop.stacked_grad is None
+        theta = 1.0 / (2 * suite.L_bar)
+        runs = [alg.run_igd(s, np.ones(suite.p) * 3, theta,
+                            alg.radius_perturbation(rho), iterations=80)
+                for s in (suite, loop)]
+        assert runs[0].r.tobytes() == runs[1].r.tobytes()
+        assert runs[0].s_dev.tobytes() == runs[1].s_dev.tobytes()
+        for _ in range(20):
+            x = 10.0 * rng.normal(size=suite.p)
+            assert (suite.average_gradient(x).tobytes()
+                    == loop.average_gradient(x).tobytes())
+        assert (solve_reference(suite).x_star.tobytes()
+                == solve_reference(loop).x_star.tobytes())
 
     def test_exact_oracle_contracts_per_step(self):
         """Unperturbed descent contracts at least at the certified factor."""

@@ -225,6 +225,34 @@ class TestMalformedBlocks:
         assert "config valid" not in captured.out
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("manifest", [
+        {"n": 4, "p": 2},
+        [{"family": "quadratic"}],
+        {"family": 3, "n": 4, "p": 2},
+        {"family": "huber", "p": 2, "xi": 1.0},
+        {"family": "huber", "n": 4, "p": 2, "xi": "x"},
+        {"family": "huber", "n": 0, "p": 2, "xi": 1.0},
+    ], ids=["without-family", "list-root", "family-number", "huber-without-n",
+            "huber-xi-string", "huber-no-agents"])
+    def test_malformed_bundle_manifest(self, tmp_path, capsys, monkeypatch,
+                                       manifest):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        rng = np.random.default_rng(5)
+        bundle = tmp_path / "bundle"
+        objectives.save_suite(objectives.huber_regression_suite(
+            [rng.normal(size=(2, 2)) for _ in range(4)],
+            [rng.normal(size=2) for _ in range(4)], xi=1.0), bundle)
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        config = write_config(tmp_path, objective={"family": "bundle",
+                                                   "path": str(bundle)})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_PARSE
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.count("error: objective: bundle") == 2
+        assert not (tmp_path / "trace.csv").exists()
+
 
 class TestBounds:
     def test_formula_values_printed(self, tmp_path, capsys):
@@ -335,6 +363,39 @@ class TestAuditAndReproduce:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "301 q_norm values" in captured.err and "51 rows" in captured.err
+
+    @pytest.mark.parametrize("edit,code,message", [
+        (lambda d: {k: v for k, v in d.items() if k != "z_norm"},
+         cli.EXIT_VALIDATION, "trace.csv.audit.json: z_norm missing"),
+        (lambda d: {k: v for k, v in d.items() if k != "xbar0_error"},
+         cli.EXIT_VALIDATION, "trace.csv.audit.json: xbar0_error missing"),
+        (lambda d: [d], cli.EXIT_VALIDATION,
+         "trace.csv.audit.json: root must be an object"),
+        (lambda d: {**d, "q_norm": 5.0}, cli.EXIT_VALIDATION,
+         "trace.csv.audit.json: q_norm missing or malformed"),
+        (lambda d: {**d, "r0": "x"}, cli.EXIT_VALIDATION,
+         "trace.csv.audit.json: r0 missing or malformed"),
+        (lambda d: {**d, "metadata": [1]}, cli.EXIT_VALIDATION,
+         "trace.csv.audit.json: metadata missing or malformed"),
+        (lambda d: {**d, "metadata": {**d["metadata"], "theory_audit": [1]}},
+         cli.EXIT_PARSE, "theory_audit block must be an object"),
+    ], ids=["without-z_norm", "without-xbar0_error", "list-root", "q_norm-number",
+            "r0-string", "metadata-list", "theory-audit-list"])
+    def test_audit_rejects_malformed_sidecar(self, tmp_path, capsys,
+                                             monkeypatch, edit, code, message):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        audited = write_config(
+            tmp_path, iterations=50, alpha=0.0004,
+            theory_audit={"B": 1, "delta": "empirical", "lambda": "certified"})
+        assert cli.main(["run", "--config", str(audited), "--out",
+                         str(tmp_path)]) == 0
+        sidecar = tmp_path / "trace.csv.audit.json"
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        capsys.readouterr()
+        assert cli.main(["audit", "--trace", str(tmp_path / "trace.csv")]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "PASS" not in captured.out
+        assert message in captured.err
 
     def test_reproduce_prints_summary(self, tmp_path, capsys):
         code = cli.main(["reproduce", "--case", "tv-directed", "--seed", "0",

@@ -254,6 +254,15 @@ class TestPushRate:
             j1 = diging_rate_constant(p.kappa_bar, p.B, p.n)
             assert j2.log10 > math.log10(j1)
 
+    def test_vanishing_constant_rejected_by_name(self):
+        """delta = 0 with B = 1 zeroes the factor delta + Q1 (B - 1), so J2 = 0;
+        the window code names J instead of failing on log(0)."""
+        p = self.push_params(delta=0.0)
+        assert push_rate_constant(p).to_float() == 0.0
+        for alpha in (1e-3, 1.0):
+            with pytest.raises(rates.NoGuaranteeError, match="J = 0"):
+                push_diging_rate(p, alpha)
+
     def test_rate_tends_to_one(self):
         p = self.push_params()
         lams = [push_diging_rate(p, a) for a in (1e-3, 1e-6, 1e-9)]

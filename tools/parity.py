@@ -45,7 +45,15 @@ It covers:
   (delta in [0, 0.99), delta within 1e-1 to 1e-14 of 1, and with
   `B_minus` on 1 to 6 vertices), each with a step far below the window
   end, on either branch, beyond the window, or none: the stdout of all
-  files of a group, and a tally of their exit codes.
+  files of a group, and a tally of their exit codes;
+- the gradient paths on seeded suites: a quadratic and a Huber suite with
+  stacked oracles, a ragged Huber suite and the quadratic's components
+  without its oracle (the per-agent loop), and a one-dimensional quadratic
+  on five agents: the `r` and `s_dev` series of `algorithms.run_igd` at
+  radius 0 and 0.3, `average_gradient` at 60 seeded points, and
+  `solve_reference`'s solution, gradient norm and iteration count. Every
+  suite has p > 1 or fewer than eight agents: a sum down a single column
+  of eight or more rows is pairwise in numpy, not in agent order.
 
 The first line names the `digrate` package that was imported.
 """
@@ -76,6 +84,8 @@ CYCLE_PERIODS = 6   # periods read per static or periodic sequence
 SWEEP_GRID = (0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.2)
 BOUNDS_GROUPS = ("delta moderate", "delta near 1", "B_minus")
 BOUNDS_FILES = 100  # params files per group
+IGD_RADII = (0.0, 0.3)
+IGD_ITERATIONS = 120
 
 
 def digest(data: bytes | str) -> str:
@@ -364,6 +374,44 @@ def edge_run_digests(work: Path):
             yield f"{label} {algo} {len(trace)} rows", digest(written(path))
 
 
+def gradient_suites():
+    rng = np.random.default_rng(1903)
+    n, p = 10, 4
+    quadratic = objectives.quadratic_suite(rng.normal(size=(n, p)),
+                                           rng.uniform(0.5, 2.0, n))
+    sizes = [int(r) for r in rng.integers(1, 5, size=n)]
+    yield "quadratic", quadratic
+    yield "huber", objectives.huber_regression_suite(
+        [rng.normal(size=(3, p)) for _ in range(n)],
+        [3.0 * rng.normal(size=3) for _ in range(n)], xi=1.0)
+    yield "ragged huber", objectives.huber_regression_suite(
+        [rng.normal(size=(r, p)) for r in sizes],
+        [3.0 * rng.normal(size=r) for r in sizes], xi=0.5)
+    yield "quadratic loop", objectives.ObjectiveSuite(quadratic.components,
+                                                      x_star=quadratic.x_star)
+    yield "quadratic p=1", objectives.quadratic_suite(rng.normal(size=(5, 1)),
+                                                      rng.uniform(0.5, 2.0, 5))
+
+
+def gradient_digests():
+    for label, suite in gradient_suites():
+        theta = 1.0 / (2 * suite.L_bar)
+        for rho in IGD_RADII:
+            run = algorithms.run_igd(suite, np.ones(suite.p), theta,
+                                     algorithms.radius_perturbation(rho),
+                                     IGD_ITERATIONS)
+            yield (f"igd {label} rho={rho:g}",
+                   digest(run.r.tobytes() + run.s_dev.tobytes()))
+        rng = np.random.default_rng(1904)
+        points = [scale * rng.normal(size=suite.p) for scale in (1e-2, 1.0, 1e2)
+                  for _ in range(20)]
+        yield (f"average_gradient {label}",
+               digest(b"".join(suite.average_gradient(x).tobytes() for x in points)))
+        ref = objectives.solve_reference(suite)
+        yield (f"solve_reference {label}",
+               digest(ref.x_star.tobytes() + f" {ref.grad_norm!r} {ref.iterations}".encode()))
+
+
 def main() -> None:
     print(f"# digrate from {Path(digrate.__file__).parent}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -371,7 +419,8 @@ def main() -> None:
         for part in (reproduce_digests(work), audit_cli_digests(work),
                      builder_digests(), generator_digests(), block_digests(),
                      sweep_static_digests(), edge_run_digests(work),
-                     window_digests(), cycle_digests(), bounds_digests(work)):
+                     window_digests(), cycle_digests(), bounds_digests(work),
+                     gradient_digests()):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
