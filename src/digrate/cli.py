@@ -7,7 +7,7 @@ validation or inapplicable diagnostic, 4 runtime failure inside a run.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -87,12 +87,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    if not Path(path).exists():
-        raise ConfigError(f"config file {path} does not exist")
-    return ExperimentConfig.load(path)
-
-
 def _env_seed() -> int | None:
     raw = os.environ.get(SEED_ENV)
     if raw is None:
@@ -104,7 +98,7 @@ def _env_seed() -> int | None:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.load(args.config)
     trace = harness.run_experiment(config, out_dir=args.out,
                                    seed_override=_env_seed())
     where = trace.metadata.get("written_to", "<not written>")
@@ -118,20 +112,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        raw = json.loads(Path(args.params).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read params file: {exc}") from exc
-    get = harness.ConfigBlock(raw, "params")
+    get = harness.ConfigBlock(harness.decode_json(
+        harness.read_input(args.params, "params"), "params"), "params")
     n, B = get("n"), get("B", default=1)
     delta = float(get("delta", "a number", 0.0))
     mu_bar = float(get("mu_bar", "a number", 1.0))
-    if "L" in raw:
-        L = float(get("L", "a number"))
-    elif "kappa_bar" in raw:
-        L = float(get("kappa_bar", "a number")) * mu_bar
-    else:
-        raise ConfigError("params need L or kappa_bar")
+    L, kappa_bar = get("L", "a number", None), get("kappa_bar", "a number", None)
+    if (L is None) == (kappa_bar is None):
+        raise ConfigError("params: give one of L and kappa_bar")
+    L = float(L) if kappa_bar is None else float(kappa_bar) * mu_bar
     mu_hat, beta = get("mu_hat", "a number", None), get("beta", "a number", None)
     eta = get("eta", "a number", 1.0)
     params = rates.TheoryParams(n=n, B=B, delta=delta, mu_bar=mu_bar, L=L,
@@ -163,10 +152,9 @@ def _cmd_bounds(args) -> int:
         print(f"push-sum: minimal contracting window B={cons.B_required or cons.B_required_log} "
               f"delta={cons.delta}")
         if cons.B_required is not None and cons.B_required < 10 ** 6:
-            push_params = rates.TheoryParams(
-                n=n, B=cons.B_required, delta=cons.delta.to_float(),
-                mu_bar=mu_bar, L=L, mu_hat=mu_hat,
-                q1=cons.q1, vinv_bound=cons.vinv_bound, beta=beta, eta=eta)
+            push_params = dataclasses.replace(
+                params, B=cons.B_required, delta=cons.delta.to_float(),
+                q1=cons.q1, vinv_bound=cons.vinv_bound)
             j2 = rates.push_rate_constant(push_params)
             print(f"J2 = {j2}")
     return EXIT_OK
@@ -223,7 +211,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args.config)
+    config = ExperimentConfig.load(args.config)
     problems = harness.validate_config(config)
     if problems:
         for p in problems:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -117,56 +118,64 @@ class ExperimentConfig:
         return self.alpha["a"] if isinstance(self.alpha, dict) else self.alpha
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Parse and check every field once; a bad one raises ConfigError."""
-        required = ("algorithm", "graph", "mixing", "objective", "alpha",
-                    "iterations")
-        missing = [f for f in required if f not in raw]
-        if missing:
-            raise ConfigError(f"config is missing fields: {', '.join(missing)}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"config has unknown fields: {', '.join(sorted(unknown))}")
-        config = cls(**raw)
-        a = config.alpha
-        if isinstance(a, dict):
-            if a.get("schedule") != "sqrt" or not set(a) <= {"schedule", "a"}:
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Read every field through one ConfigBlock; a bad one raises
+        ConfigError naming the field."""
+        get = ConfigBlock(raw)
+        if isinstance(get.raw.get("alpha"), dict):
+            schedule = get.block("alpha")
+            if schedule("schedule", "a string") != "sqrt":
                 raise ConfigError("alpha: only the 'sqrt' diminishing schedule "
                                   'is defined, as {"schedule": "sqrt", "a": scale}')
-            a = a.get("a", 1.0)
-        if isinstance(a, bool) or not isinstance(a, (int, float)) \
-                or not 0 < a < math.inf:
-            raise ConfigError(f"alpha: {a!r} is not a positive step size")
-        for name in ("iterations", "seed"):
-            value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{name}: {value!r} is not a nonnegative integer")
-        if config.x0 not in ("zeros", "random"):
-            raise ConfigError(f"x0: {config.x0!r} is not 'zeros' or 'random'")
-        if config.output is not None and not isinstance(config.output, str):
-            raise ConfigError(f"output: {config.output!r} is not a string or null")
-        config.alpha = ({"schedule": "sqrt", "a": float(a)}
-                        if isinstance(config.alpha, dict) else float(a))
+            alpha = {"schedule": "sqrt", "a": float(schedule("a", "a positive number", 1.0))}
+            schedule.done()
+        else:
+            alpha = float(get("alpha", "a positive number"))
+        config = cls(algorithm=get("algorithm", "a string"),
+                     graph=get("graph", "an object"),
+                     mixing=get("mixing", "a string or an object"),
+                     objective=get("objective", "an object"), alpha=alpha,
+                     iterations=get("iterations", "a nonnegative integer"),
+                     seed=get("seed", "a nonnegative integer", 0),
+                     x0=get("x0", "'zeros' or 'random'", "zeros"),
+                     output=get("output", "a string", None),
+                     theory_audit=get("theory_audit", "an object", None))
+        get.done()
         return config
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc.msg} "
-                              f"(line {exc.lineno}, column {exc.colno})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        return cls.from_dict(raw)
+        return cls.from_dict(decode_json(text, "config"))
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(read_input(path, "config"))
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """The text of a file that a config or command names; a path that cannot
+    be read is a ConfigError naming what it was read for."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{what}: cannot read {path}: {exc.strerror}") from exc
+
+
+def decode_json(text: str, what: str):
+    """The value of a JSON text; a syntax error is a ConfigError naming `what`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what}: not valid JSON: {exc.msg} "
+                          f"(line {exc.lineno}, column {exc.colno})") from exc
 
 
 _REQUIRED = object()
+
+
+def _finite(v) -> bool:  # json also reads NaN, Infinity and 400-digit integers
+    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
 
 # what a config entry may hold, by the words that name it in errors; a bool
 # is only "a boolean" (JSON true is not the integer 1)
@@ -174,11 +183,16 @@ _KINDS = {
     "a boolean": lambda v: isinstance(v, bool),
     "an integer": lambda v: isinstance(v, int),
     "a positive integer": lambda v: isinstance(v, int) and v > 0,
-    "a number": lambda v: isinstance(v, (int, float)),
+    "a nonnegative integer": lambda v: isinstance(v, int) and v >= 0,
+    "a number": _finite,
+    "a positive number": lambda v: _finite(v) and v > 0,
     "a string": lambda v: isinstance(v, str),
     "a list": lambda v: isinstance(v, list),
-    "a number or 'empirical'": lambda v: v == "empirical" or isinstance(v, (int, float)),
-    "a number or 'certified'": lambda v: v == "certified" or isinstance(v, (int, float)),
+    "an object": lambda v: isinstance(v, dict),
+    "a string or an object": lambda v: isinstance(v, (str, dict)),
+    "a number or 'empirical'": lambda v: v == "empirical" or _finite(v),
+    "a number or 'certified'": lambda v: v == "certified" or _finite(v),
+    "'zeros' or 'random'": lambda v: v in ("zeros", "random"),
     "'undirected' or 'directed'": lambda v: v in (graphs.UNDIRECTED, graphs.DIRECTED),
 }
 
@@ -186,12 +200,14 @@ _KINDS = {
 class ConfigBlock:
     """Typed reads from one JSON object of a config or params file; each bad
     read, and each key that no read asked for, is a ConfigError naming the
-    block."""
+    block. The config root has no name (`where` is empty): its errors name
+    the field, or `config`."""
 
-    def __init__(self, raw, where: str):
+    def __init__(self, raw, where: str = ""):
+        self.where, self.name = where, where or "config"
         if not isinstance(raw, dict):
-            raise ConfigError(f"{where}: must be an object, got {raw!r}")
-        self.raw, self.where, self.read = raw, where, set()
+            raise ConfigError(f"{self.name}: must be an object, got {raw!r}")
+        self.raw, self.read = raw, set()
 
     def __call__(self, key: str, kind: str = "an integer", default=_REQUIRED):
         """raw[key], checked to be `kind` (a key of _KINDS). A missing or
@@ -200,22 +216,23 @@ class ConfigBlock:
         value = self.raw.get(key)
         if value is None:
             if default is _REQUIRED:
-                raise ConfigError(f"{self.where}: needs {key!r}")
+                raise ConfigError(f"{self.name}: needs {key!r}")
             return default
         if isinstance(value, bool) != (kind == "a boolean") or not _KINDS[kind](value):
-            raise ConfigError(f"{self.where}: {key}={value!r} is not {kind}")
+            at = f"{self.where}: {key}=" if self.where else f"{key}: "
+            raise ConfigError(f"{at}{value!r} is not {kind}")
         return value
 
     def block(self, key: str) -> "ConfigBlock":
-        """raw[key] as a block of its own, named `where.key`."""
+        """raw[key] as a block of its own, named `where.key` (`key` at the root)."""
         self.read.add(key)
-        return ConfigBlock(self.raw.get(key), f"{self.where}.{key}")
+        return ConfigBlock(self.raw.get(key), f"{self.where}.{key}".lstrip("."))
 
     def done(self) -> None:
         """Reject the keys that no read asked for, such as a misspelt one."""
         unread = sorted(set(self.raw) - self.read)
         if unread:
-            raise ConfigError(f"{self.where}: unknown keys {', '.join(unread)}")
+            raise ConfigError(f"{self.name}: unknown keys {', '.join(unread)}")
 
 
 def _static_snapshot(get: ConfigBlock) -> graphs.GraphSnapshot:
@@ -239,7 +256,7 @@ def _static_snapshot(get: ConfigBlock) -> graphs.GraphSnapshot:
         return graphs.random_strongly_connected_digraph(get("n"), get("m"),
                                                         get("seed", default=0))
     if gtype == "file":
-        return graphs.snapshot_from_text(Path(get("path", "a string")).read_text())
+        return graphs.snapshot_from_text(read_input(get("path", "a string"), get.name))
     raise ConfigError(f"unknown static graph type {gtype!r}")
 
 
@@ -288,7 +305,7 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
         path = get("path", "a string")
         try:
             suite = objectives.load_suite(path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"objective: bundle {exc}") from exc
     elif family == "huber-benchmark":
         suite = section6_problem(get("seed", default=0)).suite
@@ -307,7 +324,7 @@ def build_rule(cfg):
             raise ConfigError("mixing block form is only for custom matrices")
         path, mode = get("path", "a string"), get("mode", "a string", mixing.DOUBLY)
         get.done()
-        mat = mixing.custom_mixing(mixing.matrix_from_csv(Path(path).read_text()), mode)
+        mat = mixing.custom_mixing(mixing.matrix_from_csv(read_input(path, "mixing")), mode)
         return lambda snap: mat
     if cfg == "metropolis":
         return mixing.metropolis

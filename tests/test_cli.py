@@ -59,6 +59,11 @@ class TestRun:
         code = cli.main(["run", "--config", str(tmp_path / "nope.json")])
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_directory_is_parse_error(self, tmp_path, capsys, command):
+        assert cli.main([command, "--config", str(tmp_path)]) == cli.EXIT_PARSE
+        assert "error: config:" in capsys.readouterr().err
+
     def test_malformed_config_reports_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -159,8 +164,11 @@ class TestMalformedScalars:
         {"iterations": -5},
         {"x0": "ones"},
         {"seed": "nine"},
+        {"alpha": 10 ** 400},
+        {"algorithm": ["diging"]},
     ], ids=["alpha-string", "alpha-cubic", "iterations-string",
-            "iterations-negative", "x0-ones", "seed-string"])
+            "iterations-negative", "x0-ones", "seed-string", "alpha-400-digits",
+            "algorithm-list"])
     def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
                                           override):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -205,12 +213,28 @@ class TestMalformedBlocks:
         ({"mixing": {"rule": "custom", "path": "matrix.csv", "mdoe": "doubly"}},
          "mixing"),
         ({"theory_audit": {"B": 1, "lamda": 0.5}}, "theory_audit"),
+        ({"theory_audit": {"B": 1, "delta": float("nan")}}, "theory_audit"),
+        ({"theory_audit": {"B": 1, "eta": float("inf")}}, "theory_audit"),
+        ({"theory_audit": {"B": 1, "lambda": float("nan")}}, "theory_audit"),
+        ({"objective": {"family": "quadratic", "n": 4, "p": 2,
+                        "target_scale": float("nan")}}, "objective"),
+        # unreadable files: "." is the working directory
+        ({"graph": {"type": "file", "path": "missing/graph.txt"}}, "graph"),
+        ({"graph": {"type": "file", "path": "."}}, "graph"),
+        ({"graph": {"type": "subsample", "fraction": 0.5,
+                    "base": {"type": "file", "path": "missing/graph.txt"}}},
+         "graph.base"),
+        ({"objective": {"family": "bundle", "path": "missing/bundle"}}, "objective"),
+        ({"mixing": {"rule": "custom", "path": "missing/w.csv"}}, "mixing"),
     ], ids=["graph-without-n", "graph-number", "audit-B-list", "audit-eta-string",
             "fraction-string", "objective-without-n", "kind-misspelt",
             "directed-view-string", "directed-view-integer", "declared-B-zero",
             "declared-B-negative", "declared-B-boolean", "declared-B-misspelt",
             "window-misspelt", "base-key-misspelt", "objective-key-misspelt",
-            "mixing-key-misspelt", "audit-key-misspelt"])
+            "mixing-key-misspelt", "audit-key-misspelt", "audit-delta-nan",
+            "audit-eta-infinite", "audit-lambda-nan", "target-scale-nan",
+            "graph-file-missing", "graph-file-directory", "base-file-missing",
+            "bundle-missing", "mixing-matrix-missing"])
     def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
                                           override, block):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -254,6 +278,15 @@ class TestMalformedBlocks:
         assert not (tmp_path / "trace.csv").exists()
 
 
+# numbers that Python's json reads but that no double holds
+NON_FINITE_PARAMS = [
+    {"n": 12, "B": 1, "delta": float("nan"), "mu_bar": 1.0, "L": 2.0},
+    {"n": 12, "B": 1, "delta": 0.5, "mu_bar": 1.0, "L": float("inf")},
+    {"n": 12, "B": 1, "mu_bar": 10 ** 400, "L": 2.0},
+]
+NON_FINITE_IDS = ["delta-nan", "L-infinite", "mu-bar-400-digits"]
+
+
 class TestBounds:
     def test_formula_values_printed(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -277,12 +310,22 @@ class TestBounds:
     @pytest.mark.parametrize("raw", [
         {"B": 1, "mu_bar": 1.0, "L": 2.0}, [12, 1],
         {"n": 12, "B": 1, "mu_bar": 1.0, "L": 2.0, "alhpa": 0.01},
-    ], ids=["without-n", "list-root", "key-misspelt"])
+        *NON_FINITE_PARAMS,
+    ], ids=["without-n", "list-root", "key-misspelt", *NON_FINITE_IDS])
     def test_malformed_params_is_parse_error(self, tmp_path, capsys, raw):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(raw))
         assert cli.main(["bounds", "--params", str(params)]) == cli.EXIT_PARSE
         assert "error: params:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", NON_FINITE_PARAMS, ids=NON_FINITE_IDS)
+    def test_non_finite_params_print_no_table(self, tmp_path, capsys, raw):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(raw))
+        assert cli.main(["bounds", "--params", str(params)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_missing_L_and_kappa(self, tmp_path):
         params = tmp_path / "params.json"

@@ -53,7 +53,15 @@ It covers:
   radius 0 and 0.3, `average_gradient` at 60 seeded points, and
   `solve_reference`'s solution, gradient norm and iteration count. Every
   suite has p > 1 or fewer than eight agents: a sum down a single column
-  of eight or more rows is pairwise in numpy, not in agent order.
+  of eight or more rows is pairwise in numpy, not in agent order;
+- valid configs through the CLI, one path through the config reader each:
+  every graph type (a `file` graph, a `subsample` with a `base`,
+  `block-connected`, `directed_view` and `declared_B` among them), every
+  objective family (a saved `bundle` too), the three mixing rules and a
+  custom matrix, `alpha` as a number, as the sqrt block and as the sqrt
+  block without `a`, `x0: random` and `theory_audit` blocks: the stdout of
+  `validate`, the exit codes of `validate` and `run`, and the trace CSV
+  plus sidecar that `run` writes.
 
 The first line names the `digrate` package that was imported.
 """
@@ -412,6 +420,97 @@ def gradient_digests():
                digest(ref.x_star.tobytes() + f" {ref.grad_norm!r} {ref.iterations}".encode()))
 
 
+def reader_configs(work: Path) -> dict:
+    """Valid configs, by label, that each take a path through the reader;
+    the files they name are written into `work`."""
+    ring = graphs.random_connected_graph(6, 2, 21)
+    (work / "ring.txt").write_text(graphs.snapshot_to_text(ring))
+    path4 = mixing.metropolis(graphs.undirected(4, [(1, 2), (2, 3), (3, 4)]))
+    lines = [",".join(repr(float(w)) for w in row) for row in path4.entries]
+    (work / "path4.csv").write_text("\n".join(lines) + "\n")
+    rng = np.random.default_rng(2020)
+    objectives.save_suite(objectives.huber_regression_suite(
+        [rng.normal(size=(2, 3)) for _ in range(6)],
+        [rng.normal(size=2) for _ in range(6)], xi=1.0), work / "bundle")
+    quadratic = {"family": "quadratic", "n": 6, "p": 2, "seed": 7}
+    digraph = {"type": "static-random-digraph", "n": 6, "m": 10, "seed": 3}
+    return {
+        "static-edges undirected": dict(
+            algorithm="diging", mixing="metropolis", objective=quadratic, alpha=0.2,
+            graph={"type": "static-edges", "n": 6,
+                   "links": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]}),
+        "static-edges directed": dict(
+            algorithm="push-diging", mixing="out-degree", objective=quadratic,
+            alpha=0.05, graph={"type": "static-edges", "n": 6, "kind": "directed",
+                               "links": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6],
+                                         [6, 1], [1, 4]]}),
+        "static-path x0 random": dict(
+            algorithm="diging-atc", mixing="lazy-metropolis", x0="random",
+            objective={"family": "zero", "n": 6, "p": 2}, alpha=0.3,
+            graph={"type": "static-path", "n": 6}),
+        "static-clique explicit quadratic": dict(
+            algorithm="dgd", mixing="metropolis", alpha=0.05,
+            objective={"family": "quadratic", "targets": [[1.0], [-2.0], [0.5], [3.0]],
+                       "curvatures": [1.0, 2.0, 0.5, 1.5]},
+            graph={"type": "static-clique", "n": 4}),
+        "static-random-connected huber-benchmark": dict(
+            algorithm="diging", mixing="metropolis", alpha=0.2,
+            objective={"family": "huber-benchmark", "seed": 4},
+            graph={"type": "static-random-connected", "n": 12, "extra_edges": 4,
+                   "seed": 2}),
+        "static-random-digraph sqrt": dict(
+            algorithm="subgradient-push", mixing="out-degree", objective=quadratic,
+            alpha={"schedule": "sqrt", "a": 0.5}, graph=digraph),
+        "static-random-digraph sqrt without a": dict(
+            algorithm="subgradient-push", mixing="out-degree", objective=quadratic,
+            alpha={"schedule": "sqrt"}, graph=digraph),
+        "file bundle": dict(
+            algorithm="diging", mixing="metropolis", alpha=0.1,
+            objective={"family": "bundle", "path": str(work / "bundle")},
+            graph={"type": "file", "path": str(work / "ring.txt")}),
+        "subsample base file": dict(
+            algorithm="diging", mixing="metropolis", objective=quadratic, alpha=0.1,
+            graph={"type": "subsample", "fraction": 0.6, "seed": 4, "declared_B": 4,
+                   "base": {"type": "file", "path": str(work / "ring.txt")}}),
+        "subsample directed_view declared_B": dict(
+            algorithm="push-diging", mixing="out-degree", objective=quadratic,
+            alpha=0.05, graph={"type": "subsample", "fraction": 0.8, "seed": 5,
+                               "base": {"type": "static-clique", "n": 6},
+                               "directed_view": True, "declared_B": 2}),
+        "block-connected theory_audit": dict(
+            algorithm="diging", mixing="metropolis", objective=quadratic, alpha=0.2,
+            graph={"type": "block-connected", "n": 6, "window": 2, "seed": 6},
+            theory_audit={"B": 3, "delta": "empirical", "lambda": "certified"}),
+        "custom matrix theory_audit given": dict(
+            algorithm="diging", alpha=0.1,
+            mixing={"rule": "custom", "path": str(work / "path4.csv"), "mode": "doubly"},
+            objective={"family": "quadratic", "n": 4, "p": 3, "seed": 8},
+            graph={"type": "static-path", "n": 4},
+            theory_audit={"B": 1, "delta": 0.9, "lambda": 0.999, "eta": 1.0,
+                          "beta": 4.0, "delta_horizon": 6}),
+    }
+
+
+def reader_digests(work: Path):
+    base = work / "reader"
+    base.mkdir()
+    for label, fields in reader_configs(base).items():
+        config = {"iterations": 200, "seed": 3, "output": "trace.csv", **fields}
+        config_path = base / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["validate", "--config", str(config_path)])
+        yield f"configs {label} validate stdout", digest(out.getvalue())
+        yield f"configs {label} validate exit", str(code)
+        run_dir = base / label.replace(" ", "-")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", "--config", str(config_path), "--out", str(run_dir)])
+        yield f"configs {label} run exit", str(code)
+        yield f"configs {label} trace.csv", digest(written(run_dir / "trace.csv"))
+
+
 def main() -> None:
     print(f"# digrate from {Path(digrate.__file__).parent}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -420,7 +519,7 @@ def main() -> None:
                      builder_digests(), generator_digests(), block_digests(),
                      sweep_static_digests(), edge_run_digests(work),
                      window_digests(), cycle_digests(), bounds_digests(work),
-                     gradient_digests()):
+                     gradient_digests(), reader_digests(work)):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
