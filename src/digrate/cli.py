@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 from . import __version__, harness, rates
-from .harness import ConfigError, ExperimentConfig
-from .traces import RunTrace
+from .config import ConfigBlock, ConfigError, decode_json, read_input
+from .harness import ExperimentConfig
+from .traces import AUDIT_SUFFIX, RunTrace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -112,8 +113,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    get = harness.ConfigBlock(harness.decode_json(
-        harness.read_input(args.params, "params"), "params"), "params")
+    get = ConfigBlock(decode_json(read_input(args.params, "params"), "params"), "params")
     n, B = get("n"), get("B", default=1)
     delta = float(get("delta", "a number", 0.0))
     mu_bar = float(get("mu_bar", "a number", 1.0))
@@ -125,62 +125,63 @@ def _cmd_bounds(args) -> int:
     eta = get("eta", "a number", 1.0)
     params = rates.TheoryParams(n=n, B=B, delta=delta, mu_bar=mu_bar, L=L,
                                 mu_hat=mu_hat, beta=beta, eta=eta)
-    alpha, tau = get("alpha", "a number", None), get("tau", "a number", 1.0 / n)
-    b_minus = get("B_minus", default=None)
+    alpha = get("alpha", "a positive number", None)
+    tau = get("tau", "a number in (0, 1]", 1.0 / n)
+    b_minus = get("B_minus", "a positive integer", None)
     get.done()
+    # every line is made before any is printed: a failing file prints none
     kappa = params.kappa_bar
-    print(f"inputs: n={n} B={B} delta={delta:g} mu_bar={mu_bar:g} L={L:g} "
-          f"kappa_bar={kappa:g}")
     j1 = rates.diging_rate_constant(kappa, B, n)
     window = rates.diging_step_size_window(params)
-    print(f"J1 = {j1:.6g}")
-    print(f"alpha window: (0, {window.alpha_max:.6g}], branch point "
-          f"{window.breakpoint:.6g}")
     alpha = float(0.9 * window.breakpoint if alpha is None else alpha)
     est = rates.diging_rate(alpha, params)
     flag = " (degenerate endpoint)" if est.degenerate else ""
-    print(f"lambda at alpha={alpha:.6g}: {est.lam:.12g} "
-          f"(branch {est.branch}){flag}")
     scal = rates.network_scalability_rate(tau, B, n, kappa, L, mu_bar)
-    print(f"scalability at tau={tau:g}: alpha={scal.alpha:.6g} "
-          f"lambda={scal.lam:.12g}")
-    print(f"lazy-Metropolis rate (B=1): {rates.lazy_metropolis_rate(n, kappa):.12g}")
+    lines = [f"inputs: n={n} B={B} delta={delta:g} mu_bar={mu_bar:g} L={L:g} "
+             f"kappa_bar={kappa:g}",
+             f"J1 = {j1:.6g}",
+             f"alpha window: (0, {window.alpha_max:.6g}], branch point "
+             f"{window.breakpoint:.6g}",
+             f"lambda at alpha={alpha:.6g}: {est.lam:.12g} (branch {est.branch}){flag}",
+             f"scalability at tau={tau:g}: alpha={scal.alpha:.6g} "
+             f"lambda={scal.lam:.12g}",
+             f"lazy-Metropolis rate (B=1): {rates.lazy_metropolis_rate(n, kappa):.12g}"]
     if b_minus is not None:
         cons = rates.push_sum_contraction(n, b_minus)
-        print(f"push-sum: tau_tilde={cons.tau_tilde} Q1={cons.q1} "
-              f"Vinv_bound={cons.vinv_bound}")
-        print(f"push-sum: minimal contracting window B={cons.B_required or cons.B_required_log} "
-              f"delta={cons.delta}")
+        lines += [f"push-sum: tau_tilde={cons.tau_tilde} Q1={cons.q1} "
+                  f"Vinv_bound={cons.vinv_bound}",
+                  "push-sum: minimal contracting window "
+                  f"B={cons.B_required or cons.B_required_log} delta={cons.delta}"]
         if cons.B_required is not None and cons.B_required < 10 ** 6:
             push_params = dataclasses.replace(
                 params, B=cons.B_required, delta=cons.delta.to_float(),
                 q1=cons.q1, vinv_bound=cons.vinv_bound)
-            j2 = rates.push_rate_constant(push_params)
-            print(f"J2 = {j2}")
+            lines.append(f"J2 = {rates.push_rate_constant(push_params)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_audit(args) -> int:
-    path = Path(args.trace)
-    if not path.exists():
-        raise ConfigError(f"trace file {path} does not exist")
-    trace = RunTrace.read(path)
+    trace = RunTrace.read(args.trace)
     if trace.q_norm is None:
         raise ConfigError("trace has no audit sidecar; rerun with a "
                           "theory_audit block in the config")
-    meta = trace.metadata.get("theory_audit", {})
-    if not isinstance(meta, dict):
-        raise ConfigError("trace's theory_audit block must be an object")
-    lam = args.lam if args.lam is not None else meta.get("lambda")
+    get = ConfigBlock(trace.metadata.get("theory_audit", {}),
+                      f"{Path(args.trace).name}{AUDIT_SUFFIX} theory_audit")
+    stored = get("lambda", "a number", None)
+    get("lambda_source", "a string", None)  # a note for the reader; unused here
+    lam = args.lam if args.lam is not None else stored
     if lam is None:
         raise ConfigError("no rate given: pass --lambda or store one in the "
                           "trace's theory_audit block")
-    try:
-        params = rates.TheoryParams(**{k: v for k, v in meta.items()
-                                       if k not in ("lambda", "lambda_source")})
-    except TypeError as exc:
-        raise ConfigError(f"trace's theory_audit block does not hold the "
-                          f"audit constants: {exc}") from exc
+    params = rates.TheoryParams(
+        n=get("n", "a positive integer"), B=get("B", "a positive integer"),
+        delta=get("delta", "a number"), mu_bar=get("mu_bar", "a number"),
+        L=get("L", "a number"), mu_hat=get("mu_hat", "a number", None),
+        q1=get("q1", "a number", None), vinv_bound=get("vinv_bound", "a number", None),
+        beta=get("beta", "a number", None), eta=get("eta", "a number", 1.0),
+        delta_source=get("delta_source", "a string", "empirical"))
+    get.done()
     ledger = rates.audit_small_gain(trace, params, lam)
     names = ("optimality->grad-diff", "grad-diff->tracker-viol",
              "tracker-viol->iterate-viol", "iterate-viol->optimality")

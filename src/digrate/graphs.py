@@ -157,11 +157,7 @@ def _from_links(n: int, kind: str, links: Iterable[Link]) -> GraphSnapshot:
     if ends.ndim != 2 or ends.shape[1] != 2:
         raise ValueError("links must be (j, i) pairs of vertex labels")
     if ends.dtype.kind not in "iu":
-        bad = [v for pair in pairs for v in pair
-               if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
-        if bad:
-            raise ValueError(f"link endpoint {bad[0]!r} is not an integer vertex label")
-        raise ValueError(f"link endpoints leave vertex range 1..{n}")
+        raise ValueError(f"link endpoints must be integer vertex labels in 1..{n}")
     outside = np.flatnonzero(((ends < 1) | (ends > n)).any(axis=1))
     if outside.size:
         j, i = ends[outside[0]].tolist()

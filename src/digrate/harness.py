@@ -8,23 +8,18 @@ curve.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithms, graphs, mixing, objectives
+from .config import ConfigBlock, ConfigError, decode_json, read_input
 from .graphs import directed_view
 from .rates import (NoGuaranteeError, TheoryParams, diging_rate,
                     diging_step_size_window)
 from .traces import RunTrace
-
-
-class ConfigError(ValueError):
-    """Malformed experiment configuration."""
 
 
 XI = 2.0  # Huber threshold of the benchmark problem
@@ -152,93 +147,10 @@ class ExperimentConfig:
         return cls.from_json(read_input(path, "config"))
 
 
-def read_input(path: str | Path, what: str) -> str:
-    """The text of a file that a config or command names; a path that cannot
-    be read is a ConfigError naming what it was read for."""
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"{what}: cannot read {path}: {exc.strerror}") from exc
-
-
-def decode_json(text: str, what: str):
-    """The value of a JSON text; a syntax error is a ConfigError naming `what`."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what}: not valid JSON: {exc.msg} "
-                          f"(line {exc.lineno}, column {exc.colno})") from exc
-
-
-_REQUIRED = object()
-
-
-def _finite(v) -> bool:  # json also reads NaN, Infinity and 400-digit integers
-    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
-
-
-# what a config entry may hold, by the words that name it in errors; a bool
-# is only "a boolean" (JSON true is not the integer 1)
-_KINDS = {
-    "a boolean": lambda v: isinstance(v, bool),
-    "an integer": lambda v: isinstance(v, int),
-    "a positive integer": lambda v: isinstance(v, int) and v > 0,
-    "a nonnegative integer": lambda v: isinstance(v, int) and v >= 0,
-    "a number": _finite,
-    "a positive number": lambda v: _finite(v) and v > 0,
-    "a string": lambda v: isinstance(v, str),
-    "a list": lambda v: isinstance(v, list),
-    "an object": lambda v: isinstance(v, dict),
-    "a string or an object": lambda v: isinstance(v, (str, dict)),
-    "a number or 'empirical'": lambda v: v == "empirical" or _finite(v),
-    "a number or 'certified'": lambda v: v == "certified" or _finite(v),
-    "'zeros' or 'random'": lambda v: v in ("zeros", "random"),
-    "'undirected' or 'directed'": lambda v: v in (graphs.UNDIRECTED, graphs.DIRECTED),
-}
-
-
-class ConfigBlock:
-    """Typed reads from one JSON object of a config or params file; each bad
-    read, and each key that no read asked for, is a ConfigError naming the
-    block. The config root has no name (`where` is empty): its errors name
-    the field, or `config`."""
-
-    def __init__(self, raw, where: str = ""):
-        self.where, self.name = where, where or "config"
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{self.name}: must be an object, got {raw!r}")
-        self.raw, self.read = raw, set()
-
-    def __call__(self, key: str, kind: str = "an integer", default=_REQUIRED):
-        """raw[key], checked to be `kind` (a key of _KINDS). A missing or
-        null entry gives `default`, and is an error without one."""
-        self.read.add(key)
-        value = self.raw.get(key)
-        if value is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self.name}: needs {key!r}")
-            return default
-        if isinstance(value, bool) != (kind == "a boolean") or not _KINDS[kind](value):
-            at = f"{self.where}: {key}=" if self.where else f"{key}: "
-            raise ConfigError(f"{at}{value!r} is not {kind}")
-        return value
-
-    def block(self, key: str) -> "ConfigBlock":
-        """raw[key] as a block of its own, named `where.key` (`key` at the root)."""
-        self.read.add(key)
-        return ConfigBlock(self.raw.get(key), f"{self.where}.{key}".lstrip("."))
-
-    def done(self) -> None:
-        """Reject the keys that no read asked for, such as a misspelt one."""
-        unread = sorted(set(self.raw) - self.read)
-        if unread:
-            raise ConfigError(f"{self.name}: unknown keys {', '.join(unread)}")
-
-
 def _static_snapshot(get: ConfigBlock) -> graphs.GraphSnapshot:
     gtype = get("type", "a string")
     if gtype == "static-edges":
-        n, links = get("n"), get("links", "a list")
+        n, links = get("n"), get("links", "a list of integer pairs")
         if get("kind", "'undirected' or 'directed'", graphs.UNDIRECTED) == graphs.DIRECTED:
             return graphs.directed(n, links)
         return graphs.undirected(n, links)
@@ -289,13 +201,12 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
     get = ConfigBlock(cfg, "objective")
     family = get("family", "a string")
     if family == "quadratic" and "targets" in cfg:
-        suite = objectives.quadratic_suite(
-            np.asarray(get("targets", "a list"), dtype=float),
-            np.asarray(get("curvatures", "a list"), dtype=float))
+        suite = objectives.quadratic_suite(get("targets", "a matrix of numbers"),
+                                           get("curvatures", "a list of numbers"))
     elif family == "quadratic":
         rng = np.random.default_rng(get("seed", default=0))
         n, p = get("n"), get("p", default=1)
-        lo, hi = get("curvature_range", "a list", (0.5, 2.0))
+        lo, hi = get("curvature_range", "two positive numbers", (0.5, 2.0))
         curv = rng.uniform(lo, hi, size=n)
         targets = rng.normal(scale=get("target_scale", "a number", 1.0), size=(n, p))
         suite = objectives.quadratic_suite(targets, curv)
@@ -305,7 +216,7 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
         path = get("path", "a string")
         try:
             suite = objectives.load_suite(path)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"objective: bundle {exc}") from exc
     elif family == "huber-benchmark":
         suite = section6_problem(get("seed", default=0)).suite

@@ -12,13 +12,16 @@ stays the reference path for every other suite.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .config import ConfigBlock, decode_json, read_input
+from .mixing import matrix_from_csv, matrix_to_csv
 
 
 class ReferenceSolveError(RuntimeError):
@@ -135,8 +138,10 @@ def quadratic_suite(targets: np.ndarray, curvatures: np.ndarray) -> ObjectiveSui
     a = np.asarray(curvatures, dtype=float).reshape(-1)
     if len(a) != b.shape[0]:
         raise ValueError("one curvature per target row required")
-    if np.any(a <= 0):
-        raise ValueError("curvatures must be positive")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("targets must be finite")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("curvatures must be positive and finite")
 
     def make(i: int) -> ComponentFunction:
         ai, bi = float(a[i]), b[i].copy()
@@ -173,8 +178,8 @@ def huber_regression_suite(rows: list[np.ndarray], targets: list[np.ndarray],
                            xi: float) -> ObjectiveSuite:
     """Each agent fits its rows M_i, targets y_i under the Huber loss with
     threshold xi; the gradient clips each residual to [-xi, xi]."""
-    if xi <= 0:
-        raise ValueError("Huber threshold must be positive")
+    if not (math.isfinite(xi) and xi > 0):
+        raise ValueError("Huber threshold xi must be positive and finite")
     if not rows:
         raise ValueError("suite needs at least one component")
     if len(rows) != len(targets):
@@ -188,6 +193,8 @@ def huber_regression_suite(rows: list[np.ndarray], targets: list[np.ndarray],
             raise ValueError("row blocks disagree on dimension")
         if m.shape[0] != len(y):
             raise ValueError("row count and target count differ")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(y))):
+            raise ValueError("rows and targets must be finite")
         L_i = float(np.linalg.norm(m, 2) ** 2)  # sigma_max(M^T M)
 
         def value(x, m=m, y=y):
@@ -265,59 +272,41 @@ def save_suite(suite: ObjectiveSuite, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"family": suite.family, "n": suite.n, "p": suite.p}
     if suite.family == "quadratic":
-        _write_csv(directory / "targets.csv", suite.data["targets"])
-        _write_csv(directory / "curvatures.csv", suite.data["curvatures"][:, None])
+        (directory / "targets.csv").write_text(matrix_to_csv(suite.data["targets"]))
+        (directory / "curvatures.csv").write_text(
+            matrix_to_csv(suite.data["curvatures"][:, None]))
     elif suite.family == "huber":
         manifest["xi"] = suite.data["xi"]
         stacked = []
         for i, (m, y) in enumerate(zip(suite.data["rows"], suite.data["targets"])):
             for r, t in zip(m, y):
                 stacked.append([i + 1, *r, t])
-        _write_csv(directory / "rows.csv", np.array(stacked))
+        (directory / "rows.csv").write_text(matrix_to_csv(stacked))
     else:
         raise ValueError(f"family {suite.family!r} has no serialized form")
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def load_suite(directory: str | Path) -> ObjectiveSuite:
-    """The suite `save_suite` wrote; a malformed manifest is a ValueError
-    naming the manifest and the key."""
+    """The suite `save_suite` wrote; a malformed manifest or an unreadable
+    file is a ConfigError naming the file and the key."""
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = json.loads(path.read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: root must be an object")
+    get = ConfigBlock(decode_json(read_input(path, "manifest"), str(path)), str(path))
+    family = get("family", "a string")
+    n = get("n", "a positive integer")
+    get("p", "a positive integer")  # the files give the dimension
+    xi = get("xi", "a positive number") if family == "huber" else None
+    get.done()
 
-    def entry(key: str, kind):
-        value = manifest.get(key)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{path}: {key}={value!r} is missing or of the wrong type")
-        return value
+    def read(name: str) -> np.ndarray:
+        return matrix_from_csv(read_input(directory / name, name))
 
-    family = entry("family", str)
     if family == "quadratic":
-        targets = _read_csv(directory / "targets.csv")
-        curv = _read_csv(directory / "curvatures.csv").reshape(-1)
-        return quadratic_suite(targets, curv)
+        return quadratic_suite(read("targets.csv"), read("curvatures.csv").reshape(-1))
     if family == "huber":
-        stacked = _read_csv(directory / "rows.csv")
-        rows, targets = [], []
-        for i in range(1, entry("n", int) + 1):
-            block = stacked[stacked[:, 0] == i]
-            rows.append(block[:, 1:-1])
-            targets.append(block[:, -1])
-        return huber_regression_suite(rows, targets, entry("xi", (int, float)))
+        stacked = read("rows.csv")
+        blocks = [stacked[stacked[:, 0] == i] for i in range(1, n + 1)]
+        return huber_regression_suite([b[:, 1:-1] for b in blocks],
+                                      [b[:, -1] for b in blocks], xi)
     raise ValueError(f"unknown suite family {family!r} in manifest")
-
-
-def _write_csv(path: Path, array: np.ndarray) -> None:
-    array = np.atleast_2d(np.asarray(array, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in array:
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
-def _read_csv(path: Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        return np.array([[float(v) for v in row] for row in csv.reader(fh)])

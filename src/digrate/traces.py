@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigBlock, ConfigError, decode_json, read_input
+
 # the CSV series after `k`, in column order
 SERIES = ("residual", "cons_viol_x", "cons_viol_y", "conservation_err", "v_min")
 # the sidecar series of an audited run
@@ -84,11 +86,13 @@ class RunTrace:
             # an earlier run's sidecar would be read as this trace's
             sidecar.unlink(missing_ok=True)
             return
-        payload = {"metadata": _plain(self.metadata),
+        payload = {"metadata": self.metadata,
                    **{name: list(map(float, getattr(self, name)))
                       for name in AUDIT_SERIES},
                    "xbar0_error": self.xbar0_error, "r0": self.r0}
-        sidecar.write_text(json.dumps(payload, indent=1) + "\n")
+        # numpy arrays and scalars in the metadata are written as plain values
+        sidecar.write_text(json.dumps(payload, indent=1, default=lambda v: v.tolist())
+                           + "\n")
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "RunTrace":
@@ -112,29 +116,29 @@ class RunTrace:
 
     @classmethod
     def read(cls, path: str | Path) -> "RunTrace":
+        """The trace at `path` and its sidecar, if any: an unreadable path is a
+        ConfigError, a malformed sidecar a ValueError naming file and key."""
         path = Path(path)
-        trace = cls.from_csv(path.read_text())
+        trace = cls.from_csv(read_input(path, "trace"))
         sidecar = path.with_name(path.name + AUDIT_SUFFIX)
-        if sidecar.exists():
-            payload = json.loads(sidecar.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError(f"{sidecar.name}: root must be an object")
-            metadata = payload.get("metadata", {})
-            bad = [key for key in AUDIT_SERIES if not isinstance(payload.get(key), list)]
-            bad += [key for key in ("xbar0_error", "r0")   # a number or null
-                    if not isinstance(payload.get(key, ""), (int, float, type(None)))]
-            if not isinstance(metadata, dict):
-                bad.append("metadata")
-            if bad:
-                raise ValueError(f"{sidecar.name}: {', '.join(bad)} missing or malformed")
-            trace.metadata = metadata
-            for name in AUDIT_SERIES:
-                if len(payload[name]) != len(trace):
-                    raise ValueError(f"{sidecar.name} holds {len(payload[name])} "
-                                     f"{name} values but {path.name} has {len(trace)} rows")
-                setattr(trace, name, np.array(payload[name]))
-            trace.xbar0_error = payload["xbar0_error"]
-            trace.r0 = payload["r0"]
+        if not sidecar.exists():
+            return trace
+        try:
+            get = ConfigBlock(decode_json(read_input(sidecar, sidecar.name),
+                                          sidecar.name), sidecar.name)
+            # the series stay plain lists: a diverged run's hold NaN or inf
+            series = {name: get(name, "a list") for name in AUDIT_SERIES}
+            trace.metadata = get("metadata", "an object", {})
+            trace.xbar0_error = get("xbar0_error", "a number")
+            trace.r0 = get("r0", "a number")
+            get.done()
+        except ConfigError as exc:  # a sidecar is a run's output, not its input
+            raise ValueError(str(exc)) from None
+        for name, values in series.items():
+            if len(values) != len(trace):
+                raise ValueError(f"{sidecar.name} holds {len(values)} "
+                                 f"{name} values but {path.name} has {len(trace)} rows")
+            setattr(trace, name, np.array(values))
         return trace
 
     def same_rows(self, other: "RunTrace") -> bool:
@@ -157,17 +161,3 @@ def _cells(values, blank_nan: bool):
 def _float_or_blank(cell: str) -> float:
     return float("nan") if cell == "" else float(cell)
 
-
-def _plain(obj):
-    """JSON-encodable copy of metadata values."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj

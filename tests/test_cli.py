@@ -226,6 +226,22 @@ class TestMalformedBlocks:
          "graph.base"),
         ({"objective": {"family": "bundle", "path": "missing/bundle"}}, "objective"),
         ({"mixing": {"rule": "custom", "path": "missing/w.csv"}}, "mixing"),
+        # list entries are checked entry by entry
+        ({"objective": {"family": "quadratic", "n": 4, "p": 2,
+                        "curvature_range": [float("nan"), 1.0]}}, "objective"),
+        ({"objective": {"family": "quadratic", "n": 4, "p": 2,
+                        "curvature_range": [0.5, 1, 2]}}, "objective"),
+        ({"objective": {"family": "quadratic",
+                        "targets": [[float("nan")], [1.0], [2.0], [3.0]],
+                        "curvatures": [1.0, 1.0, 1.0, 1.0]}}, "objective"),
+        ({"objective": {"family": "quadratic",
+                        "targets": [[0.0], [1.0, 2.0], [2.0], [3.0]],
+                        "curvatures": [1.0, 1.0, 1.0, 1.0]}}, "objective"),
+        ({"objective": {"family": "quadratic",
+                        "targets": [[0.0], [1.0], [2.0], [3.0]],
+                        "curvatures": [1.0, 1.0, float("inf"), 1.0]}}, "objective"),
+        ({"graph": {"type": "static-edges", "n": 4,
+                    "links": [[1, 2], [2, 3], [3, 4], [3, True]]}}, "graph"),
     ], ids=["graph-without-n", "graph-number", "audit-B-list", "audit-eta-string",
             "fraction-string", "objective-without-n", "kind-misspelt",
             "directed-view-string", "directed-view-integer", "declared-B-zero",
@@ -234,7 +250,9 @@ class TestMalformedBlocks:
             "mixing-key-misspelt", "audit-key-misspelt", "audit-delta-nan",
             "audit-eta-infinite", "audit-lambda-nan", "target-scale-nan",
             "graph-file-missing", "graph-file-directory", "base-file-missing",
-            "bundle-missing", "mixing-matrix-missing"])
+            "bundle-missing", "mixing-matrix-missing", "curvature-range-nan",
+            "curvature-range-three", "target-nan", "targets-ragged",
+            "curvature-infinite", "link-boolean"])
     def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
                                           override, block):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -256,8 +274,11 @@ class TestMalformedBlocks:
         {"family": "huber", "p": 2, "xi": 1.0},
         {"family": "huber", "n": 4, "p": 2, "xi": "x"},
         {"family": "huber", "n": 0, "p": 2, "xi": 1.0},
+        {"family": "huber", "n": 4, "p": 2, "xi": float("nan")},
+        {"family": "huber", "n": 4, "p": 2, "xi": 1.0, "ix": 1.0},
     ], ids=["without-family", "list-root", "family-number", "huber-without-n",
-            "huber-xi-string", "huber-no-agents"])
+            "huber-xi-string", "huber-no-agents", "huber-xi-nan",
+            "key-misspelt"])
     def test_malformed_bundle_manifest(self, tmp_path, capsys, monkeypatch,
                                        manifest):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -274,6 +295,36 @@ class TestMalformedBlocks:
                          str(tmp_path)]) == cli.EXIT_PARSE
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
+        assert captured.err.count("error: objective: bundle") == 2
+        assert not (tmp_path / "trace.csv").exists()
+
+
+    @pytest.mark.parametrize("family,name,cell", [
+        ("quadratic", "targets.csv", -1), ("quadratic", "curvatures.csv", 0),
+        ("huber", "rows.csv", 1), ("huber", "rows.csv", -1)],
+        ids=["targets", "curvatures", "huber-rows", "huber-targets"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_bundle_data(self, tmp_path, capsys, monkeypatch,
+                                    family, name, cell, bad):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        rng = np.random.default_rng(5)
+        suite = (objectives.quadratic_suite(rng.normal(size=(4, 2)), np.ones(4))
+                 if family == "quadratic" else objectives.huber_regression_suite(
+                     [rng.normal(size=(2, 2)) for _ in range(4)],
+                     [rng.normal(size=2) for _ in range(4)], xi=1.0))
+        bundle = tmp_path / "bundle"
+        objectives.save_suite(suite, bundle)
+        lines = (bundle / name).read_text().splitlines()
+        cells = lines[0].split(",")
+        cells[cell] = bad
+        (bundle / name).write_text("\n".join([",".join(cells), *lines[1:]]) + "\n")
+        config = write_config(tmp_path, objective={"family": "bundle",
+                                                   "path": str(bundle)})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_PARSE
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "must be" in captured.err
         assert captured.err.count("error: objective: bundle") == 2
         assert not (tmp_path / "trace.csv").exists()
 
@@ -327,10 +378,30 @@ class TestBounds:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("extra,code", [
+        ({"tau": -1}, cli.EXIT_PARSE), ({"B_minus": 0}, cli.EXIT_PARSE),
+        ({"alpha": -1}, cli.EXIT_PARSE), ({"alpha": 1.0}, cli.EXIT_VALIDATION),
+    ], ids=["tau-negative", "B-minus-zero", "alpha-negative", "alpha-beyond-window"])
+    def test_failing_params_print_nothing(self, tmp_path, capsys, extra, code):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"n": 3, "mu_bar": 1.0, "L": 2.0, **extra}))
+        assert cli.main(["bounds", "--params", str(params)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " in captured.err and "Traceback" not in captured.err
+
     def test_missing_L_and_kappa(self, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"n": 2, "B": 1, "mu_bar": 1.0}))
         assert cli.main(["bounds", "--params", str(params)]) == cli.EXIT_PARSE
+
+
+def audit_constant(key, value):
+    """A sidecar edit that sets one entry of its theory_audit block."""
+    def edit(d):
+        block = {**d["metadata"]["theory_audit"], key: value}
+        return {**d, "metadata": {**d["metadata"], "theory_audit": block}}
+    return edit
 
 
 class TestAuditAndReproduce:
@@ -365,7 +436,7 @@ class TestAuditAndReproduce:
         code = cli.main(["audit", "--trace", str(tmp_path / "trace.csv"),
                          "--lambda", "0.9"])
         assert code == cli.EXIT_PARSE
-        assert "audit constants" in capsys.readouterr().err
+        assert "theory_audit: needs 'n'" in capsys.readouterr().err
 
     def test_unaudited_rerun_leaves_no_stale_sidecar(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -409,21 +480,26 @@ class TestAuditAndReproduce:
 
     @pytest.mark.parametrize("edit,code,message", [
         (lambda d: {k: v for k, v in d.items() if k != "z_norm"},
-         cli.EXIT_VALIDATION, "trace.csv.audit.json: z_norm missing"),
+         cli.EXIT_VALIDATION, "trace.csv.audit.json: needs 'z_norm'"),
         (lambda d: {k: v for k, v in d.items() if k != "xbar0_error"},
-         cli.EXIT_VALIDATION, "trace.csv.audit.json: xbar0_error missing"),
+         cli.EXIT_VALIDATION, "trace.csv.audit.json: needs 'xbar0_error'"),
         (lambda d: [d], cli.EXIT_VALIDATION,
-         "trace.csv.audit.json: root must be an object"),
+         "trace.csv.audit.json: must be an object"),
         (lambda d: {**d, "q_norm": 5.0}, cli.EXIT_VALIDATION,
-         "trace.csv.audit.json: q_norm missing or malformed"),
+         "trace.csv.audit.json: q_norm=5.0 is not a list"),
         (lambda d: {**d, "r0": "x"}, cli.EXIT_VALIDATION,
-         "trace.csv.audit.json: r0 missing or malformed"),
+         "trace.csv.audit.json: r0='x' is not a number"),
         (lambda d: {**d, "metadata": [1]}, cli.EXIT_VALIDATION,
-         "trace.csv.audit.json: metadata missing or malformed"),
+         "trace.csv.audit.json: metadata=[1] is not an object"),
         (lambda d: {**d, "metadata": {**d["metadata"], "theory_audit": [1]}},
-         cli.EXIT_PARSE, "theory_audit block must be an object"),
+         cli.EXIT_PARSE, "trace.csv.audit.json theory_audit: must be an object"),
+        (audit_constant("lambda", "x"), cli.EXIT_PARSE,
+         "trace.csv.audit.json theory_audit: lambda='x' is not a number"),
+        (audit_constant("n", 4.5), cli.EXIT_PARSE,
+         "trace.csv.audit.json theory_audit: n=4.5 is not a positive integer"),
     ], ids=["without-z_norm", "without-xbar0_error", "list-root", "q_norm-number",
-            "r0-string", "metadata-list", "theory-audit-list"])
+            "r0-string", "metadata-list", "theory-audit-list", "lambda-string",
+            "n-fraction"])
     def test_audit_rejects_malformed_sidecar(self, tmp_path, capsys,
                                              monkeypatch, edit, code, message):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -439,6 +515,12 @@ class TestAuditAndReproduce:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err and "PASS" not in captured.out
         assert message in captured.err
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_audit_of_unreadable_trace_is_parse_error(self, tmp_path, capsys, name):
+        assert cli.main(["audit", "--trace", str(tmp_path / name)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "error: trace: cannot read" in captured.err and captured.out == ""
 
     def test_reproduce_prints_summary(self, tmp_path, capsys):
         code = cli.main(["reproduce", "--case", "tv-directed", "--seed", "0",

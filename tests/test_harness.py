@@ -334,7 +334,7 @@ class TestExperimentConfig:
 class TestBuilders:
     def test_static_edges_non_integer_endpoint(self):
         # a fractional label used to be truncated to a vertex
-        with pytest.raises(ValueError, match="endpoint 2.5 is not an integer"):
+        with pytest.raises(ValueError, match="is not a list of integer pairs"):
             harness.build_sequence({"type": "static-edges", "n": 3,
                                     "links": [[1, 2.5]]})
 

@@ -40,6 +40,15 @@ class TestQuadraticSuite:
         with pytest.raises(ValueError):
             quadratic_suite(np.zeros((2, 1)), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("targets,curvatures,message", [
+        ([[0.0], [np.nan]], [1.0, 1.0], "targets must be finite"),
+        ([[0.0], [1.0]], [1.0, np.inf], "curvatures must be positive and finite"),
+        ([[0.0], [1.0]], [np.nan, 1.0], "curvatures must be positive and finite"),
+    ], ids=["target-nan", "curvature-infinite", "curvature-nan"])
+    def test_rejects_non_finite_data(self, targets, curvatures, message):
+        with pytest.raises(ValueError, match=message):
+            quadratic_suite(np.array(targets), np.array(curvatures))
+
     def test_block_gradient_linear(self):
         suite = quadratic_suite(np.array([[0.0], [2.0]]), np.array([1.0, 1.0]))
         x = np.array([[1.0], [1.0]])
@@ -106,6 +115,16 @@ class TestHuber:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             huber_regression_suite([np.eye(2)], [np.zeros(2)], xi=0.0)
+
+    @pytest.mark.parametrize("row,target,xi,message", [
+        (np.eye(2), np.zeros(2), np.nan, "xi must be positive and finite"),
+        (np.eye(2), np.zeros(2), np.inf, "xi must be positive and finite"),
+        (np.diag([1.0, np.inf]), np.zeros(2), 1.0, "rows and targets must be finite"),
+        (np.eye(2), np.array([0.0, np.nan]), 1.0, "rows and targets must be finite"),
+    ], ids=["xi-nan", "xi-infinite", "row-infinite", "target-nan"])
+    def test_rejects_non_finite_data(self, row, target, xi, message):
+        with pytest.raises(ValueError, match=message):
+            huber_regression_suite([row], [target], xi=xi)
 
 
 class TestFiniteDifferences:

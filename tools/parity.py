@@ -62,6 +62,11 @@ It covers:
   block without `a`, `x0: random` and `theory_audit` blocks: the stdout of
   `validate`, the exit codes of `validate` and `run`, and the trace CSV
   plus sidecar that `run` writes.
+- `load_suite` on a saved quadratic and a saved Huber bundle: the loaded
+  data and `block_gradient` at seeded points; and an audited DIGing run
+  read back with `RunTrace.read`: its series, metadata and start norms, and
+  every field of `audit_small_gain`'s ledger on the constants the sidecar
+  holds.
 
 The first line names the `digrate` package that was imported.
 """
@@ -79,8 +84,8 @@ from pathlib import Path
 import numpy as np
 
 import digrate
-from digrate import algorithms, cli, graphs, harness, mixing, objectives
-from digrate.traces import AUDIT_SUFFIX, RunTrace
+from digrate import algorithms, cli, graphs, harness, mixing, objectives, rates
+from digrate.traces import AUDIT_SERIES, AUDIT_SUFFIX, RunTrace
 
 REPRODUCE_SEEDS = (0, 11)
 AUDIT_SEEDS = (0, 1, 11)
@@ -511,6 +516,42 @@ def reader_digests(work: Path):
         yield f"configs {label} trace.csv", digest(written(run_dir / "trace.csv"))
 
 
+def loader_digests(work: Path):
+    rng = np.random.default_rng(2022)
+    points = rng.normal(size=(3, 5, 3))
+    for label, suite in (
+            ("quadratic", objectives.quadratic_suite(rng.normal(size=(5, 3)),
+                                                     rng.uniform(0.5, 2.0, 5))),
+            ("huber", objectives.huber_regression_suite(
+                [rng.normal(size=(2, 3)) for _ in range(5)],
+                [rng.normal(size=2) for _ in range(5)], xi=0.7))):
+        objectives.save_suite(suite, work / f"load-{label}")
+        back = objectives.load_suite(work / f"load-{label}")
+        data = json.dumps(back.data, default=lambda a: np.asarray(a).tolist())
+        grads = b"".join(objectives.block_gradient(back, x).tobytes() for x in points)
+        yield f"load_suite {label}", digest(data.encode() + grads)
+    config = {"algorithm": "diging", "mixing": "metropolis", "alpha": 0.01,
+              "graph": {"type": "block-connected", "n": 5, "window": 2, "seed": 6},
+              "objective": {"family": "quadratic", "n": 5, "p": 3, "seed": 7},
+              "iterations": 300, "seed": 3, "output": "trace.csv",
+              "theory_audit": {"B": 3, "delta": "empirical", "lambda": "certified"}}
+    (work / "loader.json").write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["run", "--config", str(work / "loader.json"), "--out",
+                  str(work / "loader")])
+    trace = RunTrace.read(work / "loader" / "trace.csv")
+    series = b"".join(getattr(trace, name).tobytes()
+                      for name in AUDIT_SERIES)
+    yield "RunTrace.read audited run", digest(
+        series + json.dumps(trace.metadata, sort_keys=True).encode()
+        + f" {trace.xbar0_error!r} {trace.r0!r}".encode())
+    meta = dict(trace.metadata["theory_audit"])
+    lam = meta.pop("lambda")
+    meta.pop("lambda_source")
+    ledger = rates.audit_small_gain(trace, rates.TheoryParams(**meta), lam)
+    yield "audit ledger audited run", digest(repr(dataclasses.asdict(ledger)))
+
+
 def main() -> None:
     print(f"# digrate from {Path(digrate.__file__).parent}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -519,7 +560,8 @@ def main() -> None:
                      builder_digests(), generator_digests(), block_digests(),
                      sweep_static_digests(), edge_run_digests(work),
                      window_digests(), cycle_digests(), bounds_digests(work),
-                     gradient_digests(), reader_digests(work)):
+                     gradient_digests(), reader_digests(work),
+                     loader_digests(work)):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
