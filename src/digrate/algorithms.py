@@ -117,7 +117,7 @@ def step(method: Method, state: State, mat: MixingMatrix, suite: ObjectiveSuite,
     if method.push:
         u1 = w @ (state.u - alpha * d)
         v1 = w @ state.v
-        if np.any(v1 <= 0) or (v_floor is not None and v1.min() < v_floor):
+        if (v1 <= 0).any() or (v_floor is not None and v1.min() < v_floor):
             raise PushSumViolation(state.k + 1, v1, v_floor)
         x1 = u1 / v1[:, None]
     else:

@@ -308,7 +308,7 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
     At iteration k, link t (in row-major order) is kept when the t-th uniform
     draw of default_rng((seed, k)) is below `fraction`, so snapshots are
     random-access reproducible. They are drawn a block of `_BLOCK`
-    iterations at a time.
+    iterations at a time, the block's `(seed, k)` rows hashed in one pass.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
@@ -319,8 +319,8 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
         return replace(periodic_sequence([base], description=description), seed=seed)
 
     def draw(s: int, t: int) -> tuple[GraphSnapshot, ...]:
-        keep = np.array([np.random.default_rng((s, k)).uniform(size=len(rows))
-                         for k in range(t * _BLOCK, (t + 1) * _BLOCK)]) < fraction
+        rngs = _generators([(s, k) for k in range(t * _BLOCK, (t + 1) * _BLOCK)])
+        keep = np.array([rng.uniform(size=len(rows)) for rng in rngs]) < fraction
         slot, link = np.nonzero(keep)
         return _slices(base.kind, _adjacency((_BLOCK, base.n, base.n), base.kind,
                                              (slot, rows[link], cols[link])))
@@ -328,23 +328,42 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
     return GraphSequence(base.n, base.kind, _BLOCK, draw, seed, description=description)
 
 
-def _connected_edges(n: int, extra_edges: int, seed: int) -> tuple[np.ndarray, ...]:
-    """Zero-based (min, max) edge ends, in row-major order, of a random
-    spanning tree, each vertex (in random order) attached to a random earlier
-    one, plus `extra_edges` distinct random non-tree edges."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+def _graph_rows(seeds: list[int], extra_edges: int) -> list[tuple[int, ...]]:
+    """The generator rows `_connected_graphs` reads for `seeds`: (seed,) of
+    each seed, then (seed, 1) of each when there are extra edges to pick."""
+    return [(s,) for s in seeds] + ([(s, 1) for s in seeds] if extra_edges else [])
+
+
+def _connected_graphs(n: int, extra_edges: int,
+                      rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based (min, max) edge ends of one random connected graph per
+    seed, as (seeds, edges) arrays in row-major order per graph, from the
+    generators of `_graph_rows(seeds, extra_edges)`. default_rng(seed) draws
+    a spanning tree, each vertex (in random order) attached to a random
+    earlier one; default_rng((seed, 1)) picks `extra_edges` distinct random
+    non-tree edges."""
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    count = len(rngs) // 2 if extra_edges else len(rngs)
+    trees, pickers = rngs[:count], rngs[count:]
+    order = np.array([rng.permutation(n) for rng in trees]).reshape(count, n)
     # vertex order[idx] attaches to order[j], j drawn from 0 .. idx - 1
-    parents = order[rng.integers(0, np.arange(1, n))]
-    upper = np.zeros((n, n), dtype=bool)
-    upper[np.minimum(order[1:], parents), np.maximum(order[1:], parents)] = True
-    if extra_edges:
+    highs = np.arange(1, n)
+    j = np.array([rng.integers(0, highs) for rng in trees], dtype=np.intp)
+    parents = np.take_along_axis(order, j.reshape(count, n - 1), 1)
+    graph = np.arange(count)[:, None]
+    upper = np.zeros((count, n, n), dtype=bool)
+    upper[graph, np.minimum(order[:, 1:], parents), np.maximum(order[:, 1:], parents)] = True
+    free = n * (n - 1) // 2 - (n - 1)   # the non-tree edges of every graph
+    if extra_edges and free:
         # candidates: the non-tree edges (a, b), a < b, in row-major order
-        rows, cols = np.nonzero(np.triu(~upper, 1))
-        picked = np.random.default_rng((seed, 1)).choice(
-            len(rows), size=min(extra_edges, len(rows)), replace=False)
-        upper[rows[picked], cols[picked]] = True
-    return np.nonzero(upper)
+        _, rows, cols = np.nonzero(np.triu(~upper, 1))
+        picked = np.array([rng.choice(free, size=min(extra_edges, free), replace=False)
+                           for rng in pickers])
+        upper[graph, np.take_along_axis(rows.reshape(count, free), picked, 1),
+              np.take_along_axis(cols.reshape(count, free), picked, 1)] = True
+    _, rows, cols = np.nonzero(upper)
+    return rows.reshape(count, -1), cols.reshape(count, -1)
 
 
 def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
@@ -355,8 +374,9 @@ def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> GraphSnapshot:
     """Random spanning tree plus `extra_edges` distinct random non-tree edges."""
-    return GraphSnapshot(n, UNDIRECTED, _adjacency(
-        (n, n), UNDIRECTED, _connected_edges(n, extra_edges, seed)))
+    rows, cols = _connected_graphs(n, extra_edges,
+                                   _generators(_graph_rows([seed], extra_edges)))
+    return GraphSnapshot(n, UNDIRECTED, _adjacency((n, n), UNDIRECTED, (rows[0], cols[0])))
 
 
 def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapshot:
@@ -382,30 +402,152 @@ def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapsho
 def block_connected_sequence(n: int, b_tilde: int, seed: int,
                              extra_edges: int = 0) -> GraphSequence:
     """Random sequence that is jointly connected over every aligned window of
-    length b_tilde: per window w, the edges of a random connected graph
-    (seeded `_mix(seed, w)`) are scattered across the window's slots (drawn
-    from default_rng((seed, w, 2))). A drawn block holds
-    `_BLOCK // b_tilde` whole windows, or one window longer than `_BLOCK`."""
+    length b_tilde: per window w, the edges of a random connected graph,
+    seeded by the first word SeedSequence((seed, w)) generates, are
+    scattered across the window's slots (drawn from default_rng((seed, w,
+    2))). A drawn block holds `_BLOCK // b_tilde` whole windows, or one
+    window longer than `_BLOCK`. Its windows' (seed, w) rows are hashed in
+    one pass, and the rows of every generator it draws from in another."""
     if b_tilde < 1:
         raise ValueError("window length must be >= 1")
     per = max(1, _BLOCK // b_tilde)   # windows per block
 
     def draw(s: int, t: int) -> tuple[GraphSnapshot, ...]:
-        index = []
-        for i, w in enumerate(range(t * per, (t + 1) * per)):
-            rows, cols = _connected_edges(n, extra_edges, _mix(s, w))
-            slots = np.random.default_rng((s, w, 2)).integers(0, b_tilde, size=len(rows))
-            index.append((i * b_tilde + slots, rows, cols))
+        windows = range(t * per, (t + 1) * per)
+        graph_rows = _graph_rows(_seed_state([(s, w) for w in windows], 1)[:, 0].tolist(),
+                                 extra_edges)
+        # a one-iteration window puts every edge in its one slot
+        rngs = _generators(graph_rows + [(s, w, 2) for w in windows if b_tilde > 1])
+        rows, cols = _connected_graphs(n, extra_edges, rngs[:len(graph_rows)])
+        slots = np.zeros(rows.shape, dtype=np.intp)
+        if b_tilde > 1:
+            slots[:] = [rng.integers(0, b_tilde, size=rows.shape[1])
+                        for rng in rngs[len(graph_rows):]]
+        slots += b_tilde * np.arange(per)[:, None]
         return _slices(UNDIRECTED, _adjacency((per * b_tilde, n, n), UNDIRECTED,
-                                              tuple(map(np.concatenate, zip(*index)))))
+                                              (slots.ravel(), rows.ravel(), cols.ravel())))
 
     return GraphSequence(n, UNDIRECTED, per * b_tilde, draw, seed, b_tilde,
                          f"block-connected(n={n}, window={b_tilde})")
 
 
-def _mix(seed: int, w: int) -> int:
-    # distinct deterministic sub-seed per window
-    return int(np.random.SeedSequence((seed, w)).generate_state(1)[0])
+# SeedSequence's hash (numpy/random/bit_generator.pyx), in uint32 arithmetic
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK = 0xFFFFFFFF
+
+
+def _entropy(row: tuple[int, ...]) -> list[int]:
+    """The uint32 words SeedSequence reads from a tuple of integers: each
+    integer's words, least significant first, at least one per integer."""
+    words = []
+    for v in row:
+        if not isinstance(v, (int, np.integer)):
+            raise TypeError("seed must be integer")
+        v = int(v)
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(v & _MASK)
+        while v > _MASK:
+            v >>= 32
+            words.append(v & _MASK)
+    return words
+
+
+def _seed_state(rows: list[tuple[int, ...]], words: int) -> np.ndarray:
+    """`np.random.SeedSequence(row).generate_state(words)` of every row at
+    once, as a (len(rows), words) uint32 array. A row of at most `_POOL`
+    words hashes as if padded with zeros to the pool; longer rows are
+    hashed in groups of one length."""
+    if rows and max(map(len, rows)) <= _POOL:
+        table = np.array([row + (0,) * (_POOL - len(row)) for row in rows])
+        if table.dtype == np.int64 and table.min() >= 0 and table.max() <= _MASK:
+            # one word per integer, zero-padded to the pool
+            return _hash(table.T.astype(np.uint32), words)
+    entropy = [_entropy(row) for row in rows]
+    groups: dict[int, list[int]] = {}
+    for i, e in enumerate(entropy):
+        groups.setdefault(max(len(e), _POOL), []).append(i)
+    state = np.empty((len(rows), words), dtype=np.uint32)
+    for length, members in groups.items():
+        padded = [entropy[i] + [0] * (length - len(entropy[i])) for i in members]
+        state[members] = _hash(np.array(padded, dtype=np.uint32).T, words)
+    return state
+
+
+def _hash(entropy: np.ndarray, words: int) -> np.ndarray:
+    """SeedSequence's entropy mix and state generation over the columns of
+    an (l, r) uint32 array, l >= `_POOL`: r rows of l words each. The hash
+    steps that read one word run as one array operation, each with the
+    constant the sequential hash gives it."""
+    # every word takes _POOL hash steps, each with the next constant
+    consts = _constants(_INIT_A, _MULT_A, _POOL * len(entropy) + 1)
+    pool = _hashmix(entropy[:_POOL], consts[:_POOL, None], consts[1:_POOL + 1, None])
+    # mix all bits together so late bits can affect earlier ones: each word
+    # into each other word
+    at = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at:at + _POOL - 1, None],
+                                             consts[at + 1:at + _POOL, None]))
+        at += _POOL - 1
+    # the words past the pool, each into every pool word
+    for src in range(_POOL, len(entropy)):
+        pool = _mix(pool, _hashmix(entropy[src], consts[at:at + _POOL, None],
+                                   consts[at + 1:at + _POOL + 1, None]))
+        at += _POOL
+    consts = _constants(_INIT_B, _MULT_B, words + 1)
+    return _hashmix(pool[np.arange(words) % _POOL], consts[:-1, None], consts[1:, None]).T
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mul
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+@functools.cache
+def _constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first `count` values of a hash constant: init, then each times
+    `mult`, modulo 2**32."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK)
+    out = np.array(out, dtype=np.uint32)
+    out.flags.writeable = False   # one array for every caller
+    return out
+
+
+class _Hashed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state `_seed_state` already generated: it hands
+    PCG64 the four uint64 words it asks for."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words
+
+
+def _generators(rows: list[tuple[int, ...]]) -> list[np.random.Generator]:
+    """`np.random.default_rng(row)` for every row, bit for bit, from one hash
+    of all the rows."""
+    # generate_state(4, np.uint64) pairs the eight uint32 words little-endian
+    state = np.ascontiguousarray(_seed_state(rows, 2 * 4), dtype="<u4")
+    state = state.view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_Hashed(words))) for words in state]
 
 
 def snapshot_to_text(snap: GraphSnapshot) -> str:

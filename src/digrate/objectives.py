@@ -215,7 +215,10 @@ def huber_regression_suite(rows: list[np.ndarray], targets: list[np.ndarray],
         y_all = np.stack(ys)[:, :, None]
 
         def stacked(x):
-            r = np.clip(np.matmul(m_all, x[:, :, None]) - y_all, -xi, xi)
+            r = np.matmul(m_all, x[:, :, None]) - y_all
+            # np.clip in place, without its Python wrappers; NaN propagates
+            np.maximum(r, -xi, out=r)
+            np.minimum(r, xi, out=r)
             return np.matmul(m_all_t, r)[:, :, 0]
     return ObjectiveSuite(tuple(comps), family="huber",
                           data={"rows": mats, "targets": ys, "xi": xi},
@@ -289,7 +292,8 @@ def save_suite(suite: ObjectiveSuite, directory: str | Path) -> None:
 
 def load_suite(directory: str | Path) -> ObjectiveSuite:
     """The suite `save_suite` wrote; a malformed manifest or an unreadable
-    file is a ConfigError naming the file and the key."""
+    file is a ConfigError naming the file and the key, and a data file that
+    disagrees with the manifest's `n` a ValueError naming the file."""
     directory = Path(directory)
     path = directory / "manifest.json"
     get = ConfigBlock(decode_json(read_input(path, "manifest"), str(path)), str(path))
@@ -303,10 +307,24 @@ def load_suite(directory: str | Path) -> ObjectiveSuite:
         return matrix_from_csv(read_input(directory / name, name))
 
     if family == "quadratic":
-        return quadratic_suite(read("targets.csv"), read("curvatures.csv").reshape(-1))
+        targets = read("targets.csv")
+        if len(targets) != n:
+            raise ValueError(f"targets.csv holds {len(targets)} agents but "
+                             f"manifest.json gives n = {n}")
+        return quadratic_suite(targets, read("curvatures.csv").reshape(-1))
     if family == "huber":
         stacked = read("rows.csv")
+        if stacked.ndim != 2 or stacked.shape[1] < 3:
+            raise ValueError("rows.csv needs rows of an agent label, at least one "
+                             "regressor and a target")
+        labels = np.unique(stacked[:, 0])
+        if not np.array_equal(labels, np.arange(1, n + 1)):
+            raise ValueError(f"rows.csv labels {len(labels)} agents, "
+                             f"{labels[0]:g} to {labels[-1]:g}, but manifest.json "
+                             f"gives n = {n}: each of the agents 1..{n} needs a "
+                             f"row, and every row one of them")
         blocks = [stacked[stacked[:, 0] == i] for i in range(1, n + 1)]
         return huber_regression_suite([b[:, 1:-1] for b in blocks],
                                       [b[:, -1] for b in blocks], xi)
     raise ValueError(f"unknown suite family {family!r} in manifest")
+

@@ -90,9 +90,7 @@ class RunTrace:
                    **{name: list(map(float, getattr(self, name)))
                       for name in AUDIT_SERIES},
                    "xbar0_error": self.xbar0_error, "r0": self.r0}
-        # numpy arrays and scalars in the metadata are written as plain values
-        sidecar.write_text(json.dumps(payload, indent=1, default=lambda v: v.tolist())
-                           + "\n")
+        sidecar.write_text(_sidecar_json(payload))
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "RunTrace":
@@ -156,6 +154,24 @@ def _cells(values, blank_nan: bool):
     if blank_nan:
         return ("" if v != v else f"{v:.17g}" for v in values)
     return (f"{v:.17g}" for v in values)
+
+
+def _sidecar_json(payload: dict) -> str:
+    """`json.dumps(payload, indent=1)` plus a newline, byte for byte, with
+    numpy arrays and scalars in the metadata written as plain values. The
+    float series go through json's C encoder, which `indent` would turn off,
+    and are laid out one value a line as `indent` does."""
+    entries = []
+    for key, value in payload.items():
+        if key in AUDIT_SERIES:
+            text = "[]" if not value else (
+                "[\n  " + json.dumps(value)[1:-1].replace(", ", ",\n  ") + "\n ]")
+        else:
+            # one level deeper than its own top level
+            text = json.dumps(value, indent=1,
+                              default=lambda v: v.tolist()).replace("\n", "\n ")
+        entries.append(f" {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def _float_or_blank(cell: str) -> float:

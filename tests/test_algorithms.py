@@ -647,13 +647,13 @@ class TestMatrixReuse:
         seq_w = graphs.subsample_sequence(
             graphs.random_connected_graph(6, 4, seed=50), 0.5, 51)
         seq_c = harness.directed_view(seq_w)
-        real, keys = np.random.default_rng, []
+        real, keys = graphs._seed_state, []
 
-        def counted(seed=None):
-            keys.append(seed)
-            return real(seed)
+        def counted(rows, words):
+            keys.extend(rows)
+            return real(rows, words)
 
-        monkeypatch.setattr(np.random, "default_rng", counted)
+        monkeypatch.setattr(graphs, "_seed_state", counted)
         iterations = 2 * graphs._BLOCK
         alg.run(("diging", "push-diging"), (seq_w, seq_c),
                 (mixing.metropolis, mixing.out_degree_column), suite, 0.1,
@@ -672,19 +672,21 @@ class TestMatrixReuse:
         a = graphs.subsample_sequence(
             graphs.random_connected_graph(12, 8, seed=70), 0.5, 70)
         b = dataclasses.replace(a, seed=71)
-        real, keys = np.random.default_rng, []
+        real, keys = graphs._seed_state, []
 
-        def counted(seed=None):
-            keys.append(seed)
-            return real(seed)
+        def counted(rows, words):
+            keys.extend(rows)
+            return real(rows, words)
 
-        monkeypatch.setattr(np.random, "default_rng", counted)
+        monkeypatch.setattr(graphs, "_seed_state", counted)
         iterations = 4 * graphs._BLOCK
         alg.run(("diging", "diging"), (a, b), mixing.metropolis, suite, 0.1,
                 iterations, x0="random")
-        drawn = sorted(key for key in keys if isinstance(key, tuple))
-        assert drawn == sorted((s, k) for s in (70, 71)
-                               for k in range(iterations))
+        assert sorted(keys) == sorted((s, k) for s in (70, 71)
+                                      for k in range(iterations))
+        for seed in (70, 71):
+            assert [key for key in keys if key[0] == seed] == [
+                (seed, k) for k in range(iterations)]
 
 
 def oracle_series(trace, x_star):

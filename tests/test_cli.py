@@ -299,6 +299,36 @@ class TestMalformedBlocks:
         assert not (tmp_path / "trace.csv").exists()
 
 
+    @pytest.mark.parametrize("family,n,emptied,name", [
+        ("huber", 5, False, "rows.csv"), ("huber", 3, False, "rows.csv"),
+        ("huber", 4, True, "rows.csv"), ("quadratic", 5, False, "targets.csv"),
+        ("quadratic", 3, False, "targets.csv"), ("quadratic", 4, True, "targets.csv")],
+        ids=["huber-n-above", "huber-n-below", "huber-rows-empty",
+             "quadratic-n-above", "quadratic-n-below", "quadratic-targets-empty"])
+    def test_bundle_data_disagrees_with_manifest_n(self, tmp_path, capsys, monkeypatch,
+                                                   family, n, emptied, name):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        rng = np.random.default_rng(5)
+        suite = (objectives.quadratic_suite(rng.normal(size=(4, 2)), np.ones(4))
+                 if family == "quadratic" else objectives.huber_regression_suite(
+                     [rng.normal(size=(2, 2)) for _ in range(4)],
+                     [rng.normal(size=2) for _ in range(4)], xi=1.0))
+        bundle = tmp_path / "bundle"
+        objectives.save_suite(suite, bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        (bundle / "manifest.json").write_text(json.dumps({**manifest, "n": n}))
+        if emptied:
+            (bundle / name).write_text("")
+        config = write_config(tmp_path, graph={"type": "static-path", "n": n},
+                              objective={"family": "bundle", "path": str(bundle)})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_PARSE
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.count(f"error: objective: bundle {name}") == 2
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("family,name,cell", [
         ("quadratic", "targets.csv", -1), ("quadratic", "curvatures.csv", 0),
         ("huber", "rows.csv", 1), ("huber", "rows.csv", -1)],
@@ -622,13 +652,14 @@ class TestWindowDraws:
                                                     monkeypatch):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
         drawn = []
-        real = graphs._mix
+        real = graphs._seed_state
 
-        def counted(seed, w):
-            drawn.append((seed, w))
-            return real(seed, w)
+        def counted(rows, words):
+            # a window's (seed, w) row is hashed once for its sub-seed
+            drawn.extend(rows if words == 1 else [])
+            return real(rows, words)
 
-        monkeypatch.setattr(graphs, "_mix", counted)
+        monkeypatch.setattr(graphs, "_seed_state", counted)
         config = write_config(
             tmp_path,
             graph={"type": "block-connected", "n": 12, "window": 2, "seed": 0},

@@ -170,14 +170,17 @@ class TestJointConnectivity:
 
 class TestBlockConnected:
     def test_block_draws_its_graph_once(self, monkeypatch):
-        drawn = []
-        real = graphs._mix
+        # a window's (seed, w) row is hashed for its one-word sub-seed, its
+        # (seed, w, 2) row for the generator of its slots
+        drawn, slotted = [], []
+        real = graphs._seed_state
 
-        def counted(seed, w):
-            drawn.append((seed, w))
-            return real(seed, w)
+        def counted(rows, words):
+            drawn.extend(rows if words == 1 else [])
+            slotted.extend(row for row in rows if len(row) == 3)
+            return real(rows, words)
 
-        monkeypatch.setattr(graphs, "_mix", counted)
+        monkeypatch.setattr(graphs, "_seed_state", counted)
         seq = graphs.block_connected_sequence(6, 3, seed=41, extra_edges=2)
         windows = graphs._BLOCK // 3          # whole windows in one block
         span = windows * 3
@@ -196,6 +199,7 @@ class TestBlockConnected:
             np.arange(span, 2 * span)).tolist()
         assert all(seq.snapshot(k).block == (block, k - span) for k in later)
         assert len(drawn) == 2 * windows
+        assert slotted == [(41, w, 2) for w in range(2 * windows)]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     @pytest.mark.parametrize("b_tilde", [1, 2, 3, 5, 64, 65])
@@ -210,7 +214,8 @@ class TestBlockConnected:
         for k in np.random.default_rng(47).permutation(ks).tolist():
             snap = seq.snapshot(k)
             w, j = divmod(k, b_tilde)
-            graph = graphs.random_connected_graph(n, extra_edges, graphs._mix(seed, w))
+            sub = int(np.random.SeedSequence((seed, w)).generate_state(1)[0])
+            graph = graphs.random_connected_graph(n, extra_edges, sub)
             rows, cols = graphs._link_arrays(graph)
             slots = np.random.default_rng((seed, w, 2)).integers(
                 0, b_tilde, size=len(rows))
@@ -231,6 +236,111 @@ class TestBlockConnected:
         fresh = graphs.block_connected_sequence(7, 3, seed=42, extra_edges=3)
         assert [shuffled[k] for k in range(60)] == [fresh.snapshot(k)
                                                     for k in range(60)]
+
+
+def reference_connected(n, extra_edges, seed):
+    """A random connected graph drawn one seed at a time: default_rng(seed)
+    for the tree, default_rng((seed, 1)) for the extra edges."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    parents = order[rng.integers(0, np.arange(1, n))]
+    upper = np.zeros((n, n), dtype=bool)
+    upper[np.minimum(order[1:], parents), np.maximum(order[1:], parents)] = True
+    if extra_edges:
+        rows, cols = np.nonzero(np.triu(~upper, 1))
+        picked = np.random.default_rng((seed, 1)).choice(
+            len(rows), size=min(extra_edges, len(rows)), replace=False)
+        upper[rows[picked], cols[picked]] = True
+    return np.nonzero(upper)
+
+
+def reference_block(n, b_tilde, seed, extra_edges, t):
+    """Block t of a block-connected sequence drawn window by window, each
+    window with its own default_rng calls."""
+    per = max(1, graphs._BLOCK // b_tilde)
+    adj = np.zeros((per * b_tilde, n, n), dtype=bool)
+    for i, w in enumerate(range(t * per, (t + 1) * per)):
+        sub = int(np.random.SeedSequence((seed, w)).generate_state(1)[0])
+        rows, cols = reference_connected(n, extra_edges, sub)
+        slots = i * b_tilde + np.random.default_rng((seed, w, 2)).integers(
+            0, b_tilde, size=len(rows))
+        adj[slots, rows, cols] = adj[slots, cols, rows] = True
+    return adj
+
+
+class TestSeedHash:
+    """A block's seeds are hashed in one pass; every generator it builds
+    equals default_rng of its row, so no draw differs from one seeded
+    alone."""
+
+    SEEDS = (0, 2**32 - 1, 2**32, 2**63)
+
+    def rows(self, rng, count, length):
+        """`count` rows of `length` integers, each a named seed or a
+        random one of up to 64 bits."""
+        picks = rng.integers(0, len(self.SEEDS) + 1, size=(count, length))
+        draws = rng.integers(0, 2**63, size=(count, length), dtype=np.uint64)
+        return [tuple(self.SEEDS[p] if p < len(self.SEEDS) else int(d)
+                      for p, d in zip(pr, dr)) for pr, dr in zip(picks, draws)]
+
+    @pytest.mark.parametrize("words", [1, 2, 8, 9])
+    def test_hash_equals_seed_sequence(self, words):
+        rng = np.random.default_rng(100 + words)
+        small = [tuple(int(v) for v in row) for row in
+                 rng.integers(0, 2**32, size=(500, 3))]
+        batches = [self.rows(rng, 400, length) for length in range(1, 7)]
+        batches.append(small)
+        # rows of 1 to 12 words, mixed in one call
+        batches.append([row for batch in batches for row in batch[:80]])
+        for rows in batches:
+            want = np.array([np.random.SeedSequence(row).generate_state(words)
+                             for row in rows])
+            assert np.array_equal(graphs._seed_state(rows, words), want)
+
+    def test_generators_equal_default_rng(self):
+        rows = self.rows(np.random.default_rng(110), 60, 2) + [(3,), (0, 1, 2, 3, 4)]
+        for rng, row in zip(graphs._generators(rows), rows):
+            assert rng.bit_generator.state == np.random.default_rng(row).bit_generator.state
+
+    @pytest.mark.parametrize("b_tilde", [1, 2, 3, 70])
+    @pytest.mark.parametrize("extra_edges", [0, 2, 50])
+    @pytest.mark.parametrize("seed", [5, 2**32 + 7, 2**64 + 3])
+    def test_block_equals_per_window_draws(self, b_tilde, extra_edges, seed):
+        # n = 9 leaves 28 non-tree edges, fewer than 50
+        seq = graphs.block_connected_sequence(9, b_tilde, seed, extra_edges)
+        for t in range(2):
+            block = seq.snapshots(t)[0].block[0]
+            assert block.adj.tobytes() == reference_block(
+                9, b_tilde, seed, extra_edges, t).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 7, 2**64 + 3])
+    def test_single_graphs_equal_reference(self, seed):
+        for n, extra_edges in [(1, 0), (2, 3), (7, 0), (7, 4), (9, 50)]:
+            rows, cols = reference_connected(n, extra_edges, seed)
+            want = graphs.undirected(n, zip((rows + 1).tolist(), (cols + 1).tolist()))
+            assert graphs.random_connected_graph(n, extra_edges, seed) == want
+
+    @pytest.mark.parametrize("seed", [9, 2**32 + 9])
+    def test_subsample_equals_reference(self, seed):
+        base = subsample_base(graphs.UNDIRECTED)
+        links = sorted(base.links)
+        seq = graphs.subsample_sequence(base, 0.4, seed)
+        for k in (0, 63, 64, 130):
+            keep = np.random.default_rng((seed, k)).uniform(size=len(links))
+            assert sorted(seq.snapshot(k).links) == [
+                link for link, u in zip(links, keep) if u < 0.4]
+
+    def test_negative_seed_rejected_as_seed_sequence_rejects_it(self):
+        with pytest.raises(ValueError) as expected:
+            np.random.SeedSequence((-1, 0))
+        base = subsample_base(graphs.UNDIRECTED)
+        for draw in (lambda: graphs.block_connected_sequence(6, 2, -1).snapshot(0),
+                     lambda: graphs.subsample_sequence(base, 0.5, -1).snapshot(0),
+                     lambda: graphs.random_connected_graph(6, 2, -3),
+                     lambda: graphs._seed_state([(1, 2), (3, -4, 5)], 1)):
+            with pytest.raises(ValueError) as got:
+                draw()
+            assert str(got.value) == str(expected.value)
 
 
 class TestRandomDigraph:

@@ -115,6 +115,35 @@ class TestTraceRoundTrip:
         assert np.array_equal(back.z_norm, trace.z_norm)
         assert back.r0 == trace.r0
 
+    @pytest.mark.parametrize("metadata", [
+        {},
+        {"algorithm": "diging", "alpha": np.float64(0.3), "n": np.int64(12),
+         "x_star": np.arange(3.0), "nested": {"a": [1, {"b": np.zeros((2, 2))}],
+                                              "empty": [], "none": {}}},
+        # strings that look like a laid-out series or the sidecar's own keys
+        {"note": '[\n  1.0,\n  NaN\n ]', "q_norm": [1.0, 2.0], "key, with": "a, b",
+         "text": "line\nbreak \u00e9"},
+    ], ids=["empty", "numpy-values", "series-like-strings"])
+    def test_sidecar_bytes_equal_indented_dumps(self, tmp_path, metadata):
+        tiny = 5e-324
+        special = [float("nan"), float("inf"), -float("inf"), tiny, -tiny,
+                   2.2250738585072014e-308, -0.0, 0.0, 1e300, 0.1, 1 / 3]
+        for series in (special, [], [2.0]):
+            n = len(series)
+            trace = synthetic_trace(np.ones(n))
+            trace.metadata = metadata
+            trace.q_norm, trace.z_norm = np.array(series), np.array(series[::-1])
+            trace.grad_norm = np.array(series) * 2
+            trace.xbar0_error, trace.r0 = np.float64(0.25), None
+            path = tmp_path / "run.csv"
+            trace.write(path)
+            payload = {"metadata": metadata,
+                       **{name: list(map(float, getattr(trace, name)))
+                          for name in ("q_norm", "z_norm", "grad_norm")},
+                       "xbar0_error": trace.xbar0_error, "r0": trace.r0}
+            want = json.dumps(payload, indent=1, default=lambda v: v.tolist()) + "\n"
+            assert (tmp_path / "run.csv.audit.json").read_text() == want
+
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             RunTrace.from_csv("a,b\n1,2\n")
