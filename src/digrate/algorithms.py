@@ -5,7 +5,9 @@ centralized inexact gradient method `run_igd` is one loop beside it. Both
 evaluate every gradient through `block_gradient`.
 
 Every step is a pure function from explicit state to the next state; no
-randomness lives inside a step, so runs replay bit-for-bit.
+randomness lives inside a step, so runs replay bit-for-bit. `run` calls a
+method's step once per chunk of iterations, on the matrices its sequence
+serves for the chunk.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import DIRECTED, GraphSequence
-from .mixing import COLUMN, DOUBLY, MixingMatrix
+from .graphs import DIRECTED, DrawnBlock, GraphSequence
+from .mixing import COLUMN, DOUBLY, MixingMatrix, StochasticityReport
 from .objectives import ObjectiveSuite, block_gradient, solve_reference
 from .traces import AUDIT_SERIES, SERIES, RunTrace
 
@@ -79,7 +81,10 @@ def require_certificate(method: Method, mat: MixingMatrix) -> None:
     """Raise CertificateError unless `mat` carries a passing certificate in a
     mode `method` steps on: column or doubly stochastic under push-sum,
     doubly otherwise. `step` and a config's validation both apply it."""
-    cert = mat.certificate
+    _require(method, mat.certificate)
+
+
+def _require(method: Method, cert) -> None:
     if cert is None or not cert.ok:
         raise CertificateError("mixing matrix carries no valid stochasticity "
                                "certificate")
@@ -87,6 +92,48 @@ def require_certificate(method: Method, mat: MixingMatrix) -> None:
     if cert.mode not in modes:
         raise CertificateError(f"need a {' or '.join(modes)} stochastic matrix, "
                                f"got {cert.mode}")
+
+
+class Mixers:
+    """The mixing matrices of consecutive iterations, for one `step` call:
+    `weights[j]` is the entries of the j-th, and `certificates` holds the
+    report that decides each run of them, a matrix repeated or consecutive
+    slices of one build."""
+
+    __slots__ = ("weights", "certificates", "runs")
+
+    def __init__(self):
+        self.weights: list[np.ndarray] = []
+        self.certificates: list[StochasticityReport | None] = []
+        self.runs: list[tuple] = []   # (matrix, count) or (matrix, drawn, lo, hi)
+
+    def repeat(self, mat: MixingMatrix) -> None:
+        """`mat` on the next iteration."""
+        self.weights.append(mat.entries)
+        if self.runs and self.runs[-1][0] is mat and len(self.runs[-1]) == 2:
+            self.runs[-1] = (mat, self.runs[-1][1] + 1)
+        else:
+            self.certificates.append(mat.certificate)
+            self.runs.append((mat, 1))
+
+    def slices(self, mat: MixingMatrix, drawn: DrawnBlock, lo: int, hi: int) -> None:
+        """Slices lo .. hi - 1 of the build `mat` is a slice of, whose
+        snapshots `drawn` serves, on the next hi - lo iterations."""
+        stack, certificates = mat.source[0]
+        self.weights += list(stack[lo:hi])
+        self.certificates.append(certificates.decisive(lo, hi))
+        self.runs.append((mat, drawn, lo, hi))
+
+    def matrices(self) -> list[MixingMatrix]:
+        """One MixingMatrix per iteration, as its rule gives it."""
+        out = []
+        for mat, *run in self.runs:
+            if len(run) == 1:
+                out += [mat] * run[0]
+            else:
+                drawn, lo, hi = run
+                out += [mat.sibling(i, drawn[i]) for i in range(lo, hi)]
+        return out
 
 
 def init(suite: ObjectiveSuite, x0: np.ndarray) -> State:
@@ -97,9 +144,11 @@ def init(suite: ObjectiveSuite, x0: np.ndarray) -> State:
     return State(0, x0.copy(), np.ones(suite.n), x0.copy(), g.copy(), g)
 
 
-def step(method: Method, state: State, mat: MixingMatrix, suite: ObjectiveSuite,
-         alpha: float, v_floor: float | None = None) -> State:
-    """One iteration of `method`.
+def step(method: Method, state: State, mat: MixingMatrix | Mixers,
+         suite: ObjectiveSuite, alpha: float | list[float],
+         v_floor: float | None = None):
+    """One iteration of `method` on one matrix, or one per matrix of
+    `Mixers`, each with its step size when `alpha` is a list.
 
     The local step descends along the tracker, or along the raw gradient
     without tracking. Mixing follows the local step under push-sum or
@@ -107,33 +156,54 @@ def step(method: Method, state: State, mat: MixingMatrix, suite: ObjectiveSuite,
     weights and reads out x = u / v, undoing the uneven mass distribution
     of column stochastic mixing; a nonpositive (or under-floor) weight is
     fatal by design. The tracker then adds the newest gradient difference,
-    mixed after it under adapt-then-combine.
+    mixed after it under adapt-then-combine. One matrix gives the next
+    State or raises PushSumViolation. `Mixers` give (iterates, violation):
+    the (u, v, x, y, grad) of each iteration taken, and the violation that
+    ended them early, or None.
     """
-    require_certificate(method, mat)
-    if method.tracking and alpha <= 0:
+    single = not isinstance(mat, Mixers)
+    chunk = mat
+    if single:
+        chunk = Mixers()
+        chunk.repeat(mat)
+    for cert in chunk.certificates:
+        _require(method, cert)
+    alphas = alpha if isinstance(alpha, list) else [alpha] * len(chunk.weights)
+    if method.tracking and min(alphas, default=1.0) <= 0:
         raise ValueError("step size must be positive")
-    w = mat.entries
-    d = state.y if method.tracking else state.grad
-    if method.push:
-        u1 = w @ (state.u - alpha * d)
-        v1 = w @ state.v
-        if (v1 <= 0).any() or (v_floor is not None and v1.min() < v_floor):
-            raise PushSumViolation(state.k + 1, v1, v_floor)
-        x1 = u1 / v1[:, None]
-    else:
-        x1 = w @ (state.x - alpha * d) if method.atc else w @ state.x - alpha * d
-        u1, v1 = x1, state.v
-    g1 = block_gradient(suite, x1)
-    if not method.tracking:
-        y1 = g1
-    elif method.atc:
-        y1 = w @ (state.y + g1 - state.grad)
-    else:
-        y1 = w @ state.y + g1 - state.grad
-    return State(state.k + 1, u1, v1, x1, y1, g1)
+    tracking, push, atc = method.tracking, method.push, method.atc
+    gradient = block_gradient
+    k, u, v, x, y, g = state.k, state.u, state.v, state.x, state.y, state.grad
+    iterates, violation = [], None
+    for w, a in zip(chunk.weights, alphas):
+        d = y if tracking else g
+        if push:
+            u1 = w @ (u - a * d)
+            v1 = w @ v
+            if (v1 <= 0).any() or (v_floor is not None and v1.min() < v_floor):
+                violation = PushSumViolation(k + 1, v1, v_floor)
+                break
+            x1 = u1 / v1[:, None]
+        else:
+            x1 = w @ (x - a * d) if atc else w @ x - a * d
+            u1, v1 = x1, v
+        g1 = gradient(suite, x1)
+        if not tracking:
+            y1 = g1
+        elif atc:
+            y1 = w @ (y + g1 - g)
+        else:
+            y1 = w @ y + g1 - g
+        k, u, v, x, y, g = k + 1, u1, v1, x1, y1, g1
+        iterates.append((u, v, x, y, g))
+    if not single:
+        return iterates, violation
+    if violation is not None:
+        raise violation
+    return State(k, u, v, x, y, g)
 
 
-# one preset per method; `run` reaches every iteration through these names
+# one preset per method; `run` reaches every member's steps through these names
 diging_step = partial(step, METHODS["diging"])
 diging_atc_step = partial(step, METHODS["diging-atc"])
 push_diging_step = partial(step, METHODS["push-diging"])
@@ -222,13 +292,6 @@ def equivalent_recursion_check(states: list[State],
     return EquivalentRecursionReport(max_dev, max_row)
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """np.linalg.norm(a) without its argument handling: the same ddot over
-    the raveled block, then the square root."""
-    a = a.ravel(order="K")
-    return math.sqrt(a.dot(a))
-
-
 def input_problems(algorithm: str, seq: GraphSequence, suite: ObjectiveSuite,
                    schedule: bool = False) -> list[str]:
     """One message per rule that a method and its inputs break: unknown tag,
@@ -255,28 +318,24 @@ def input_problems(algorithm: str, seq: GraphSequence, suite: ObjectiveSuite,
 # a member's row buffer: row i holds one series, column k iteration k; the
 # last two are filled only for a run that records audit series
 _SERIES = SERIES + AUDIT_SERIES
-# states a member holds before it fills their batched series
+# iterations each member steps per call of its preset
 _CHUNK = 64
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """`_frobenius` of each block a[c]: a 1 x m @ m x 1 matmul slice runs the
-    same ddot over the raveled block."""
+    """np.linalg.norm of each block a[c], bit for bit: a 1 x m @ m x 1 matmul
+    slice runs the same ddot over the raveled block."""
     c = len(a)
     return np.sqrt(np.matmul(a.reshape(c, 1, -1), a.reshape(c, -1, 1))).ravel()
 
 
 class _Member:
     """One run of a lockstep call: its method, step size, sequence, rule and
-    state, and its metrics written into a buffer preallocated for every
-    iteration.
-
-    The residual is recorded on every iteration, since the first non-finite
-    one ends the run. The other series are filled by `flush` from the states
-    held since the last flush, a few stacked numpy calls per `_CHUNK`
-    iterations, each value bit-equal to np.linalg.norm and
-    consensus_violation on its own state.
-    """
+    last state, and its metrics written into a buffer preallocated for every
+    iteration. It steps a chunk of iterations per call of its method's
+    preset and records every series of the chunk at once, each value
+    bit-equal to np.linalg.norm and consensus_violation on its own state;
+    the first non-finite residual ends the run there."""
 
     def __init__(self, algorithm: str, alpha: float, seq: GraphSequence, rule,
                  suite: ObjectiveSuite, x0: np.ndarray, x_star: np.ndarray,
@@ -286,7 +345,7 @@ class _Member:
         self.rule = rule
         self.method = METHODS[algorithm]
         # looked up per `run` call, so a rebound module name takes effect
-        self.advance = globals()[algorithm.replace("-", "_") + "_step"]
+        self.preset = globals()[algorithm.replace("-", "_") + "_step"]
         self.alpha = alpha
         self.x_star = x_star
         self.r0 = r0
@@ -296,69 +355,70 @@ class _Member:
             self.rows[2:4] = float("nan")   # cons_viol_y, conservation_err
         if not self.method.push:
             self.rows[4] = float("nan")     # v_min
-        self.held: list[State] = []
-        self.last_grad = None   # gradient of the state before the held ones
         self.terminated = None
-        self.state = init(suite, x0)
-        self.states = [self.state] if record_states else None
+        st = self.state = init(suite, x0)
+        self.states = [st] if record_states else None
         self.mixers = [] if record_states else None
-        self.residual = self.record(self.state)
+        self.record(0, [(st.u, st.v, st.x, st.y, st.grad)], None)
 
-    def record(self, st: State) -> float:
-        """Write the residual and the raw distance to x* of one state, hold
-        the state for the next flush, and return the residual."""
-        q = _frobenius(st.x - self.x_star)
-        residual = q / self.r0 if self.r0 > 0 else q
-        self.rows[0, st.k] = residual
-        self.rows[5, st.k] = q
-        self.held.append(st)
-        if len(self.held) == _CHUNK:
-            self.flush()
-        return residual
-
-    def flush(self) -> None:
-        """Fill the batched series of the held states and drop them."""
-        held, self.held = self.held, []
-        if not held:
-            return
+    def record(self, k0: int, iterates: list[tuple], before: np.ndarray | None) -> int:
+        """Write every series of the (u, v, x, y, grad) iterates k0, k0 + 1,
+        ... up to the first with a non-finite residual, and return how many
+        were written. `before` is the gradient of iterate k0 - 1, None for
+        k0 = 0."""
         method, rows = self.method, self.rows
-        cols = slice(held[0].k, held[-1].k + 1)
-        x = np.array([st.x for st in held])
+        _, vs, xs, ys, gs = zip(*iterates)
+        x = np.array(xs)
+        q = _norms(x - self.x_star)
+        residual = q / self.r0 if self.r0 > 0 else q
+        bad = np.flatnonzero(~np.isfinite(residual))
+        count = int(bad[0]) + 1 if bad.size else len(x)
+        cols = slice(k0, k0 + count)
+        rows[0, cols], rows[5, cols] = residual[:count], q[:count]
+        self.residual = float(residual[count - 1])
+        x = x[:count]
         n = x.shape[1]
         rows[1, cols] = _norms(x - x.sum(axis=1, keepdims=True) / n)
         if method.push:
-            v = np.array([st.v for st in held])
+            v = np.array(vs[:count])
             rows[4, cols] = v.min(axis=1)
         if method.tracking or self.audit:
-            g = np.array([st.grad for st in held])
+            g = np.array(gs[:count])
         if method.tracking:
-            y = np.array([st.y for st in held])
+            y = np.array(ys[:count])
             y_read = y / v[:, :, None] if method.push else y
             rows[2, cols] = _norms(y_read - y_read.sum(axis=1, keepdims=True) / n)
             rows[3, cols] = _norms(y.sum(axis=1) - g.sum(axis=1))
         if self.audit:
-            first = held[0].grad if self.last_grad is None else self.last_grad
-            rows[6, cols] = _norms(np.diff(g, axis=0, prepend=first[None]))
-            if self.last_grad is None:
-                rows[6, 0] = 0.0   # z(0) = 0
+            first = g[:1] if before is None else before[None]
+            rows[6, cols] = _norms(np.diff(g, axis=0, prepend=first))
+            rows[6, 0] = 0.0   # z(0) = 0
             rows[7, cols] = _norms(g)
-            self.last_grad = held[-1].grad
+        return count
 
-    def step(self, k: int, mat: MixingMatrix, suite: ObjectiveSuite,
-             v_floor: float | None) -> bool:
-        """Advance one iteration and record it; False once the run has ended
-        on a push-sum violation or a non-finite residual."""
-        a_k = self.alpha / math.sqrt(k + 1) if self.method.diminishing else self.alpha
-        try:
-            self.state = self.advance(self.state, mat, suite, a_k, v_floor=v_floor)
-        except PushSumViolation as exc:
-            self.terminated = str(exc)
+    def advance(self, k0: int, mixers: Mixers, suite: ObjectiveSuite,
+                v_floor: float | None) -> bool:
+        """Step iterations k0, k0 + 1, ... on `mixers` and record them; False
+        once the run has ended on a non-finite residual or a push-sum
+        violation, whichever came first."""
+        count = len(mixers.weights)
+        alpha = ([self.alpha / math.sqrt(k + 1) for k in range(k0, k0 + count)]
+                 if self.method.diminishing else self.alpha)
+        iterates, violation = self.preset(self.state, mixers, suite, alpha,
+                                          v_floor=v_floor)
+        kept = self.record(k0 + 1, iterates, self.state.grad) if iterates else 0
+        if kept:
+            # a State for the last iterate kept, or for each under record_states
+            first = 0 if self.states is not None else kept - 1
+            states = [State(k0 + 1 + j, *iterates[j]) for j in range(first, kept)]
+            self.state = states[-1]
+            if self.states is not None:
+                self.states += states
+                self.mixers += mixers.matrices()[:kept]
+        if not math.isfinite(self.residual):
             return False
-        if self.states is not None:
-            self.states.append(self.state)
-            self.mixers.append(mat)
-        self.residual = self.record(self.state)
-        return math.isfinite(self.residual)
+        self.terminated = violation and str(violation)
+        return violation is None
 
 
 def _lockstep_members(**values) -> list[tuple]:
@@ -375,12 +435,64 @@ def _lockstep_members(**values) -> list[tuple]:
                       for v in values.values())))
 
 
-def _schedule(live: list[_Member]) -> dict:
-    """{sequence: {rule: members}} of the live members, in member order."""
+class _Group:
+    """The live members on one sequence and rule, the rule's last matrix and
+    the snapshot it was last asked about, and the chunk being served."""
+
+    __slots__ = ("rule", "members", "mat", "snap", "mixers")
+
+    def __init__(self, rule):
+        self.rule, self.members, self.mat, self.snap = rule, [], None, None
+
+    def serve(self, snaps, lo: int, hi: int) -> None:
+        """Iterations on snapshots lo .. hi - 1 of a block. A drawn block's
+        rule is asked at the first slice served; when its matrix is a slice
+        of the block's build, that build serves every slice. Otherwise the
+        rule is asked again only when the snapshot changes."""
+        if isinstance(snaps, DrawnBlock):
+            if not self.built_on(snaps.block):
+                self.mat, self.snap = self.rule(snaps[lo]), snaps[lo]
+            if self.built_on(snaps.block):
+                self.mixers.slices(self.mat, snaps, lo, hi)
+                return
+        for i in range(lo, hi):
+            snap = snaps[i]
+            if snap is not self.snap and snap != self.snap:
+                self.mat = self.rule(snap)
+            self.snap = snap
+            self.mixers.repeat(self.mat)
+
+    def built_on(self, block) -> bool:
+        """Whether the last matrix is a slice of `block`'s build."""
+        mat = self.mat
+        return (mat is not None and mat.source is not None
+                and block.built.get(mat.rule) is mat.source[0])
+
+
+def _plan(members: list[_Member]) -> list[tuple[GraphSequence, list[_Group]]]:
+    """The members grouped by sequence, then by rule, in member order."""
     plan: dict = {}
-    for m in live:
-        plan.setdefault(m.seq, {}).setdefault(m.rule, []).append(m)
-    return plan
+    for m in members:
+        groups = plan.setdefault(m.seq, {})
+        if m.rule not in groups:
+            groups[m.rule] = _Group(m.rule)
+        groups[m.rule].members.append(m)
+    return [(seq, list(groups.values())) for seq, groups in plan.items()]
+
+
+def _serve(seq: GraphSequence, groups: list[_Group], k0: int, k1: int) -> None:
+    """Fill each group's mixers for iterations k0 .. k1 - 1, reading the
+    snapshot at the first iteration of each block's segment."""
+    for group in groups:
+        group.mixers = Mixers()
+    k = k0
+    while k < k1:
+        seq.snapshot(k)   # draws block t unless it is kept
+        t, i = divmod(k, seq.size)
+        snaps, hi = seq.snapshots(t), min(seq.size, i + k1 - k)
+        for group in groups:
+            group.serve(snaps, i, hi)
+        k += hi - i
 
 
 def run(algorithm: str | tuple[str, ...],
@@ -397,11 +509,13 @@ def run(algorithm: str | tuple[str, ...],
     scale a of alpha_k = a / sqrt(k+1). `algorithm`, `seq`, `rule` and
     `alpha` may each be a tuple (of equal length when several are): one
     member runs per entry and a tuple of traces comes back, each equal to
-    that member's own `run`. Every member shares the other inputs. Each
-    iteration draws the snapshot of every distinct sequence once and, when
-    it differs from the previous iteration's, builds its matrix once per
-    distinct rule on it; every live member then advances on its matrix.
-    `input_problems` lists what `run` rejects with a ValueError.
+    that member's own `run`. Every member shares the other inputs. The run
+    goes `_CHUNK` iterations at a time: each distinct sequence serves the
+    chunk's matrices once per distinct rule on it, and every live member
+    then steps the chunk in one call of its method's preset. A drawn
+    block's rule is asked once and its other slices read from that build;
+    on any other block a rule is asked again only when the snapshot
+    changes. `input_problems` lists what `run` rejects with a ValueError.
     `rule` maps a snapshot to a MixingMatrix. `v_floor` is the fatal lower
     bound on push-sum weights; methods without push ignore it.
     When `x0` is None the run starts from zeros; the string "random" draws a
@@ -436,37 +550,25 @@ def run(algorithm: str | tuple[str, ...],
     x_star = np.asarray(x_star, dtype=float).reshape(p)
 
     r0 = float(np.linalg.norm(x0 - x_star[None, :]))
-    members = [_Member(algo, a, member_seq, member_rule, suite, x0, x_star, r0,
-                       iterations, record_states, record_audit)
-               for algo, a, member_seq, member_rule in entries]
-    live = [m for m in members if math.isfinite(m.residual)]
-    plan = _schedule(live)
-    snaps: dict = {}    # sequence -> its last snapshot
-    mats: dict = {}     # (sequence, rule) -> the matrix of that snapshot
     # a diverging run overflows on its way to the first non-finite residual,
     # where that member stops and says so
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iterations):
-            if not plan:
-                break
+        members = [_Member(algo, a, member_seq, member_rule, suite, x0, x_star, r0,
+                           iterations, record_states, record_audit)
+                   for algo, a, member_seq, member_rule in entries]
+        plan = _plan([m for m in members if math.isfinite(m.residual)])
+        for k0 in range(0, iterations, _CHUNK):
             ended = []
-            for member_seq, by_rule in plan.items():
-                current, last = member_seq.snapshot(k), snaps.get(member_seq)
-                # a rule is a function of the snapshot: rebuild only on a change
-                changed = current is not last and current != last
-                snaps[member_seq] = current
-                for member_rule, group in by_rule.items():
-                    if changed:
-                        mats[member_seq, member_rule] = member_rule(current)
-                    mat = mats[member_seq, member_rule]
-                    ended += [m for m in group
-                              if not m.step(k, mat, suite, v_floor)]
-            if ended:
-                live = [m for m in live if m not in ended]
-                plan = _schedule(live)
-        # inside the errstate block: a diverging member's held states overflow
-        for m in members:
-            m.flush()
+            for member_seq, groups in plan:
+                _serve(member_seq, groups, k0, min(k0 + _CHUNK, iterations))
+                ended += [m for group in groups for m in group.members
+                          if not m.advance(k0, group.mixers, suite, v_floor)]
+            if ended:   # the groups left keep their last matrices
+                for _, groups in plan:
+                    for group in groups:
+                        group.members = [m for m in group.members if m not in ended]
+                plan = [(s, left) for s, gs in plan
+                        if (left := [g for g in gs if g.members])]
 
     traces = []
     for m in members:

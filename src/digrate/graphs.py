@@ -5,10 +5,11 @@ boolean adjacency matrix, changes. A sequence is a pure function of
 (iteration, seed), served one way: `GraphSequence` draws a block of
 consecutive snapshots on its first touch and keeps it. A static or periodic
 sequence's block is the given snapshots; a subsample or block-connected
-sequence's block is the slices of one `GraphBlock`, a read-only stack of
-adjacency matrices that the mixing rules build and certify as a whole; a
-directed view's block is the directed twins of its base's block. A snapshot
-built on its own is the one slice of a block of its own.
+sequence's block is one `GraphBlock`, a read-only stack of adjacency
+matrices that the mixing rules build and certify as a whole, whose slices
+are made into snapshots on their first read; a directed view's block is the
+directed twin of its base's block. A snapshot built on its own is the one
+slice of a block of its own.
 """
 
 from __future__ import annotations
@@ -190,19 +191,43 @@ def _reaches_all(adj: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+class DrawnBlock:
+    """The snapshots of a drawn `GraphBlock`, slice i serving iteration i of
+    its sequence block. Each is made on its first read and kept, so a read
+    of the same slice gives the same object."""
+
+    __slots__ = ("block", "_snaps")
+
+    def __init__(self, block: GraphBlock):
+        self.block = block
+        self._snaps: list[GraphSnapshot | None] = [None] * len(block.adj)
+
+    def __len__(self) -> int:
+        return len(self._snaps)
+
+    def __getitem__(self, i: int) -> GraphSnapshot:
+        snap = self._snaps[i]
+        if snap is None:
+            i %= len(self._snaps)
+            snap = self._snaps[i] = GraphSnapshot(self.block.adj.shape[1], self.block.kind,
+                                                  block=(self.block, i))
+        return snap
+
+
 @dataclass(frozen=True)
 class GraphSequence:
     """Seeded map from iteration index k to a graph snapshot. Block t,
-    iterations t * size .. t * size + size - 1, is the snapshots
-    draw(seed, t), checked to be `size` snapshots of the sequence's n and
-    kind. The draw must be pure: the same (seed, t) always yields the same
-    snapshots, in this process or any other. The sequence keeps the last
-    block it drew; a `dataclasses.replace` copy keeps its own."""
+    iterations t * size .. t * size + size - 1, is draw(seed, t): `size`
+    snapshots of the sequence's n and kind, or a `GraphBlock` of `size`
+    slices, served as a `DrawnBlock`; either is checked once. The draw must
+    be pure: the same (seed, t) always yields the same snapshots, in this
+    process or any other. The sequence keeps the last block it drew; a
+    `dataclasses.replace` copy keeps its own."""
 
     n: int
     kind: str
     size: int
-    draw: Callable[[int, int], tuple[GraphSnapshot, ...]]
+    draw: Callable[[int, int], tuple[GraphSnapshot, ...] | GraphBlock]
     seed: int = 0
     declared_B: int | None = None
     description: str = ""
@@ -215,18 +240,22 @@ class GraphSequence:
         t, i = divmod(k, self.size)
         return self.snapshots(t)[i]
 
-    def snapshots(self, t: int) -> tuple[GraphSnapshot, ...]:
+    def snapshots(self, t: int) -> tuple[GraphSnapshot, ...] | DrawnBlock:
         """The snapshots of block t. A draw that returns the tuple already
         kept (a periodic sequence's one block) is not checked again."""
         snaps = self.kept.get(t)
         if snaps is None:
-            drawn = self.draw(self.seed, t)
-            if drawn is not next(iter(self.kept.values()), None):
+            drawn, bad = self.draw(self.seed, t), False
+            if isinstance(drawn, GraphBlock):
+                bad = drawn.adj.shape[:2] != (self.size, self.n) or drawn.kind != self.kind
+                drawn = DrawnBlock(drawn)
+            elif drawn is not next(iter(self.kept.values()), None):
                 drawn = tuple(drawn)
-                if len(drawn) != self.size or any(s.n != self.n or s.kind != self.kind
-                                                  for s in drawn):
-                    raise ValueError(f"block {t} is not {self.size} {self.kind} "
-                                     f"snapshots of {self.n} vertices")
+                bad = len(drawn) != self.size or any(s.n != self.n or s.kind != self.kind
+                                                     for s in drawn)
+            if bad:
+                raise ValueError(f"block {t} is not {self.size} {self.kind} "
+                                 f"snapshots of {self.n} vertices")
             self.kept.clear()
             self.kept[t] = snaps = drawn
         return snaps
@@ -238,9 +267,12 @@ def directed_view(seq: GraphSequence) -> GraphSequence:
     if seq.kind == DIRECTED:
         return seq
 
-    def draw(s: int, t: int) -> tuple[GraphSnapshot, ...]:
+    def draw(s: int, t: int) -> tuple[GraphSnapshot, ...] | GraphBlock:
         base = seq if s == seq.seed else replace(seq, seed=s)
-        return tuple(snap.as_directed() for snap in base.snapshots(t))
+        drawn = base.snapshots(t)
+        if isinstance(drawn, DrawnBlock):
+            return drawn.block.directed
+        return tuple(snap.as_directed() for snap in drawn)
 
     return GraphSequence(seq.n, DIRECTED, seq.size, draw, seq.seed, seq.declared_B,
                          seq.description + " (directed view)")
@@ -277,13 +309,6 @@ def is_jointly_connected(seq: GraphSequence, B: int, horizon: int) -> Connectivi
     return ConnectivityCheck(True, None)
 
 
-def _slices(kind: str, stack: np.ndarray) -> tuple[GraphSnapshot, ...]:
-    """The snapshots of a drawn (s, n, n) stack, one per slice of its block."""
-    block = GraphBlock(kind, stack)
-    return tuple(GraphSnapshot(stack.shape[1], kind, block=(block, i))
-                 for i in range(len(stack)))
-
-
 def static_sequence(snap: GraphSnapshot, description: str = "static") -> GraphSequence:
     return periodic_sequence([snap], 1 if snap.is_connected() else None, description)
 
@@ -318,12 +343,12 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
     if fraction == 1.0:
         return replace(periodic_sequence([base], description=description), seed=seed)
 
-    def draw(s: int, t: int) -> tuple[GraphSnapshot, ...]:
+    def draw(s: int, t: int) -> GraphBlock:
         rngs = _generators([(s, k) for k in range(t * _BLOCK, (t + 1) * _BLOCK)])
         keep = np.array([rng.uniform(size=len(rows)) for rng in rngs]) < fraction
         slot, link = np.nonzero(keep)
-        return _slices(base.kind, _adjacency((_BLOCK, base.n, base.n), base.kind,
-                                             (slot, rows[link], cols[link])))
+        return GraphBlock(base.kind, _adjacency((_BLOCK, base.n, base.n), base.kind,
+                                                (slot, rows[link], cols[link])))
 
     return GraphSequence(base.n, base.kind, _BLOCK, draw, seed, description=description)
 
@@ -412,7 +437,7 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
         raise ValueError("window length must be >= 1")
     per = max(1, _BLOCK // b_tilde)   # windows per block
 
-    def draw(s: int, t: int) -> tuple[GraphSnapshot, ...]:
+    def draw(s: int, t: int) -> GraphBlock:
         windows = range(t * per, (t + 1) * per)
         graph_rows = _graph_rows(_seed_state([(s, w) for w in windows], 1)[:, 0].tolist(),
                                  extra_edges)
@@ -424,8 +449,8 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
             slots[:] = [rng.integers(0, b_tilde, size=rows.shape[1])
                         for rng in rngs[len(graph_rows):]]
         slots += b_tilde * np.arange(per)[:, None]
-        return _slices(UNDIRECTED, _adjacency((per * b_tilde, n, n), UNDIRECTED,
-                                              (slots.ravel(), rows.ravel(), cols.ravel())))
+        return GraphBlock(UNDIRECTED, _adjacency((per * b_tilde, n, n), UNDIRECTED,
+                                                 (slots.ravel(), rows.ravel(), cols.ravel())))
 
     return GraphSequence(n, UNDIRECTED, per * b_tilde, draw, seed, b_tilde,
                          f"block-connected(n={n}, window={b_tilde})")

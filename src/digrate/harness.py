@@ -493,7 +493,7 @@ def reproduce_section6(case: str, seed: int = 0,
     methods = tuple(a for a in algorithms.ALGORITHMS if a in TUNED[case])
     pushes = [algorithms.METHODS[a].push for a in methods]
     # one lockstep run: one snapshot draw per sequence and one mixing build
-    # per (sequence, rule) on each iteration, the directed view reading the
+    # per (sequence, rule) on each draw block, the directed view reading the
     # block its undirected sequence drew
     runs = dict(zip(methods, algorithms.run(
         methods, tuple(seq_c if push else seq_w for push in pushes),

@@ -13,7 +13,7 @@ union graph is not connected contracts nothing and has delta = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
@@ -40,13 +40,56 @@ class StochasticityReport:
 @dataclass(frozen=True)
 class MixingMatrix:
     """A certified n x n matrix: `entries` is read-only and checked where it
-    is made, by `_build` for a rule's block or by `custom_mixing`."""
+    is made, by `_build` for a rule's block or by `custom_mixing`. A rule's
+    matrix records its `source`: the block's build, (stack, certificates),
+    and the slice it is."""
 
     n: int
     entries: np.ndarray
     rule: str
     snapshot: GraphSnapshot | None = None
     certificate: StochasticityReport | None = None
+    source: tuple[tuple[np.ndarray, Certificates], int] | None = field(
+        default=None, compare=False, repr=False)
+
+    def sibling(self, i: int, snapshot: GraphSnapshot) -> MixingMatrix:
+        """The matrix of slice i of the build this one is a slice of."""
+        built = self.source[0]
+        return MixingMatrix(self.n, built[0][i], self.rule, snapshot, built[1][i],
+                            (built, i))
+
+
+class Certificates:
+    """The stochasticity reports of the slices of an (s, n, n) stack, each
+    slice's verdict `ok` decided in one vectorized pass: a failing slice's
+    report, with every violation, is made up front, a passing one's on its
+    first read."""
+
+    def __init__(self, mode: str, ok: np.ndarray, deviation: list[float],
+                 failed: dict[int, StochasticityReport]):
+        self.mode, self.ok, self._deviation, self._reports = mode, ok, deviation, failed
+
+    def decisive(self, lo: int, hi: int) -> StochasticityReport:
+        """The report that decides slices lo .. hi - 1: the first failing
+        one's, else slice lo's."""
+        failing = np.flatnonzero(~self.ok[lo:hi])
+        return self[lo + int(failing[0]) if len(failing) else lo]
+
+    def __len__(self) -> int:
+        return len(self._deviation)
+
+    def __getitem__(self, s):
+        if isinstance(s, slice):
+            return [self[i] for i in range(len(self))[s]]
+        s = range(len(self))[s]   # a negative index counts from the end
+        if s not in self._reports:
+            self._reports[s] = StochasticityReport(self.mode, True, self._deviation[s])
+        return self._reports[s]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Certificates, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass(frozen=True)
@@ -121,7 +164,8 @@ _RULES = {
 def _build(snapshot: GraphSnapshot, rule: str) -> MixingMatrix:
     """The rule's certified matrix for one snapshot, a read-only slice of
     its block's stack: the whole block is built and certified on its first
-    request for the rule, and the result is kept on the block."""
+    request for the rule, and the build, (stack, certificates), is kept on
+    the block and recorded as the matrix's source."""
     kind, weights, mode, name = _RULES[rule]
     if snapshot.kind != kind:
         raise ValueError(f"{name} need {'an' if kind == UNDIRECTED else 'a'} "
@@ -136,16 +180,17 @@ def _build(snapshot: GraphSnapshot, rule: str) -> MixingMatrix:
         stack = np.ascontiguousarray(stack)
         stack.flags.writeable = False
         built = block.built[rule] = (stack, certificates)
-    return MixingMatrix(snapshot.n, built[0][i], rule, snapshot, built[1][i])
+    return MixingMatrix(snapshot.n, built[0][i], rule, snapshot, built[1][i],
+                        (built, i))
 
 
-def _certify(stack: np.ndarray, mode: str) -> list[StochasticityReport]:
-    """The stochasticity report of each slice of an (s, n, n) stack: row sums
-    (doubly) and column sums (both modes) against 1 within
-    STOCHASTICITY_TOL absolute, and signs. One vectorized pass certifies the
-    slices that pass; a failing slice gets the worst deviation and each
-    offender, and a non-finite entry fails it with an infinite deviation,
-    its row and column named first."""
+def _certify(stack: np.ndarray, mode: str) -> Certificates:
+    """The stochasticity reports of the slices of an (s, n, n) stack: row
+    sums (doubly) and column sums (both modes) against 1 within
+    STOCHASTICITY_TOL absolute, and signs. One vectorized pass decides every
+    slice; a failing slice gets the worst deviation and each offender, and a
+    non-finite entry fails it with an infinite deviation, its row and column
+    named first."""
     if mode not in (DOUBLY, COLUMN):
         raise ValueError(f"unknown stochasticity mode {mode!r}")
     checks = [("col", np.abs(stack.sum(axis=1) - 1.0))]
@@ -154,11 +199,11 @@ def _certify(stack: np.ndarray, mode: str) -> list[StochasticityReport]:
     max_dev = np.max([dev.max(axis=1) for _, dev in checks], axis=0)
     # a NaN reaches both the deviation and the minimum, an inf the deviation
     passes = (max_dev <= STOCHASTICITY_TOL) & (stack.min(axis=(1, 2)) >= 0)
-    reports = []
-    for s, (m, d, ok) in enumerate(zip(stack, max_dev.tolist(), passes.tolist())):
-        if ok:
-            reports.append(StochasticityReport(mode, True, d))
-            continue
+    passes.flags.writeable = False
+    deviation = max_dev.tolist()
+    failed = {}
+    for s in np.flatnonzero(~passes).tolist():
+        m, d = stack[s], deviation[s]
         violations = []
         bad = np.argwhere(~np.isfinite(m))
         if len(bad):
@@ -173,9 +218,9 @@ def _certify(stack: np.ndarray, mode: str) -> list[StochasticityReport]:
             idx = int(np.argmin(m.min(axis=1)))
             violations.append(("negative-row", idx + 1, float(-m.min())))
             d = max(d, float(-m.min()))
-        reports.append(StochasticityReport(mode, False, d, violations[0],
-                                           tuple(violations)))
-    return reports
+        failed[s] = StochasticityReport(mode, False, d, violations[0],
+                                        tuple(violations))
+    return Certificates(mode, passes, deviation, failed)
 
 
 def custom_mixing(entries: np.ndarray, mode: str,

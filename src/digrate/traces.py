@@ -23,6 +23,8 @@ AUDIT_SERIES = ("q_norm", "z_norm", "grad_norm")
 CSV_COLUMNS = ("k",) + SERIES
 # the one series whose NaN (no push-sum weight) is an empty cell
 _BLANK_NAN = "v_min"
+# a CSV row as numpy's parser reads it
+_ROW = [(name, int if name == "k" else float) for name in CSV_COLUMNS]
 
 AUDIT_SUFFIX = ".audit.json"
 
@@ -94,23 +96,25 @@ class RunTrace:
 
     @classmethod
     def from_csv(cls, text: str, metadata: dict | None = None) -> "RunTrace":
-        """Parse a trace CSV row by row; the first bad row raises."""
+        """Parse a trace CSV through numpy's C parser, or row by row where it
+        refuses the rows, so that the first bad row raises."""
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or lines[0].split(",") != list(CSV_COLUMNS):
             raise ValueError("trace CSV must start with the canonical header "
                              + ",".join(CSV_COLUMNS))
-        cols: list[list] = [[] for _ in CSV_COLUMNS]
-        parsers = [int] + [_float_or_blank if name == _BLANK_NAN else float
-                           for name in SERIES]
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            if len(cells) != len(CSV_COLUMNS):
-                raise ValueError(f"malformed trace row: {ln!r}")
-            for col, parse, cell in zip(cols, parsers, cells):
-                col.append(parse(cell))
-        return cls(k=np.array(cols[0], dtype=int),
-                   **{name: np.array(col) for name, col in zip(SERIES, cols[1:])},
-                   metadata=metadata or {})
+        rows = lines[1:]
+        try:
+            if not rows:
+                raise ValueError("no rows")
+            # the blank cell of a NaN ends a row: v_min is the last column
+            table = np.loadtxt([ln + "nan" if ln.endswith(",") else ln for ln in rows],
+                               dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+            if len(table) != len(rows):
+                raise ValueError("rows skipped")
+            cols = [np.ascontiguousarray(table[name]) for name in CSV_COLUMNS]
+        except ValueError:
+            cols = _parse_rows(rows)
+        return cls(k=cols[0], **dict(zip(SERIES, cols[1:])), metadata=metadata or {})
 
     @classmethod
     def read(cls, path: str | Path) -> "RunTrace":
@@ -172,6 +176,22 @@ def _sidecar_json(payload: dict) -> str:
                               default=lambda v: v.tolist()).replace("\n", "\n ")
         entries.append(f" {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(entries) + "\n}\n"
+
+
+def _parse_rows(rows: list[str]) -> list[np.ndarray]:
+    """The columns of the rows, parsed cell by cell; the first bad row
+    raises."""
+    cols: list[list] = [[] for _ in CSV_COLUMNS]
+    parsers = [int] + [_float_or_blank if name == _BLANK_NAN else float
+                       for name in SERIES]
+    for ln in rows:
+        cells = ln.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"malformed trace row: {ln!r}")
+        for col, parse, cell in zip(cols, parsers, cells):
+            col.append(parse(cell))
+    return [np.array(cols[0], dtype=int)] + [np.array(col, dtype=float)
+                                             for col in cols[1:]]
 
 
 def _float_or_blank(cell: str) -> float:

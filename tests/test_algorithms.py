@@ -833,3 +833,192 @@ class TestChunkedRecording:
             assert got.q_norm is got.z_norm is got.grad_norm is None
             assert got.xbar0_error is got.r0 is None
             assert want.z_norm is not None
+
+
+def stepped(algo, seq, rule, suite, alpha, iterations, x0, x_star, v_floor=None):
+    """A run made by one preset call per iteration, each on the rule's
+    matrix of that iteration's snapshot: its states, matrices and end."""
+    method = alg.METHODS[algo]
+    preset = getattr(alg, algo.replace("-", "_") + "_step")
+    state = alg.init(suite, x0)
+    states, mixers, terminated = [state], [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iterations + 1):
+            if not math.isfinite(np.linalg.norm(state.x - x_star)):
+                terminated = f"residual is not finite at iteration {state.k}"
+                break
+            if k == iterations:
+                break
+            mat = rule(seq.snapshot(k))
+            a = alpha / math.sqrt(k + 1) if method.diminishing else alpha
+            try:
+                state = preset(state, mat, suite, a, v_floor=v_floor)
+            except alg.PushSumViolation as exc:
+                terminated = str(exc)
+                break
+            states.append(state)
+            mixers.append(mat)
+    return states, mixers, terminated
+
+
+def assert_equals_step_loop(trace, seq, rule, suite, x0, x_star, tmp_path,
+                            v_floor=None):
+    """`trace`, an audited run with recorded states, equals the run its
+    preset makes one call per iteration: states, matrices, trace CSV and
+    sidecar, byte for byte."""
+    meta = trace.metadata
+    states, mixers, terminated = stepped(meta["algorithm"], seq, rule, suite,
+                                         meta["alpha"], meta["iterations"],
+                                         x0, x_star, v_floor)
+    assert meta["terminated"] == terminated
+    want = dataclasses.replace(trace, history={"states": states, "mixers": mixers})
+    series = oracle_series(want, x_star)
+    want = dataclasses.replace(want, k=np.arange(len(states)), **series)
+    assert_same_trace(trace, want)
+    trace.write(tmp_path / "run.csv")
+    want.write(tmp_path / "loop.csv")
+    for suffix in ("", ".audit.json"):
+        assert (tmp_path / f"run.csv{suffix}").read_bytes() == \
+            (tmp_path / f"loop.csv{suffix}").read_bytes()
+
+
+def chunk_cases():
+    """(label, sequence, rule, methods) over drawn blocks aligned with the
+    chunk and not, one-slice blocks, directed views and a custom matrix."""
+    base = graphs.random_connected_graph(6, 4, seed=141)
+    a, b = graphs.undirected(6, [(1, 2), (3, 4)]), graphs.undirected(6, [(2, 3), (5, 6)])
+    periodic = graphs.periodic_sequence([a, b, a, a, base], declared_B=5)
+    custom = mixing.custom_mixing(np.full((6, 6), 1 / 6), mixing.DOUBLY)
+    undirected = ("diging", "diging-atc", "dgd")
+    push = ("push-diging", "subgradient-push")
+    cases = [
+        ("subsample", graphs.subsample_sequence(base, 0.6, 142), mixing.metropolis),
+        ("b3", graphs.block_connected_sequence(6, 3, 143, 2), mixing.lazy_metropolis),
+        ("b70", graphs.block_connected_sequence(6, 70, 144, 2), mixing.metropolis),
+        ("period5", periodic, mixing.metropolis),
+        ("static", graphs.static_sequence(base), mixing.metropolis),
+        ("custom", graphs.subsample_sequence(base, 0.6, 145), lambda snap: custom),
+    ]
+    out = [(label, seq, rule, undirected) for label, seq, rule in cases]
+    out += [(label + "-view", harness.directed_view(seq), mixing.out_degree_column
+             if label != "custom" else rule, push) for label, seq, rule in cases]
+    return out
+
+
+class TestChunkedStepping:
+    """`run` steps each member `_CHUNK` iterations per preset call, on
+    matrices read from the drawn block's build; the result equals one
+    preset call per iteration."""
+
+    ALPHAS = TestChunkedRecording.ALPHAS
+
+    @pytest.mark.parametrize("iterations", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("label, seq, rule, methods", chunk_cases(),
+                             ids=[case[0] for case in chunk_cases()])
+    def test_run_equals_step_loop(self, iterations, label, seq, rule, methods,
+                                  tmp_path):
+        rng = np.random.default_rng(146)
+        suite = quadratic_suite(rng.normal(size=(6, 2)), rng.uniform(0.5, 2, 6))
+        x0 = rng.normal(size=(6, 2))
+        for algo in methods:
+            trace = alg.run(algo, seq, rule, suite, self.ALPHAS[algo], iterations,
+                            x0=x0, record_audit=True, record_states=True)
+            assert len(trace) == iterations + 1
+            assert_equals_step_loop(trace, seq, rule, suite, x0, suite.x_star,
+                                    tmp_path)
+
+    def test_members_end_mid_chunk_others_go_on(self, tmp_path):
+        """A push member breaks the floor, one member diverges, and the
+        members on a drawn sequence run to the end, each as alone."""
+        rng = np.random.default_rng(147)
+        suite = quadratic_suite(rng.normal(size=(4, 2)), rng.uniform(0.5, 2, 4))
+        x0 = rng.normal(size=(4, 2))
+        # vertex 1 only sends: its push-sum weight halves every iteration
+        leaky = graphs.static_sequence(graphs.directed(4, [(1, 2), (2, 3), (3, 4),
+                                                          (4, 2)]))
+        path = graphs.static_sequence(graphs.undirected(4, [(1, 2), (2, 3), (3, 4)]))
+        drawn = graphs.subsample_sequence(graphs.undirected(
+            4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]), 0.7, 148)
+        members = (
+            ("push-diging", leaky, mixing.out_degree_column, 0.02),
+            ("diging", path, mixing.metropolis, 50.0),
+            ("diging-atc", drawn, mixing.metropolis, 0.05),
+            ("push-diging", harness.directed_view(drawn), mixing.out_degree_column, 0.02),
+            ("subgradient-push", leaky, mixing.out_degree_column, 0.5),
+        )
+        algos, seqs, rules, alphas = (tuple(c) for c in zip(*members))
+        kwargs = dict(x0=x0, x_star=suite.x_star, v_floor=1e-9, record_audit=True,
+                      record_states=True)
+        traces = alg.run(algos, seqs, rules, suite, alphas, 200, **kwargs)
+        for trace, (algo, seq, rule, alpha) in zip(traces, members, strict=True):
+            assert_same_trace(trace, alg.run(algo, seq, rule, suite, alpha, 200,
+                                             **kwargs))
+            assert_equals_step_loop(trace, seq, rule, suite, x0, suite.x_star,
+                                    tmp_path, v_floor=1e-9)
+        ends = [trace.metadata["terminated"] for trace in traces]
+        assert ends[0].startswith("push-sum weight degenerated: min weight")
+        assert ends[1].startswith("residual is not finite at iteration")
+        assert ends[2] is ends[3] is None and ends[4] == ends[0]
+        for trace in (traces[0], traces[1]):
+            assert trace.k[-1] % alg._CHUNK not in (0, alg._CHUNK - 1)
+        assert len(traces[2]) == len(traces[3]) == 201
+
+    @pytest.mark.parametrize("make, size", [
+        (lambda: graphs.subsample_sequence(graphs.random_connected_graph(6, 4, 150),
+                                           0.5, 151), 64),
+        (lambda: graphs.block_connected_sequence(6, 3, 152, 1), 63),
+        (lambda: graphs.block_connected_sequence(6, 70, 153, 1), 70),
+    ], ids=["subsample", "b3", "b70"])
+    def test_rule_asked_once_per_drawn_block(self, make, size):
+        seq = make()
+        rule, calls = TestMatrixReuse.counting(mixing.metropolis)
+        iterations = 3 * 64 + 5
+        alg.run(("diging", "dgd"), seq, rule, zero_suite(6, 1), 0.1, iterations,
+                x0="random")
+        blocks = range(-(-iterations // size))
+        assert [snap.block[1] for snap in calls] == [0] * len(blocks)
+        assert [snap.adj_bytes for snap in calls] == [
+            seq.snapshot(t * size).adj_bytes for t in blocks]
+
+    @staticmethod
+    def faulty(mode, slice_):
+        """Metropolis with the build of each block replaced by one certified
+        in `mode`, slice `slice_` of it off by 1e-6."""
+        def rule(snap):
+            block = snap.block[0]
+            if "metropolis" not in block.built:
+                stack = mixing._metropolis_weights(block.adj, lazy=False)
+                stack[slice_, 0, 0] += 1e-6
+                stack.flags.writeable = False
+                block.built["metropolis"] = (stack, mixing._certify(stack, mode))
+            return mixing.metropolis(snap)
+        return rule
+
+    def test_member_refused_a_slice_it_cannot_step_on(self):
+        suite = zero_suite(6, 1)
+        base = graphs.random_connected_graph(6, 4, seed=154)
+        seq = graphs.subsample_sequence(base, 0.6, 155)
+        # slices 0 .. 9 pass; slice 10 fails, whether it opens a chunk or not
+        alg.run("diging", seq, self.faulty(mixing.DOUBLY, 10), suite, 0.1, 10)
+        for iterations in (11, 64, 75):
+            with pytest.raises(alg.CertificateError, match="no valid"):
+                alg.run("diging", graphs.subsample_sequence(base, 0.6, 155),
+                        self.faulty(mixing.DOUBLY, 10), suite, 0.1, iterations)
+        # a column stochastic build certifies nothing DIGing steps on
+        with pytest.raises(alg.CertificateError,
+                           match="need a doubly stochastic matrix, got column"):
+            alg.run("diging", graphs.subsample_sequence(base, 0.6, 156),
+                    self.faulty(mixing.COLUMN, 40), suite, 0.1, 5)
+        # nor does a matrix certified column stochastic only, second in a chunk
+        a, b = graphs.undirected(6, [(1, 2)]), graphs.undirected(6, [(2, 3)])
+        column = mixing.custom_mixing(np.full((6, 6), 1 / 6), mixing.COLUMN)
+
+        def rule(snap):
+            return column if snap == b else mixing.metropolis(snap)
+
+        seq = graphs.periodic_sequence([a, a, b])
+        alg.run("push-diging", harness.directed_view(seq), lambda snap: column,
+                suite, 0.1, 5)
+        alg.run("diging", seq, rule, suite, 0.1, 2)
+        with pytest.raises(alg.CertificateError, match="got column"):
+            alg.run("diging", seq, rule, suite, 0.1, 3)

@@ -637,6 +637,34 @@ class TestServing:
                 seq.snapshot(1)
 
     @DRAWN_BASES
+    def test_drawn_block_makes_each_snapshot_on_first_read(self, make):
+        seq = make()
+        snap = seq.snapshot(5)
+        drawn = seq.snapshots(0)
+        assert isinstance(drawn, graphs.DrawnBlock) and len(drawn) == seq.size
+        assert [i for i, s in enumerate(drawn._snaps) if s is not None] == [5]
+        assert seq.snapshot(5) is snap and drawn[5] is snap and drawn[-seq.size + 5] is snap
+        assert snap.block == (drawn.block, 5)
+        seq.snapshot(6)
+        assert [i for i, s in enumerate(drawn._snaps) if s is not None] == [5, 6]
+        assert [drawn[i] for i in range(seq.size)] == list(drawn)
+        with pytest.raises(IndexError):
+            drawn[seq.size]
+
+    @pytest.mark.parametrize("stack, kind", [
+        (np.zeros((3, 3, 3), dtype=bool), graphs.UNDIRECTED),
+        (np.zeros((2, 3, 3), dtype=bool), graphs.DIRECTED),
+        (np.zeros((2, 4, 4), dtype=bool), graphs.UNDIRECTED),
+    ], ids=["count", "kind", "n"])
+    def test_malformed_drawn_block_rejected(self, stack, kind):
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 2,
+                                   lambda s, t: graphs.GraphBlock(kind, stack.copy()))
+        for _ in range(2):   # a rejected block is not kept
+            with pytest.raises(ValueError,
+                               match="block 0 is not 2 undirected snapshots of 3 vertices"):
+                seq.snapshot(1)
+
+    @DRAWN_BASES
     def test_dropped_block_is_freed_without_gc(self, make):
         # nothing a drawn block holds leads back to it, so reference counts
         # alone free it once its sequence, snapshots and matrices are dropped

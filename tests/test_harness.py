@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from digrate import algorithms as alg
-from digrate import graphs, harness, mixing, objectives, rates
+from digrate import graphs, harness, mixing, objectives, rates, traces
 from digrate.harness import (ExperimentConfig, XI, geometric_segment, rate_fit,
                              run_experiment, section6_problem, validate_config)
 from digrate.traces import RunTrace
@@ -143,6 +143,24 @@ class TestTraceRoundTrip:
                        "xbar0_error": trace.xbar0_error, "r0": trace.r0}
             want = json.dumps(payload, indent=1, default=lambda v: v.tolist()) + "\n"
             assert (tmp_path / "run.csv.audit.json").read_text() == want
+
+    def test_c_parser_reads_what_the_row_parser_reads(self):
+        """Numpy's parser reads the rows to the same doubles and integers,
+        with NaN for a blank v_min cell; rows it refuses but the row parser
+        takes (an underscore, a CR line end) still read as before."""
+        header = "k,residual,cons_viol_x,cons_viol_y,conservation_err,v_min"
+        rows = ["0,1,0.1,nan,inf,", "1,-inf,1e-300,0.30000000000000004,1,0.5",
+                "2,5e-324,1.7976931348623157e308,-0,1, 2 "]
+        for body in (rows, rows[:2] + ["3,1_0,1,1,1,"], rows[:1]):
+            for sep in ("\n", "\r\n"):
+                trace = RunTrace.from_csv(sep.join([header] + body) + sep)
+                want = traces._parse_rows(body)
+                for name, col in zip(("k",) + traces.SERIES, want):
+                    got = getattr(trace, name)
+                    assert got.dtype == col.dtype and got.flags.c_contiguous
+                    assert got.tobytes() == col.tobytes(), name
+        empty = RunTrace.from_csv(header + "\n")
+        assert len(empty) == 0 and empty.k.dtype == np.array([], dtype=int).dtype
 
     def test_header_enforced(self):
         with pytest.raises(ValueError):

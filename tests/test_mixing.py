@@ -472,6 +472,31 @@ class TestBlockBuilds:
         assert all(r.ok for r in reports[7:])
 
 
+class TestCertificates:
+    """One vectorized pass decides every slice; a passing slice's report is
+    made when it is read, a failing one's with its violations up front."""
+
+    def test_reports_made_on_read(self):
+        seq = graphs.subsample_sequence(
+            graphs.random_connected_graph(10, 8, seed=89), 0.4, 90)
+        stack = mixing._metropolis_weights(seq.snapshot(0).block[0].adj, lazy=False)
+        stack[7, 2, 2] += 1e-9
+        certs = mixing._certify(stack, mixing.DOUBLY)
+        assert list(certs._reports) == [7]
+        assert certs.ok.tolist() == [s != 7 for s in range(64)]
+        assert not certs.ok.flags.writeable
+        first = certs[3]
+        assert list(certs._reports) == [7, 3] and certs[3] is first
+        assert certs[-61] is first and len(certs) == 64
+        assert certs[7] == mixing.validate_stochasticity(stack[7], mixing.DOUBLY)
+        assert certs[7].violations[0][:2] == ("row", 3)
+        # the report that decides a run of slices: the first failing one's
+        assert certs.decisive(0, 7) is certs[0]
+        assert certs.decisive(5, 20) is certs[7]
+        with pytest.raises(IndexError):
+            certs[64]
+
+
 class TestSliceViews:
     """A rule-built matrix is a read-only, C-ordered view of its block's
     built stack; a custom matrix is a read-only copy of what it was given."""

@@ -67,6 +67,12 @@ It covers:
   read back with `RunTrace.read`: its series, metadata and start norms, and
   every field of `audit_small_gain`'s ledger on the constants the sidecar
   holds.
+- audited runs over 300 iterations whose draw blocks do not line up with
+  `run`'s chunks of 64: block-connected windows of 3 (blocks of 63) and 70,
+  and a period-5 sequence, with the undirected methods and, on the
+  directed views, the push methods; and one lockstep call in which a
+  Push-DIGing member ends mid-chunk on the weight floor while a DIGing and
+  a Push-DIGing member on a drawn sequence run on: trace CSV and sidecar.
 
 The first line names the `digrate` package that was imported.
 """
@@ -99,6 +105,9 @@ BOUNDS_GROUPS = ("delta moderate", "delta near 1", "B_minus")
 BOUNDS_FILES = 100  # params files per group
 IGD_RADII = (0.0, 0.3)
 IGD_ITERATIONS = 120
+CHUNK_ITERATIONS = 300   # crosses run's chunks of 64 and blocks of 63 and 70
+UNDIRECTED_ALGOS = ("diging", "diging-atc", "dgd")
+PUSH_ALGOS = ("push-diging", "subgradient-push")
 
 
 def digest(data: bytes | str) -> str:
@@ -387,6 +396,40 @@ def edge_run_digests(work: Path):
             yield f"{label} {algo} {len(trace)} rows", digest(written(path))
 
 
+def chunk_digests(work: Path):
+    """Audited runs on draw blocks that do not align with `run`'s chunks
+    (windows of 3 and 70), on a period-5 sequence, and a lockstep call in
+    which a push member ends mid-chunk on the weight floor."""
+    n, p = 6, 2
+    suite = harness.build_suite({"family": "quadratic", "n": n, "p": p, "seed": 4})
+    base = graphs.random_connected_graph(n, 4, 5)
+    a, b = graphs.undirected(n, [(1, 2), (3, 4)]), graphs.undirected(n, [(2, 3), (5, 6)])
+    seqs = {"window 3": graphs.block_connected_sequence(n, 3, 6, 2),
+            "window 70": graphs.block_connected_sequence(n, 70, 7, 2),
+            "period 5": graphs.periodic_sequence([a, b, a, a, base], declared_B=5)}
+    # vertex 1 only sends, so its push-sum weight halves every iteration
+    leaky = graphs.static_sequence(graphs.directed(n, [(1, 2), (2, 3), (3, 4), (4, 5),
+                                                       (5, 6), (6, 2)]))
+    calls = [(label, UNDIRECTED_ALGOS, seq, mixing.metropolis, (0.05, 0.08, 0.05), None)
+             for label, seq in seqs.items()]
+    calls += [(label + " directed view", PUSH_ALGOS, graphs.directed_view(seq),
+               mixing.out_degree_column, (0.03, 0.5), None) for label, seq in seqs.items()]
+    calls.append(("floor breach", ("push-diging", "diging", "push-diging"),
+                  (leaky, seqs["window 3"], graphs.directed_view(seqs["window 3"])),
+                  (mixing.out_degree_column, mixing.metropolis, mixing.out_degree_column),
+                  (0.02, 0.05, 0.02), 1e-9))
+    for label, algos, seq, rule, alphas, floor in calls:
+        traces = algorithms.run(algos, seq, rule, suite, alphas, CHUNK_ITERATIONS,
+                                x0="random", seed=8, record_audit=True, v_floor=floor)
+        for i, (algo, trace) in enumerate(zip(algos, traces)):
+            ended = trace.metadata["terminated"]
+            if floor is not None and (i == 0) != (ended is not None):
+                raise SystemExit(f"{label} {algo}: ended {ended!r}")
+            path = work / f"chunks-{label.replace(' ', '-')}-{i}-{algo}.csv"
+            trace.write(path)
+            yield f"chunks {label} {algo} {len(trace)} rows", digest(written(path))
+
+
 def gradient_suites():
     rng = np.random.default_rng(1903)
     n, p = 10, 4
@@ -561,7 +604,7 @@ def main() -> None:
                      sweep_static_digests(), edge_run_digests(work),
                      window_digests(), cycle_digests(), bounds_digests(work),
                      gradient_digests(), reader_digests(work),
-                     loader_digests(work)):
+                     loader_digests(work), chunk_digests(work)):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
