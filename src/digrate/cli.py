@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
 
 
+@functools.cache   # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="digrate",

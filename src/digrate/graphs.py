@@ -345,7 +345,9 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
 
     def draw(s: int, t: int) -> GraphBlock:
         rngs = _generators([(s, k) for k in range(t * _BLOCK, (t + 1) * _BLOCK)])
-        keep = np.array([rng.uniform(size=len(rows)) for rng in rngs]) < fraction
+        # uniform() is a raw output's top 53 bits times 2**-53
+        raw = np.array([rng.bit_generator.random_raw(len(rows)) for rng in rngs])
+        keep = (raw >> 11) * 2.0 ** -53 < fraction
         slot, link = np.nonzero(keep)
         return GraphBlock(base.kind, _adjacency((_BLOCK, base.n, base.n), base.kind,
                                                 (slot, rows[link], cols[link])))
@@ -359,23 +361,28 @@ def _graph_rows(seeds: list[int], extra_edges: int) -> list[tuple[int, ...]]:
     return [(s,) for s in seeds] + ([(s, 1) for s in seeds] if extra_edges else [])
 
 
-def _connected_graphs(n: int, extra_edges: int,
+def _connected_graphs(n: int, extra_edges: int, seed_rows: list[tuple[int, ...]],
                       rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Zero-based (min, max) edge ends of one random connected graph per
     seed, as (seeds, edges) arrays in row-major order per graph, from the
-    generators of `_graph_rows(seeds, extra_edges)`. default_rng(seed) draws
-    a spanning tree, each vertex (in random order) attached to a random
-    earlier one; default_rng((seed, 1)) picks `extra_edges` distinct random
-    non-tree edges."""
+    generators `rngs` of `seed_rows`, `_graph_rows(seeds, extra_edges)`.
+    default_rng(seed) draws a spanning tree, each vertex (in random order)
+    attached to a random earlier one; default_rng((seed, 1)) picks
+    `extra_edges` distinct random non-tree edges."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     count = len(rngs) // 2 if extra_edges else len(rngs)
     trees, pickers = rngs[:count], rngs[count:]
     order = np.array([rng.permutation(n) for rng in trees]).reshape(count, n)
-    # vertex order[idx] attaches to order[j], j drawn from 0 .. idx - 1
-    highs = np.arange(1, n)
-    j = np.array([rng.integers(0, highs) for rng in trees], dtype=np.intp)
-    parents = np.take_along_axis(order, j.reshape(count, n - 1), 1)
+    # vertex order[idx] attaches to order[j], j drawn from 0 .. idx - 1 by
+    # integers(0, arange(1, n)), whose bound 1 reads no word
+    j = np.zeros((count, n - 1), dtype=np.intp)
+    j[:, 1:], rejected = _bounded(_words(trees, max(n - 2, 0), held=True), np.arange(2, n))
+    for i in np.flatnonzero(rejected.any(axis=1)):   # numpy would draw again
+        rng = np.random.default_rng(seed_rows[i])
+        rng.permutation(n)
+        j[i] = rng.integers(0, np.arange(1, n))
+    parents = np.take_along_axis(order, j, 1)
     graph = np.arange(count)[:, None]
     upper = np.zeros((count, n, n), dtype=bool)
     upper[graph, np.minimum(order[:, 1:], parents), np.maximum(order[:, 1:], parents)] = True
@@ -399,8 +406,9 @@ def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> GraphSnapshot:
     """Random spanning tree plus `extra_edges` distinct random non-tree edges."""
-    rows, cols = _connected_graphs(n, extra_edges,
-                                   _generators(_graph_rows([seed], extra_edges)))
+    seed_rows = _graph_rows([seed], extra_edges)
+    rows, cols = _connected_graphs(n, extra_edges, seed_rows,
+                                   [np.random.default_rng(row) for row in seed_rows])
     return GraphSnapshot(n, UNDIRECTED, _adjacency((n, n), UNDIRECTED, (rows[0], cols[0])))
 
 
@@ -443,11 +451,14 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
                                  extra_edges)
         # a one-iteration window puts every edge in its one slot
         rngs = _generators(graph_rows + [(s, w, 2) for w in windows if b_tilde > 1])
-        rows, cols = _connected_graphs(n, extra_edges, rngs[:len(graph_rows)])
+        rows, cols = _connected_graphs(n, extra_edges, graph_rows, rngs[:len(graph_rows)])
         slots = np.zeros(rows.shape, dtype=np.intp)
         if b_tilde > 1:
-            slots[:] = [rng.integers(0, b_tilde, size=rows.shape[1])
-                        for rng in rngs[len(graph_rows):]]
+            slots[:], rejected = _bounded(_words(rngs[len(graph_rows):], rows.shape[1]),
+                                          b_tilde)
+            for i in np.flatnonzero(rejected.any(axis=1)):   # numpy would draw again
+                slots[i] = np.random.default_rng((s, windows[i], 2)).integers(
+                    0, b_tilde, size=rows.shape[1])
         slots += b_tilde * np.arange(per)[:, None]
         return GraphBlock(UNDIRECTED, _adjacency((per * b_tilde, n, n), UNDIRECTED,
                                                  (slots.ravel(), rows.ravel(), cols.ravel())))
@@ -573,6 +584,35 @@ def _generators(rows: list[tuple[int, ...]]) -> list[np.random.Generator]:
     state = np.ascontiguousarray(_seed_state(rows, 2 * 4), dtype="<u4")
     state = state.view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_Hashed(words))) for words in state]
+
+
+def _words(rngs: list[np.random.Generator], count: int, held: bool = False) -> np.ndarray:
+    """The next `count` 32-bit words numpy's bounded draws read from each
+    generator, as a (len(rngs), count) uint64 array: the upper half of its
+    last raw output when it holds one (read only if `held`; a fresh generator
+    holds none), then the low and upper halves of its next raw outputs."""
+    bits = [rng.bit_generator for rng in rngs]
+    state = [bit.state for bit in bits] if held else []
+    raw = np.array([bit.random_raw((count + 1) // 2) for bit in bits],
+                   dtype=np.uint64).reshape(len(rngs), -1)
+    # column 0 for a held upper half, then each output's low and upper halves
+    words = np.zeros((len(rngs), 2 * raw.shape[1] + 1), dtype=np.uint64)
+    words[:, 1::2], words[:, 2::2] = raw & _MASK, raw >> 32
+    if not held:
+        return words[:, 1:count + 1]
+    words[:, 0] = [st["uinteger"] for st in state]
+    has = np.array([st["has_uint32"] for st in state], dtype=bool)
+    return np.where(has[:, None], words[:, :count], words[:, 1:count + 1])
+
+
+def _bounded(words: np.ndarray, high) -> tuple[np.ndarray, np.ndarray]:
+    """`integers(0, high)` as numpy's Generator draws it from each 32-bit
+    word, for bounds 2 .. 2**32 - 1 (Lemire's method), and where numpy would
+    reject the word and draw again: the product's low half below 2**32 mod
+    high. A caller redraws what a rejected word would have given."""
+    high = np.asarray(high, dtype=np.uint64)
+    product = words * high
+    return (product >> 32).astype(np.intp), (product & _MASK) < (1 << 32) % high
 
 
 def snapshot_to_text(snap: GraphSnapshot) -> str:

@@ -121,7 +121,8 @@ def block_gradient(suite: ObjectiveSuite, x: np.ndarray) -> np.ndarray:
     """Stack per-agent gradients: row i is grad f_i at row i of x. Uses the
     suite's stacked oracle when it has one, the per-agent loop otherwise."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (suite.n, suite.p):
+    # not the n and p properties: this check runs on every gradient
+    if x.shape != (len(suite.components), suite.components[0].dimension):
         raise ValueError(f"iterate block must be {suite.n}x{suite.p}, got {x.shape}")
     if suite.stacked_grad is not None:
         return suite.stacked_grad(x)

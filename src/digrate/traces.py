@@ -21,8 +21,10 @@ SERIES = ("residual", "cons_viol_x", "cons_viol_y", "conservation_err", "v_min")
 # the sidecar series of an audited run
 AUDIT_SERIES = ("q_norm", "z_norm", "grad_norm")
 CSV_COLUMNS = ("k",) + SERIES
-# the one series whose NaN (no push-sum weight) is an empty cell
-_BLANK_NAN = "v_min"
+# a CSV row, whose last series, v_min, is an empty cell when NaN (no
+# push-sum weight): "%.0s" reads the value and prints nothing
+_ROW_FULL = "%d" + ",%.17g" * len(SERIES) + "\n"
+_ROW_BLANK = _ROW_FULL.replace("%.17g\n", "%.0s\n")
 # a CSV row as numpy's parser reads it
 _ROW = [(name, int if name == "k" else float) for name in CSV_COLUMNS]
 
@@ -71,13 +73,13 @@ class RunTrace:
         return "".join(self._lines())
 
     def _lines(self):
-        """The CSV lines, made one at a time from each column's lazy cells."""
-        columns = [(str(int(v)) for v in np.asarray(self.k).tolist())]
-        columns += [_cells(getattr(self, name), name == _BLANK_NAN)
-                    for name in SERIES]
+        """The CSV lines, one `%` of a row format per row: 17 significant
+        digits, which read back to the same double, and an empty `v_min`
+        cell for NaN."""
+        columns = [np.asarray(getattr(self, name)).tolist() for name in CSV_COLUMNS]
         yield ",".join(CSV_COLUMNS) + "\n"
         for row in zip(*columns, strict=True):
-            yield ",".join(row) + "\n"
+            yield (_ROW_BLANK if row[-1] != row[-1] else _ROW_FULL) % row
 
     def write(self, path: str | Path) -> None:
         path = Path(path)
@@ -150,16 +152,6 @@ class RunTrace:
                                        equal_nan=True) for name in SERIES))
 
 
-def _cells(values, blank_nan: bool):
-    """The CSV cells of one series, made lazily from values bound now: 17
-    significant digits, which read back to the same double, and an empty
-    cell for NaN when `blank_nan`."""
-    values = np.asarray(values).tolist()
-    if blank_nan:
-        return ("" if v != v else f"{v:.17g}" for v in values)
-    return (f"{v:.17g}" for v in values)
-
-
 def _sidecar_json(payload: dict) -> str:
     """`json.dumps(payload, indent=1)` plus a newline, byte for byte, with
     numpy arrays and scalars in the metadata written as plain values. The
@@ -182,8 +174,7 @@ def _parse_rows(rows: list[str]) -> list[np.ndarray]:
     """The columns of the rows, parsed cell by cell; the first bad row
     raises."""
     cols: list[list] = [[] for _ in CSV_COLUMNS]
-    parsers = [int] + [_float_or_blank if name == _BLANK_NAN else float
-                       for name in SERIES]
+    parsers = [int] + [float] * (len(SERIES) - 1) + [_float_or_blank]
     for ln in rows:
         cells = ln.split(",")
         if len(cells) != len(CSV_COLUMNS):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from digrate import algorithms, cli, graphs, mixing, objectives
+from digrate.traces import RunTrace
 
 
 def write_config(tmp_path, **overrides):
@@ -448,6 +449,25 @@ class TestAuditAndReproduce:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_main_calls_share_no_state(self, tmp_path, capsys, monkeypatch):
+        # one parser serves every call: a --lambda given to one audit must not
+        # stay for the next, which falls back to the trace's stored rate
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        config = write_config(
+            tmp_path, iterations=400, alpha=0.0004,
+            theory_audit={"B": 1, "delta": "empirical", "lambda": "certified"})
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == 0
+        trace = str(tmp_path / "trace.csv")
+        stored = RunTrace.read(trace).metadata["theory_audit"]["lambda"]
+        capsys.readouterr()
+        given = round((1 + stored) / 2, 6)   # slower than the stored rate
+        assert cli.main(["audit", "--trace", trace, "--lambda", str(given)]) == 0
+        assert capsys.readouterr().out.startswith(f"audit at lambda={given:.12g}, ")
+        assert cli.main(["audit", "--trace", trace]) == 0
+        assert capsys.readouterr().out.startswith(f"audit at lambda={stored:.12g}, ")
+        assert cli._build_parser() is cli._build_parser()
 
     def test_audit_missing_sidecar(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)

@@ -268,6 +268,62 @@ def reference_block(n, b_tilde, seed, extra_edges, t):
     return adj
 
 
+class TestRawOutputDraws:
+    """A drawn block takes its bounded integers and uniforms from each
+    generator's raw output by numpy's own transforms. These tests pin those
+    transforms to numpy's `Generator`, so a numpy release that changes one
+    fails here."""
+
+    @pytest.mark.parametrize("high", [3 * 2**30 - 1, 3 * 2**30, 3 * 2**30 + 5,
+                                      2**31 + 1, 70, 2])
+    def test_bounded_equals_integers_and_flags_rejected_words(self, high):
+        # near 3 * 2**30 numpy rejects about one word in four, past 2**31 one
+        # in two; it skips each rejected word and takes the next
+        for seed in range(3):
+            words = graphs._words([np.random.default_rng((seed, 5))], 1000)
+            values, rejected = graphs._bounded(words, high)
+            want = np.random.default_rng((seed, 5)).integers(0, high, size=300)
+            assert np.array_equal(values[~rejected][:300], want)
+            assert (values < high).all()
+            if high > 2**30:
+                assert rejected.mean() > 0.1
+
+    @pytest.mark.parametrize("extra_edges", [0, 3])
+    def test_rejected_window_is_redrawn(self, monkeypatch, extra_edges):
+        want = graphs.block_connected_sequence(12, 2, 7, extra_edges).snapshots(1)
+        real, calls = graphs._bounded, []
+
+        def rejecting(words, high):
+            # as if window 3's last word were rejected, its values garbage:
+            # a tree parent -1 would make a self-loop, a slot -1 move the
+            # window's edges into the window before
+            values, rejected = real(words, high)
+            values[3], rejected[3, -1] = -1, True
+            calls.append(len(words))
+            return values, rejected
+
+        monkeypatch.setattr(graphs, "_bounded", rejecting)
+        got = graphs.block_connected_sequence(12, 2, 7, extra_edges).snapshots(1)
+        assert calls == [32, 32]
+        assert got.block.adj.tobytes() == want.block.adj.tobytes()
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.4, 0.8, 0.999])
+    @pytest.mark.parametrize("kind", [graphs.UNDIRECTED, graphs.DIRECTED])
+    def test_subsample_block_equals_uniform_draws(self, fraction, kind):
+        base = subsample_base(kind)
+        rows, cols = graphs._link_arrays(base)
+        seq = graphs.subsample_sequence(base, fraction, 12)
+        for t in (0, 3):
+            want = np.zeros((graphs._BLOCK, base.n, base.n), dtype=bool)
+            for i in range(graphs._BLOCK):
+                keep = np.random.default_rng((12, t * graphs._BLOCK + i)).uniform(
+                    size=len(rows)) < fraction
+                want[i, rows[keep], cols[keep]] = True
+            if kind == graphs.UNDIRECTED:
+                want |= want.swapaxes(1, 2)
+            assert seq.snapshots(t).block.adj.tobytes() == want.tobytes()
+
+
 class TestSeedHash:
     """A block's seeds are hashed in one pass; every generator it builds
     equals default_rng of its row, so no draw differs from one seeded
@@ -306,12 +362,14 @@ class TestSeedHash:
     @pytest.mark.parametrize("extra_edges", [0, 2, 50])
     @pytest.mark.parametrize("seed", [5, 2**32 + 7, 2**64 + 3])
     def test_block_equals_per_window_draws(self, b_tilde, extra_edges, seed):
-        # n = 9 leaves 28 non-tree edges, fewer than 50
-        seq = graphs.block_connected_sequence(9, b_tilde, seed, extra_edges)
-        for t in range(2):
-            block = seq.snapshots(t)[0].block[0]
-            assert block.adj.tobytes() == reference_block(
-                9, b_tilde, seed, extra_edges, t).tobytes()
+        # n = 9 and n = 12 leave 28 and 44 non-tree edges, fewer than 50; n = 1
+        # and n = 2 draw no tree word, n = 3 one
+        for n in (1, 2, 3, 9, 12):
+            seq = graphs.block_connected_sequence(n, b_tilde, seed, extra_edges)
+            for t in range(2):
+                block = seq.snapshots(t)[0].block[0]
+                assert block.adj.tobytes() == reference_block(
+                    n, b_tilde, seed, extra_edges, t).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 7, 2**64 + 3])
     def test_single_graphs_equal_reference(self, seed):

@@ -194,6 +194,23 @@ class TestTraceRoundTrip:
                 assert "" not in cells[:5]
                 assert (cells[5] == "") == bool(np.isnan(v_min[row]))
 
+    def test_rows_equal_per_cell_formatting(self):
+        # the row formats give the bytes of one `.17g` per cell, with nan and
+        # inf as printed in any series and a NaN v_min as an empty cell
+        special = [float("nan"), float("inf"), -float("inf"), 5e-324, -0.0, 0.0,
+                   1e300, 0.1, 1 / 3, 2.0, 1e16, 123456789.123456789]
+        rng = np.random.default_rng(32)
+        cols = {name: rng.permutation(special) for name in traces.SERIES}
+        trace = RunTrace(k=np.arange(0, 3 * len(special), 3), **cols)
+        want = [",".join(traces.CSV_COLUMNS)]
+        for row in range(len(special)):
+            cells = [str(int(trace.k[row]))] + [
+                f"{getattr(trace, name)[row]:.17g}" for name in traces.SERIES]
+            if np.isnan(trace.v_min[row]):
+                cells[-1] = ""
+            want.append(",".join(cells))
+        assert trace.to_csv() == "\n".join(want) + "\n"
+
     def test_zero_row_round_trip(self, tmp_path):
         empty = np.array([])
         trace = RunTrace(k=np.arange(0), residual=empty, cons_viol_x=empty,
