@@ -107,14 +107,14 @@ class Mixers:
         self.certificates: list[StochasticityReport | None] = []
         self.runs: list[tuple] = []   # (matrix, count) or (matrix, drawn, lo, hi)
 
-    def repeat(self, mat: MixingMatrix) -> None:
-        """`mat` on the next iteration."""
-        self.weights.append(mat.entries)
+    def repeat(self, mat: MixingMatrix, count: int = 1) -> None:
+        """`mat` on the next `count` iterations."""
+        self.weights += [mat.entries] * count
         if self.runs and self.runs[-1][0] is mat and len(self.runs[-1]) == 2:
-            self.runs[-1] = (mat, self.runs[-1][1] + 1)
+            self.runs[-1] = (mat, self.runs[-1][1] + count)
         else:
             self.certificates.append(mat.certificate)
-            self.runs.append((mat, 1))
+            self.runs.append((mat, count))
 
     def slices(self, mat: MixingMatrix, drawn: DrawnBlock, lo: int, hi: int) -> None:
         """Slices lo .. hi - 1 of the build `mat` is a slice of, whose
@@ -445,22 +445,27 @@ class _Group:
         self.rule, self.members, self.mat, self.snap = rule, [], None, None
 
     def serve(self, snaps, lo: int, hi: int) -> None:
-        """Iterations on snapshots lo .. hi - 1 of a block. A drawn block's
-        rule is asked at the first slice served; when its matrix is a slice
-        of the block's build, that build serves every slice. Otherwise the
-        rule is asked again only when the snapshot changes."""
+        """Iterations on snapshots lo .. hi - 1 of a block, i serving
+        snapshot i mod the block's size (a periodic block serves past its
+        end). A drawn block's rule is asked at the first slice served; when
+        its matrix is a slice of the block's build, that build serves every
+        slice. Otherwise the rule is asked again only when the snapshot
+        changes, and a one-snapshot block is one run."""
         if isinstance(snaps, DrawnBlock):
             if not self.built_on(snaps.block):
                 self.mat, self.snap = self.rule(snaps[lo]), snaps[lo]
             if self.built_on(snaps.block):
                 self.mixers.slices(self.mat, snaps, lo, hi)
                 return
-        for i in range(lo, hi):
-            snap = snaps[i]
+        i = lo
+        while i < hi:
+            snap = snaps[i % len(snaps)]
             if snap is not self.snap and snap != self.snap:
                 self.mat = self.rule(snap)
             self.snap = snap
-            self.mixers.repeat(self.mat)
+            count = hi - i if len(snaps) == 1 else 1
+            self.mixers.repeat(self.mat, count)
+            i += count
 
     def built_on(self, block) -> bool:
         """Whether the last matrix is a slice of `block`'s build."""
@@ -482,14 +487,16 @@ def _plan(members: list[_Member]) -> list[tuple[GraphSequence, list[_Group]]]:
 
 def _serve(seq: GraphSequence, groups: list[_Group], k0: int, k1: int) -> None:
     """Fill each group's mixers for iterations k0 .. k1 - 1, reading the
-    snapshot at the first iteration of each block's segment."""
+    snapshot at the first iteration of each block's segment; a periodic
+    sequence's one block serves the rest of the chunk."""
     for group in groups:
         group.mixers = Mixers()
     k = k0
     while k < k1:
         seq.snapshot(k)   # draws block t unless it is kept
         t, i = divmod(k, seq.size)
-        snaps, hi = seq.snapshots(t), min(seq.size, i + k1 - k)
+        snaps = seq.snapshots(t)
+        hi = i + k1 - k if seq.repeats else min(seq.size, i + k1 - k)
         for group in groups:
             group.serve(snaps, i, hi)
         k += hi - i

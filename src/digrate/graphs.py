@@ -20,6 +20,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import streams
+
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
 
@@ -27,6 +29,8 @@ Link = tuple[int, int]
 
 # iterations a subsample sequence draws at once, aligned to multiples of it
 _BLOCK = 64
+# draw blocks of a block-connected sequence drawn in one pass
+_BATCH = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +225,9 @@ class GraphSequence:
     snapshots of the sequence's n and kind, or a `GraphBlock` of `size`
     slices, served as a `DrawnBlock`; either is checked once. The draw must
     be pure: the same (seed, t) always yields the same snapshots, in this
-    process or any other. The sequence keeps the last block it drew; a
+    process or any other. A draw that returns, for another block, the tuple
+    the sequence keeps is periodic: that tuple is then every block, and the
+    draw is not called again. The sequence keeps the last block it drew; a
     `dataclasses.replace` copy keeps its own."""
 
     n: int
@@ -231,8 +237,9 @@ class GraphSequence:
     seed: int = 0
     declared_B: int | None = None
     description: str = ""
+    # {t: block t}, the last block drawn, and {None: it} once it repeats
     kept: dict = field(default_factory=dict, init=False, compare=False,
-                       repr=False)   # {t: block t}, the last block drawn
+                       repr=False)
 
     def snapshot(self, k: int) -> GraphSnapshot:
         if k < 0:
@@ -240,16 +247,26 @@ class GraphSequence:
         t, i = divmod(k, self.size)
         return self.snapshots(t)[i]
 
+    @property
+    def repeats(self) -> bool:
+        """Whether the draw has returned the kept tuple for another block,
+        so that tuple serves every block."""
+        return None in self.kept
+
     def snapshots(self, t: int) -> tuple[GraphSnapshot, ...] | DrawnBlock:
         """The snapshots of block t. A draw that returns the tuple already
-        kept (a periodic sequence's one block) is not checked again."""
-        snaps = self.kept.get(t)
+        kept (a periodic sequence's one block) is not checked again, and
+        serves every block from then on."""
+        snaps = self.kept.get(t, self.kept.get(None))
         if snaps is None:
             drawn, bad = self.draw(self.seed, t), False
             if isinstance(drawn, GraphBlock):
                 bad = drawn.adj.shape[:2] != (self.size, self.n) or drawn.kind != self.kind
                 drawn = DrawnBlock(drawn)
-            elif drawn is not next(iter(self.kept.values()), None):
+            elif drawn is next(iter(self.kept.values()), None):
+                self.kept[None] = drawn
+                return drawn
+            else:
                 drawn = tuple(drawn)
                 bad = len(drawn) != self.size or any(s.n != self.n or s.kind != self.kind
                                                      for s in drawn)
@@ -333,7 +350,8 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
     At iteration k, link t (in row-major order) is kept when the t-th uniform
     draw of default_rng((seed, k)) is below `fraction`, so snapshots are
     random-access reproducible. They are drawn a block of `_BLOCK`
-    iterations at a time, the block's `(seed, k)` rows hashed in one pass.
+    iterations at a time: the block's `(seed, k)` rows are hashed in one
+    pass, and their PCG64 outputs computed in one more.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
@@ -344,58 +362,43 @@ def subsample_sequence(base: GraphSnapshot, fraction: float, seed: int,
         return replace(periodic_sequence([base], description=description), seed=seed)
 
     def draw(s: int, t: int) -> GraphBlock:
-        rngs = _generators([(s, k) for k in range(t * _BLOCK, (t + 1) * _BLOCK)])
+        ks = range(t * _BLOCK, (t + 1) * _BLOCK)
+        raw = streams.outputs(streams.seed_state([(s, k) for k in ks], 8), len(rows))
         # uniform() is a raw output's top 53 bits times 2**-53
-        raw = np.array([rng.bit_generator.random_raw(len(rows)) for rng in rngs])
-        keep = (raw >> 11) * 2.0 ** -53 < fraction
-        slot, link = np.nonzero(keep)
+        link, slot = np.nonzero((raw >> 11) * 2.0 ** -53 < fraction)
         return GraphBlock(base.kind, _adjacency((_BLOCK, base.n, base.n), base.kind,
                                                 (slot, rows[link], cols[link])))
 
     return GraphSequence(base.n, base.kind, _BLOCK, draw, seed, description=description)
 
 
-def _graph_rows(seeds: list[int], extra_edges: int) -> list[tuple[int, ...]]:
-    """The generator rows `_connected_graphs` reads for `seeds`: (seed,) of
-    each seed, then (seed, 1) of each when there are extra edges to pick."""
-    return [(s,) for s in seeds] + ([(s, 1) for s in seeds] if extra_edges else [])
-
-
-def _connected_graphs(n: int, extra_edges: int, seed_rows: list[tuple[int, ...]],
-                      rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based (min, max) edge ends of one random connected graph per
-    seed, as (seeds, edges) arrays in row-major order per graph, from the
-    generators `rngs` of `seed_rows`, `_graph_rows(seeds, extra_edges)`.
-    default_rng(seed) draws a spanning tree, each vertex (in random order)
-    attached to a random earlier one; default_rng((seed, 1)) picks
-    `extra_edges` distinct random non-tree edges."""
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
-    count = len(rngs) // 2 if extra_edges else len(rngs)
-    trees, pickers = rngs[:count], rngs[count:]
-    order = np.array([rng.permutation(n) for rng in trees]).reshape(count, n)
-    # vertex order[idx] attaches to order[j], j drawn from 0 .. idx - 1 by
-    # integers(0, arange(1, n)), whose bound 1 reads no word
-    j = np.zeros((count, n - 1), dtype=np.intp)
-    j[:, 1:], rejected = _bounded(_words(trees, max(n - 2, 0), held=True), np.arange(2, n))
-    for i in np.flatnonzero(rejected.any(axis=1)):   # numpy would draw again
-        rng = np.random.default_rng(seed_rows[i])
-        rng.permutation(n)
-        j[i] = rng.integers(0, np.arange(1, n))
+def _connected_graphs(n: int, order: np.ndarray, j: np.ndarray,
+                      picked: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based (min, max) edge ends of random connected graphs, as
+    (graphs, edges) arrays in row-major order per graph. Graph g is a
+    spanning tree, vertex order[g, i] (i >= 1) attached to order[g, j[g, i -
+    1]], plus the non-tree edges (a, b), a < b, that `picked[g]` indexes in
+    row-major order."""
+    count = len(order)
     parents = np.take_along_axis(order, j, 1)
     graph = np.arange(count)[:, None]
     upper = np.zeros((count, n, n), dtype=bool)
     upper[graph, np.minimum(order[:, 1:], parents), np.maximum(order[:, 1:], parents)] = True
-    free = n * (n - 1) // 2 - (n - 1)   # the non-tree edges of every graph
-    if extra_edges and free:
-        # candidates: the non-tree edges (a, b), a < b, in row-major order
-        _, rows, cols = np.nonzero(np.triu(~upper, 1))
-        picked = np.array([rng.choice(free, size=min(extra_edges, free), replace=False)
-                           for rng in pickers])
-        upper[graph, np.take_along_axis(rows.reshape(count, free), picked, 1),
-              np.take_along_axis(cols.reshape(count, free), picked, 1)] = True
+    if picked is not None:
+        # each graph's non-tree edges as flat (a, b) positions, a < b
+        free = np.flatnonzero(np.triu(~upper, 1)).reshape(count, -1) % (n * n)
+        upper[(graph, *np.divmod(np.take_along_axis(free, picked, 1), n))] = True
     _, rows, cols = np.nonzero(upper)
     return rows.reshape(count, -1), cols.reshape(count, -1)
+
+
+def _extra_edges(n: int, extra_edges: int) -> tuple[int, int]:
+    """The non-tree edges of a connected graph on n >= 1 vertices, and how
+    many of them it picks."""
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    free = n * (n - 1) // 2 - (n - 1)
+    return free, min(extra_edges, free)
 
 
 def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
@@ -405,10 +408,19 @@ def random_spanning_tree(n: int, seed: int) -> GraphSnapshot:
 
 
 def random_connected_graph(n: int, extra_edges: int, seed: int) -> GraphSnapshot:
-    """Random spanning tree plus `extra_edges` distinct random non-tree edges."""
-    seed_rows = _graph_rows([seed], extra_edges)
-    rows, cols = _connected_graphs(n, extra_edges, seed_rows,
-                                   [np.random.default_rng(row) for row in seed_rows])
+    """Random spanning tree plus `extra_edges` distinct random non-tree
+    edges. default_rng(seed) draws the tree, each vertex (in the order of
+    `permutation(n)`) attached to an earlier one by `integers(0, arange(1,
+    n))`; default_rng((seed, 1)) picks the extra edges by `choice(free, m,
+    replace=False)` over the non-tree edges in row-major order."""
+    free, m = _extra_edges(n, extra_edges)
+    rng = np.random.default_rng((seed,))
+    order = rng.permutation(n)
+    j = rng.integers(0, np.arange(1, n))
+    picked = None
+    if m:
+        picked = np.random.default_rng((seed, 1)).choice(free, m, replace=False)[None]
+    rows, cols = _connected_graphs(n, order[None], j[None], picked)
     return GraphSnapshot(n, UNDIRECTED, _adjacency((n, n), UNDIRECTED, (rows[0], cols[0])))
 
 
@@ -435,184 +447,74 @@ def random_strongly_connected_digraph(n: int, m: int, seed: int) -> GraphSnapsho
 def block_connected_sequence(n: int, b_tilde: int, seed: int,
                              extra_edges: int = 0) -> GraphSequence:
     """Random sequence that is jointly connected over every aligned window of
-    length b_tilde: per window w, the edges of a random connected graph,
-    seeded by the first word SeedSequence((seed, w)) generates, are
-    scattered across the window's slots (drawn from default_rng((seed, w,
-    2))). A drawn block holds `_BLOCK // b_tilde` whole windows, or one
-    window longer than `_BLOCK`. Its windows' (seed, w) rows are hashed in
-    one pass, and the rows of every generator it draws from in another."""
+    length b_tilde: per window w, the edges of `random_connected_graph(n,
+    extra_edges, sub)`, sub the first word SeedSequence((seed, w))
+    generates, are scattered across the window's slots by
+    default_rng((seed, w, 2)).integers(0, b_tilde, size=edges). A drawn
+    block holds `_BLOCK // b_tilde` whole windows, or one window longer
+    than `_BLOCK`. Blocks are drawn `_BATCH` at a time, by
+    `_window_edges`; the draw keeps the last batch of each seed it drew,
+    so a copy of the sequence on another seed draws batches of its own."""
     if b_tilde < 1:
         raise ValueError("window length must be >= 1")
     per = max(1, _BLOCK // b_tilde)   # windows per block
+    batches = {}   # {seed: (batch index, its windows' `_window_edges`)}
 
     def draw(s: int, t: int) -> GraphBlock:
-        windows = range(t * per, (t + 1) * per)
-        graph_rows = _graph_rows(_seed_state([(s, w) for w in windows], 1)[:, 0].tolist(),
-                                 extra_edges)
-        # a one-iteration window puts every edge in its one slot
-        rngs = _generators(graph_rows + [(s, w, 2) for w in windows if b_tilde > 1])
-        rows, cols = _connected_graphs(n, extra_edges, graph_rows, rngs[:len(graph_rows)])
-        slots = np.zeros(rows.shape, dtype=np.intp)
-        if b_tilde > 1:
-            slots[:], rejected = _bounded(_words(rngs[len(graph_rows):], rows.shape[1]),
-                                          b_tilde)
-            for i in np.flatnonzero(rejected.any(axis=1)):   # numpy would draw again
-                slots[i] = np.random.default_rng((s, windows[i], 2)).integers(
-                    0, b_tilde, size=rows.shape[1])
-        slots += b_tilde * np.arange(per)[:, None]
-        return GraphBlock(UNDIRECTED, _adjacency((per * b_tilde, n, n), UNDIRECTED,
-                                                 (slots.ravel(), rows.ravel(), cols.ravel())))
+        b, i = divmod(t, _BATCH)
+        if batches.get(s, (None,))[0] != b:
+            windows = range(b * _BATCH * per, (b + 1) * _BATCH * per)
+            batches[s] = b, _window_edges(n, b_tilde, extra_edges, s, windows)
+        adj = np.zeros((per * b_tilde, n, n), dtype=bool)
+        adj.ravel()[batches[s][1][i * per:(i + 1) * per]] = True
+        return GraphBlock(UNDIRECTED, adj | adj.swapaxes(1, 2))
 
     return GraphSequence(n, UNDIRECTED, per * b_tilde, draw, seed, b_tilde,
                          f"block-connected(n={n}, window={b_tilde})")
 
 
-# SeedSequence's hash (numpy/random/bit_generator.pyx), in uint32 arithmetic
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK = 0xFFFFFFFF
+def _window_edges(n: int, b_tilde: int, extra_edges: int, s: int,
+                  windows: range) -> np.ndarray:
+    """The edges of windows `windows` of a block-connected sequence of seed
+    s, each as its (slot, a, b), a < b, in the stack of the block that
+    holds it, flattened: a (windows, edges) array. The windows' (s, w) rows
+    are hashed in one pass, the rows of the generators they draw from in
+    another, and each generator's draws are numpy's transforms of its
+    PCG64 output, computed here for every row at once."""
+    count, per = len(windows), max(1, _BLOCK // b_tilde)
+    subs = streams.seed_state([(s, w) for w in windows], 1)[:, 0].tolist()
+    free, m = _extra_edges(n, extra_edges)
+    rows = [(sub,) for sub in subs] + [(sub, 1) for sub in subs if m]
+    # a one-iteration window puts every edge in its one slot
+    state = streams.seed_state(rows + [(s, w, 2) for w in windows if b_tilde > 1], 8)
+    # budgets of raw outputs that leave few rows short of words
+    swaps, j = streams.drawn(state[:count], lambda words: _tree_draws(n, words),
+                             n + n // 2 + 3)
+    order = np.repeat(np.arange(n)[:, None], count, axis=1)
+    streams.shuffle(order, swaps)
+    picked = None
+    if m:
+        picked = streams.drawn(state[count:2 * count],
+                               lambda words: streams.choice(words, free, m), m + 2)[0].T
+    a, b = _connected_graphs(n, order.T, j.T, picked)
+    slots = np.zeros(a.shape, dtype=np.intp)
+    if b_tilde > 1:
+        slots[:] = streams.drawn(state[len(rows):], lambda words: streams.lemire(
+            words, np.zeros(words.shape[1], dtype=np.intp), [b_tilde] * a.shape[1]),
+            a.shape[1] // 2 + 2)[0].T
+    slots += b_tilde * (np.arange(count) % per)[:, None]
+    return (slots * n + a) * n + b
 
 
-def _entropy(row: tuple[int, ...]) -> list[int]:
-    """The uint32 words SeedSequence reads from a tuple of integers: each
-    integer's words, least significant first, at least one per integer."""
-    words = []
-    for v in row:
-        if not isinstance(v, (int, np.integer)):
-            raise TypeError("seed must be integer")
-        v = int(v)
-        if v < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(v & _MASK)
-        while v > _MASK:
-            v >>= 32
-            words.append(v & _MASK)
-    return words
-
-
-def _seed_state(rows: list[tuple[int, ...]], words: int) -> np.ndarray:
-    """`np.random.SeedSequence(row).generate_state(words)` of every row at
-    once, as a (len(rows), words) uint32 array. A row of at most `_POOL`
-    words hashes as if padded with zeros to the pool; longer rows are
-    hashed in groups of one length."""
-    if rows and max(map(len, rows)) <= _POOL:
-        table = np.array([row + (0,) * (_POOL - len(row)) for row in rows])
-        if table.dtype == np.int64 and table.min() >= 0 and table.max() <= _MASK:
-            # one word per integer, zero-padded to the pool
-            return _hash(table.T.astype(np.uint32), words)
-    entropy = [_entropy(row) for row in rows]
-    groups: dict[int, list[int]] = {}
-    for i, e in enumerate(entropy):
-        groups.setdefault(max(len(e), _POOL), []).append(i)
-    state = np.empty((len(rows), words), dtype=np.uint32)
-    for length, members in groups.items():
-        padded = [entropy[i] + [0] * (length - len(entropy[i])) for i in members]
-        state[members] = _hash(np.array(padded, dtype=np.uint32).T, words)
-    return state
-
-
-def _hash(entropy: np.ndarray, words: int) -> np.ndarray:
-    """SeedSequence's entropy mix and state generation over the columns of
-    an (l, r) uint32 array, l >= `_POOL`: r rows of l words each. The hash
-    steps that read one word run as one array operation, each with the
-    constant the sequential hash gives it."""
-    # every word takes _POOL hash steps, each with the next constant
-    consts = _constants(_INIT_A, _MULT_A, _POOL * len(entropy) + 1)
-    pool = _hashmix(entropy[:_POOL], consts[:_POOL, None], consts[1:_POOL + 1, None])
-    # mix all bits together so late bits can affect earlier ones: each word
-    # into each other word
-    at = _POOL
-    for src in range(_POOL):
-        dst = [i for i in range(_POOL) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at:at + _POOL - 1, None],
-                                             consts[at + 1:at + _POOL, None]))
-        at += _POOL - 1
-    # the words past the pool, each into every pool word
-    for src in range(_POOL, len(entropy)):
-        pool = _mix(pool, _hashmix(entropy[src], consts[at:at + _POOL, None],
-                                   consts[at + 1:at + _POOL + 1, None]))
-        at += _POOL
-    consts = _constants(_INIT_B, _MULT_B, words + 1)
-    return _hashmix(pool[np.arange(words) % _POOL], consts[:-1, None], consts[1:, None]).T
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    value = value ^ xor
-    value *= mul
-    value ^= value >> 16
-    return value
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L - y * _MIX_R
-    out ^= out >> 16
-    return out
-
-
-@functools.cache
-def _constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The first `count` values of a hash constant: init, then each times
-    `mult`, modulo 2**32."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK)
-    out = np.array(out, dtype=np.uint32)
-    out.flags.writeable = False   # one array for every caller
-    return out
-
-
-class _Hashed(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose state `_seed_state` already generated: it hands
-    PCG64 the four uint64 words it asks for."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        assert n_words == 4 and np.dtype(dtype) == np.uint64
-        return self.words
-
-
-def _generators(rows: list[tuple[int, ...]]) -> list[np.random.Generator]:
-    """`np.random.default_rng(row)` for every row, bit for bit, from one hash
-    of all the rows."""
-    # generate_state(4, np.uint64) pairs the eight uint32 words little-endian
-    state = np.ascontiguousarray(_seed_state(rows, 2 * 4), dtype="<u4")
-    state = state.view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_Hashed(words))) for words in state]
-
-
-def _words(rngs: list[np.random.Generator], count: int, held: bool = False) -> np.ndarray:
-    """The next `count` 32-bit words numpy's bounded draws read from each
-    generator, as a (len(rngs), count) uint64 array: the upper half of its
-    last raw output when it holds one (read only if `held`; a fresh generator
-    holds none), then the low and upper halves of its next raw outputs."""
-    bits = [rng.bit_generator for rng in rngs]
-    state = [bit.state for bit in bits] if held else []
-    raw = np.array([bit.random_raw((count + 1) // 2) for bit in bits],
-                   dtype=np.uint64).reshape(len(rngs), -1)
-    # column 0 for a held upper half, then each output's low and upper halves
-    words = np.zeros((len(rngs), 2 * raw.shape[1] + 1), dtype=np.uint64)
-    words[:, 1::2], words[:, 2::2] = raw & _MASK, raw >> 32
-    if not held:
-        return words[:, 1:count + 1]
-    words[:, 0] = [st["uinteger"] for st in state]
-    has = np.array([st["has_uint32"] for st in state], dtype=bool)
-    return np.where(has[:, None], words[:, :count], words[:, 1:count + 1])
-
-
-def _bounded(words: np.ndarray, high) -> tuple[np.ndarray, np.ndarray]:
-    """`integers(0, high)` as numpy's Generator draws it from each 32-bit
-    word, for bounds 2 .. 2**32 - 1 (Lemire's method), and where numpy would
-    reject the word and draw again: the product's low half below 2**32 mod
-    high. A caller redraws what a rejected word would have given."""
-    high = np.asarray(high, dtype=np.uint64)
-    product = words * high
-    return (product >> 32).astype(np.intp), (product & _MASK) < (1 << 32) % high
+def _tree_draws(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A spanning tree's draws from each row's words, as default_rng draws
+    them: `permutation(n)`'s swaps, then `integers(0, arange(1, n))`, whose
+    bound 1 reads no word. Returns the swaps and the parent positions, each
+    (n - 1, rows), and the next word position."""
+    swaps, end = streams.intervals(words, range(n - 1, 0, -1))
+    j = np.zeros(swaps.shape, dtype=np.intp)
+    j[1:], end = streams.lemire(words, end, range(2, n))
+    return swaps, j, end
 
 
 def snapshot_to_text(snap: GraphSnapshot) -> str:

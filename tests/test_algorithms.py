@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from digrate import algorithms as alg
-from digrate import graphs, harness, mixing
+from digrate import graphs, harness, mixing, streams
 from digrate.objectives import (ObjectiveSuite, huber_regression_suite,
                                  quadratic_suite, solve_reference, zero_suite)
 
@@ -639,6 +639,48 @@ class TestMatrixReuse:
         assert calls == [a, b, a, b, a, b]
         assert all(len(trace) == 10 for trace in traces)
 
+    def test_periodic_sequence_serves_chunks(self):
+        # a draw that hands back the tuple the sequence keeps is periodic:
+        # after it, one read serves the rest of each chunk, the rule still
+        # asked at each snapshot change
+        suite = zero_suite(3, 1)
+        a = graphs.undirected(3, [(1, 2)])
+        b = graphs.undirected(3, [(2, 3)])
+        period, draws = (a, a, b), []
+
+        def drawn(s, t):
+            draws.append(t)
+            return period
+
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 3, drawn)
+        rule, calls = self.counting(mixing.metropolis)
+        trace = alg.run("diging", seq, rule, suite, 0.1, 200, x0="random")
+        assert draws == [0, 1] and seq.repeats
+        assert calls == [period[k % 3] for k in range(200)
+                         if k == 0 or period[k % 3] is not period[(k - 1) % 3]]
+        # the same periods drawn anew per block, served a block at a time
+        fresh = graphs.GraphSequence(3, graphs.UNDIRECTED, 3, lambda s, t: list(period))
+        assert trace.to_csv() == alg.run("diging", fresh, mixing.metropolis, suite,
+                                         0.1, 200, x0="random").to_csv()
+        assert not fresh.repeats
+
+    def test_static_chunk_is_one_run(self):
+        # a static sequence's chunk is one read and one run of its matrix
+        static, draws = (graphs.undirected(3, [(1, 2), (2, 3)]),), []
+
+        def drawn(s, t):
+            draws.append(t)
+            return static
+
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, drawn)
+        group = alg._Group(mixing.metropolis)
+        alg._serve(seq, [group], 0, alg._CHUNK)
+        alg._serve(seq, [group], alg._CHUNK, 2 * alg._CHUNK)
+        assert draws == [0, 1]
+        assert group.mixers.runs == [(group.mat, alg._CHUNK)]
+        assert len(group.mixers.weights) == alg._CHUNK
+        assert len(group.mixers.matrices()) == alg._CHUNK
+
 
     def test_directed_view_reads_the_drawn_block(self, monkeypatch):
         # a subsample sequence and its directed view in one call make one
@@ -647,13 +689,13 @@ class TestMatrixReuse:
         seq_w = graphs.subsample_sequence(
             graphs.random_connected_graph(6, 4, seed=50), 0.5, 51)
         seq_c = harness.directed_view(seq_w)
-        real, keys = graphs._seed_state, []
+        real, keys = streams.seed_state, []
 
         def counted(rows, words):
             keys.extend(rows)
             return real(rows, words)
 
-        monkeypatch.setattr(graphs, "_seed_state", counted)
+        monkeypatch.setattr(streams, "seed_state", counted)
         iterations = 2 * graphs._BLOCK
         alg.run(("diging", "push-diging"), (seq_w, seq_c),
                 (mixing.metropolis, mixing.out_degree_column), suite, 0.1,
@@ -672,13 +714,13 @@ class TestMatrixReuse:
         a = graphs.subsample_sequence(
             graphs.random_connected_graph(12, 8, seed=70), 0.5, 70)
         b = dataclasses.replace(a, seed=71)
-        real, keys = graphs._seed_state, []
+        real, keys = streams.seed_state, []
 
         def counted(rows, words):
             keys.extend(rows)
             return real(rows, words)
 
-        monkeypatch.setattr(graphs, "_seed_state", counted)
+        monkeypatch.setattr(streams, "seed_state", counted)
         iterations = 4 * graphs._BLOCK
         alg.run(("diging", "diging"), (a, b), mixing.metropolis, suite, 0.1,
                 iterations, x0="random")

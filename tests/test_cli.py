@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from digrate import algorithms, cli, graphs, mixing, objectives
+from digrate import algorithms, cli, graphs, mixing, objectives, streams
 from digrate.traces import RunTrace
 
 
@@ -672,14 +672,14 @@ class TestWindowDraws:
                                                     monkeypatch):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
         drawn = []
-        real = graphs._seed_state
+        real = streams.seed_state
 
         def counted(rows, words):
             # a window's (seed, w) row is hashed once for its sub-seed
             drawn.extend(rows if words == 1 else [])
             return real(rows, words)
 
-        monkeypatch.setattr(graphs, "_seed_state", counted)
+        monkeypatch.setattr(streams, "seed_state", counted)
         config = write_config(
             tmp_path,
             graph={"type": "block-connected", "n": 12, "window": 2, "seed": 0},

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from digrate import graphs, mixing
+from digrate import algorithms, graphs, mixing, objectives, streams
 
 
 def path3():
@@ -171,26 +171,27 @@ class TestJointConnectivity:
 class TestBlockConnected:
     def test_block_draws_its_graph_once(self, monkeypatch):
         # a window's (seed, w) row is hashed for its one-word sub-seed, its
-        # (seed, w, 2) row for the generator of its slots
+        # (seed, w, 2) row for the generator of its slots; a batch of
+        # `_BATCH` blocks hashes the rows of all its windows at once
         drawn, slotted = [], []
-        real = graphs._seed_state
+        real = streams.seed_state
 
         def counted(rows, words):
             drawn.extend(rows if words == 1 else [])
             slotted.extend(row for row in rows if len(row) == 3)
             return real(rows, words)
 
-        monkeypatch.setattr(graphs, "_seed_state", counted)
+        monkeypatch.setattr(streams, "seed_state", counted)
         seq = graphs.block_connected_sequence(6, 3, seed=41, extra_edges=2)
         windows = graphs._BLOCK // 3          # whole windows in one block
-        span = windows * 3
+        span, batch = windows * 3, graphs._BATCH * windows
         # every slot of the first block, in shuffled order and read twice
         order = np.random.default_rng(44).permutation(span).tolist()
         for k in order + order[::-1]:
             seq.snapshot(k)
-        assert drawn == [(41, w) for w in range(windows)]
+        assert drawn == [(41, w) for w in range(batch)]
         snap = seq.snapshot(span + 4)
-        assert drawn == [(41, w) for w in range(2 * windows)]
+        assert drawn == [(41, w) for w in range(batch)]
         # the block is read-only, holds its windows' slots and is shared by them
         block, i = snap.block
         assert i == 4 and block.adj.shape == (span, 6, 6)
@@ -198,8 +199,10 @@ class TestBlockConnected:
         later = np.random.default_rng(45).permutation(
             np.arange(span, 2 * span)).tolist()
         assert all(seq.snapshot(k).block == (block, k - span) for k in later)
-        assert len(drawn) == 2 * windows
-        assert slotted == [(41, w, 2) for w in range(2 * windows)]
+        # the next batch's rows follow, each once
+        seq.snapshot(graphs._BATCH * span)
+        assert drawn == [(41, w) for w in range(2 * batch)]
+        assert slotted == [(41, w, 2) for w in range(2 * batch)]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     @pytest.mark.parametrize("b_tilde", [1, 2, 3, 5, 64, 65])
@@ -268,11 +271,18 @@ def reference_block(n, b_tilde, seed, extra_edges, t):
     return adj
 
 
+def stream_words(row, count):
+    """The first `count` 32-bit words numpy's bounded draws read from
+    default_rng(row), as a (count, 1) array."""
+    state = streams.seed_state([row], 8)
+    return streams.to_words(streams.outputs(state, (count + 1) // 2))[:count]
+
+
 class TestRawOutputDraws:
-    """A drawn block takes its bounded integers and uniforms from each
-    generator's raw output by numpy's own transforms. These tests pin those
-    transforms to numpy's `Generator`, so a numpy release that changes one
-    fails here."""
+    """A drawn block takes its bounded integers and uniforms from the PCG64
+    output of its rows, computed for every row at once, by numpy's own
+    transforms. These tests pin the stream and the transforms to numpy's
+    `Generator`, so a numpy release that changes one fails here."""
 
     @pytest.mark.parametrize("high", [3 * 2**30 - 1, 3 * 2**30, 3 * 2**30 + 5,
                                       2**31 + 1, 70, 2])
@@ -280,32 +290,40 @@ class TestRawOutputDraws:
         # near 3 * 2**30 numpy rejects about one word in four, past 2**31 one
         # in two; it skips each rejected word and takes the next
         for seed in range(3):
-            words = graphs._words([np.random.default_rng((seed, 5))], 1000)
-            values, rejected = graphs._bounded(words, high)
+            words = stream_words((seed, 5), 1000)
+            values, rejected = streams.bounded(words, high)
             want = np.random.default_rng((seed, 5)).integers(0, high, size=300)
             assert np.array_equal(values[~rejected][:300], want)
             assert (values < high).all()
             if high > 2**30:
                 assert rejected.mean() > 0.1
+            # the walk past rejected words gives the same values
+            walked, end = streams.lemire(words, np.zeros(1, dtype=np.intp), [high] * 300)
+            assert np.array_equal(walked[:, 0], want)
+            assert end[0] == 300 + rejected[:end[0], 0].sum()
 
     @pytest.mark.parametrize("extra_edges", [0, 3])
     def test_rejected_window_is_redrawn(self, monkeypatch, extra_edges):
+        # numpy rejects a word a few times in 2**32 at these bounds, so one
+        # is forced: as if the first word of window 35 in each Lemire draw
+        # were rejected, its values garbage (every parent 0, every edge in
+        # slot 0). That window is walked word by word instead.
         want = graphs.block_connected_sequence(12, 2, 7, extra_edges).snapshots(1)
-        real, calls = graphs._bounded, []
+        real, forced = streams.bounded, []
 
         def rejecting(words, high):
-            # as if window 3's last word were rejected, its values garbage:
-            # a tree parent -1 would make a self-loop, a slot -1 move the
-            # window's edges into the window before
             values, rejected = real(words, high)
-            values[3], rejected[3, -1] = -1, True
-            calls.append(len(words))
+            values[:, 35], rejected[0, 35] = 0, True
+            forced.append(words.shape)
             return values, rejected
 
-        monkeypatch.setattr(graphs, "_bounded", rejecting)
+        monkeypatch.setattr(streams, "bounded", rejecting)
         got = graphs.block_connected_sequence(12, 2, 7, extra_edges).snapshots(1)
-        assert calls == [32, 32]
         assert got.block.adj.tobytes() == want.block.adj.tobytes()
+        # the tree parents, the extra edges' Floyd draws and shuffle, the slots
+        rows = graphs._BATCH * graphs._BLOCK // 2
+        assert forced == [(10, rows)] + [(5, rows)] * (extra_edges > 0) + [
+            (11 + extra_edges, rows)]
 
     @pytest.mark.parametrize("fraction", [0.1, 0.4, 0.8, 0.999])
     @pytest.mark.parametrize("kind", [graphs.UNDIRECTED, graphs.DIRECTED])
@@ -323,13 +341,96 @@ class TestRawOutputDraws:
                 want |= want.swapaxes(1, 2)
             assert seq.snapshots(t).block.adj.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 33])
+    def test_shuffle_equals_permutation(self, n):
+        rows = [(s, n) for s in range(100)]
+        words = streams.to_words(streams.outputs(streams.seed_state(rows, 8), 3 * n + 4))
+        swaps, end = streams.intervals(words, range(n - 1, 0, -1))
+        order = np.repeat(np.arange(n)[:, None], len(rows), axis=1)
+        streams.shuffle(order, swaps)
+        after, _ = streams.lemire(words, end, [7] * 5)
+        for col, row in enumerate(rows):
+            rng = np.random.default_rng(row)
+            assert order[:, col].tolist() == rng.permutation(n).tolist()
+            # the next word read is the one numpy reads next
+            assert after[:, col].tolist() == rng.integers(0, 7, size=5).tolist()
+
+    @pytest.mark.parametrize("free, m", [(0, 0), (1, 1), (28, 3), (28, 28), (55, 3),
+                                         (55, 50), (10_200, 150), (10_200, 300)])
+    def test_choice_equals_generator_choice(self, free, m):
+        # above 10,000 candidates, 150 picks go by Floyd's algorithm and 300
+        # (more than free // 50) by the tail shuffle
+        rows = [(s, 1) for s in range(30)]
+        picks = streams.drawn(streams.seed_state(rows, 8),
+                              lambda words: streams.choice(words, free, m), m + 2)[0]
+        for col, row in enumerate(rows):
+            want = np.random.default_rng(row).choice(free, m, replace=False)
+            assert picks[:, col].tolist() == want.tolist()
+
+    def test_window_that_needs_37_words(self):
+        # window 110 of seed 3 (n = 12, window 2) reads 37 words for its
+        # tree's permutation and parents, more than 18 raw outputs hold
+        sub = int(np.random.SeedSequence((3, 110)).generate_state(1)[0])
+        state = streams.seed_state([(sub,)], 8)
+
+        def draw(words):
+            return graphs._tree_draws(12, words)
+
+        assert draw(streams.to_words(streams.outputs(state, 18)))[2].tolist() == [-1]
+        assert draw(streams.to_words(streams.outputs(state, 19)))[2].tolist() == [37]
+        # short of words, the row takes its raw outputs 19, 20, ...
+        swaps, j = streams.drawn(state, draw, 18)
+        order = np.arange(12)[:, None]
+        streams.shuffle(order, swaps)
+        rng = np.random.default_rng((sub,))
+        assert order[:, 0].tolist() == rng.permutation(12).tolist()
+        assert j[:, 0].tolist() == rng.integers(0, np.arange(1, 12)).tolist()
+        block = graphs.block_connected_sequence(12, 2, 3).snapshots(110 // 32).block
+        assert block.adj.tobytes() == reference_block(12, 2, 3, 0, 110 // 32).tobytes()
+
+    @pytest.mark.parametrize("b_tilde", [1, 2, 3, 70])
+    @pytest.mark.parametrize("extra_edges", [0, 3])
+    def test_snapshots_across_a_batch_boundary(self, b_tilde, extra_edges):
+        n, seed = 7, 48
+        seq = graphs.block_connected_sequence(n, b_tilde, seed, extra_edges)
+        last = graphs._BATCH - 1   # the last block of the first batch
+        ks = [0] + [t * seq.size + i for t in (last, last + 1)
+                    for i in (0, 1, seq.size - 2, seq.size - 1)]
+        blocks = {t: reference_block(n, b_tilde, seed, extra_edges, t)
+                  for t in (0, last, last + 1)}
+        for k in np.random.default_rng(49).permutation(ks).tolist():
+            t, i = divmod(k, seq.size)
+            assert seq.snapshot(k).adj.tobytes() == blocks[t][i].tobytes()
+
+    def test_seed_copies_draw_each_window_once(self, monkeypatch):
+        # copies of one sequence on two seeds, stepped in one lockstep call
+        # across a batch boundary, keep a batch each: each (seed, w) row is
+        # hashed once, in order
+        real, keys = streams.seed_state, []
+
+        def counted(rows, words):
+            keys.extend(rows if words == 1 else [])
+            return real(rows, words)
+
+        monkeypatch.setattr(streams, "seed_state", counted)
+        a = graphs.block_connected_sequence(6, 2, 80)
+        b = dataclasses.replace(a, seed=81)
+        suite = objectives.quadratic_suite(np.zeros((6, 1)), np.ones(6))
+        algorithms.run(("diging", "diging"), (a, b), mixing.metropolis, suite, 0.1,
+                       (graphs._BATCH + 1) * a.size)
+        windows = 2 * graphs._BATCH * a.size // 2   # two batches of windows of 2
+        for seed in (80, 81):
+            assert [key for key in keys if key[0] == seed] == [
+                (seed, w) for w in range(windows)]
+        assert len(keys) == 2 * windows
+
 
 class TestSeedHash:
-    """A block's seeds are hashed in one pass; every generator it builds
-    equals default_rng of its row, so no draw differs from one seeded
-    alone."""
+    """A block's seeds are hashed in one pass, and each row's PCG64 stream
+    computed from the hash equals default_rng of its row, so no draw differs
+    from one seeded alone."""
 
-    SEEDS = (0, 2**32 - 1, 2**32, 2**63)
+    SEEDS = (0, 2**32 - 1, 2**32, 2**63, 2**64 + 3)
 
     def rows(self, rng, count, length):
         """`count` rows of `length` integers, each a named seed or a
@@ -351,12 +452,20 @@ class TestSeedHash:
         for rows in batches:
             want = np.array([np.random.SeedSequence(row).generate_state(words)
                              for row in rows])
-            assert np.array_equal(graphs._seed_state(rows, words), want)
+            assert np.array_equal(streams.seed_state(rows, words), want)
 
     def test_generators_equal_default_rng(self):
-        rows = self.rows(np.random.default_rng(110), 60, 2) + [(3,), (0, 1, 2, 3, 4)]
-        for rng, row in zip(graphs._generators(rows), rows):
-            assert rng.bit_generator.state == np.random.default_rng(row).bit_generator.state
+        # each row's raw outputs, from the first or a later one, are those
+        # of default_rng(row): rows of 1 to 3 integers, 1 to 40 outputs
+        rng = np.random.default_rng(110)
+        rows = [row for length in (1, 2, 3) for row in self.rows(rng, 40, length)]
+        rows += [(seed,) for seed in self.SEEDS]
+        state = streams.seed_state(rows, 8)
+        want = np.array([np.random.default_rng(row).bit_generator.random_raw(40)
+                         for row in rows]).T
+        for count in (1, 2, 17, 40):
+            assert np.array_equal(streams.outputs(state, count), want[:count])
+        assert np.array_equal(streams.outputs(state, 15, 25), want[25:])
 
     @pytest.mark.parametrize("b_tilde", [1, 2, 3, 70])
     @pytest.mark.parametrize("extra_edges", [0, 2, 50])
@@ -395,7 +504,7 @@ class TestSeedHash:
         for draw in (lambda: graphs.block_connected_sequence(6, 2, -1).snapshot(0),
                      lambda: graphs.subsample_sequence(base, 0.5, -1).snapshot(0),
                      lambda: graphs.random_connected_graph(6, 2, -3),
-                     lambda: graphs._seed_state([(1, 2), (3, -4, 5)], 1)):
+                     lambda: streams.seed_state([(1, 2), (3, -4, 5)], 1)):
             with pytest.raises(ValueError) as got:
                 draw()
             assert str(got.value) == str(expected.value)

@@ -73,6 +73,13 @@ It covers:
   directed views, the push methods; and one lockstep call in which a
   Push-DIGing member ends mid-chunk on the weight floor while a DIGing and
   a Push-DIGing member on a drawn sequence run on: trace CSV and sidecar.
+- snapshots read in shuffled order over the two blocks on each side of the
+  end of the first batch of 16 blocks that a block-connected sequence draws
+  in one pass: block-connected windows of 1, 2, 3, 5 and 65 with extra
+  edges, and a subsample sequence (`snapshot_to_text` of each, and the
+  entries and certificate fields of their Metropolis and lazy Metropolis
+  builds); and audited runs of DIGing, DIGing-ATC and DGD in one lockstep
+  call whose horizon ends inside the second batch: trace CSV and sidecar.
 
 The first line names the `digrate` package that was imported.
 """
@@ -106,6 +113,8 @@ BOUNDS_FILES = 100  # params files per group
 IGD_RADII = (0.0, 0.3)
 IGD_ITERATIONS = 120
 CHUNK_ITERATIONS = 300   # crosses run's chunks of 64 and blocks of 63 and 70
+BATCH_BLOCKS = 16   # block-connected draw blocks drawn in one pass
+BATCH_WINDOWS = (1, 2, 3, 5, 65)   # window lengths read across a batch's end
 UNDIRECTED_ALGOS = ("diging", "diging-atc", "dgd")
 PUSH_ALGOS = ("push-diging", "subgradient-push")
 
@@ -336,20 +345,53 @@ def cycle_digests():
 
 
 def slice_digests(label: str, seq, rules, order: list):
-    """Snapshots of iterations 0..len(order)-1, read in `order`:
+    """Snapshots of the iterations in `order`, read in that order:
     `snapshot_to_text` of each, and per rule the entries and certificate
-    fields of their matrices, built in the same order."""
+    fields of their matrices, built in the same order; digested by
+    iteration."""
     snaps = {k: seq.snapshot(k) for k in order}
     yield (f"{label} snapshot_to_text",
            digest("".join(graphs.snapshot_to_text(snaps[k])
-                          for k in range(len(order)))))
+                          for k in sorted(order))))
     for rule in rules:
         mats = {k: rule(snaps[k]) for k in order}
         h = hashlib.sha256()
-        for k in range(len(order)):
+        for k in sorted(order):
             h.update(mats[k].entries.tobytes())
             h.update(repr(dataclasses.astuple(mats[k].certificate)).encode())
         yield f"{label} {rule.__name__}", h.hexdigest()
+
+
+def batch_digests(work: Path):
+    """Snapshots read in shuffled order over the last two blocks of the
+    first draw batch and the first two of the next, and an audited run
+    whose horizon ends inside a batch."""
+    rules = (mixing.metropolis, mixing.lazy_metropolis)
+    for seed, b_tilde in enumerate(BATCH_WINDOWS):
+        seq = graphs.block_connected_sequence(12, b_tilde, 30 + seed, 3)
+        yield from slice_digests(f"batch seed={30 + seed} b_tilde={b_tilde} extra=3",
+                                 seq, rules, batch_order(seq, seed))
+    base = graphs.random_connected_graph(12, 11, 40)
+    seq = graphs.subsample_sequence(base, 0.4, 41)
+    yield from slice_digests("batch seed=41 subsample", seq, rules, batch_order(seq, 41))
+    suite = harness.build_suite({"family": "quadratic", "n": 12, "p": 2, "seed": 42})
+    seq = graphs.block_connected_sequence(12, 2, 43, 3)
+    iterations = BATCH_BLOCKS * seq.size + 100
+    traces = algorithms.run(UNDIRECTED_ALGOS, seq, mixing.metropolis, suite,
+                            (0.05, 0.08, 0.05), iterations, x0="random", seed=44,
+                            record_audit=True)
+    for algo, trace in zip(UNDIRECTED_ALGOS, traces):
+        path = work / f"batch-{algo}.csv"
+        trace.write(path)
+        yield f"batch seed=43 {algo} {len(trace)} rows", digest(written(path))
+
+
+def batch_order(seq, seed: int) -> list:
+    """Iterations of the two blocks on each side of the first batch's end,
+    in a seeded shuffle."""
+    end, size = BATCH_BLOCKS * seq.size, seq.size
+    order = np.random.default_rng((seed, 8)).permutation(end + np.arange(-2 * size, 2 * size))
+    return order.tolist()
 
 
 def sweep_static_digests(seed: int = 0):
@@ -604,7 +646,8 @@ def main() -> None:
                      sweep_static_digests(), edge_run_digests(work),
                      window_digests(), cycle_digests(), bounds_digests(work),
                      gradient_digests(), reader_digests(work),
-                     loader_digests(work), chunk_digests(work)):
+                     loader_digests(work), chunk_digests(work),
+                     batch_digests(work)):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
