@@ -85,7 +85,7 @@ def require_certificate(method: Method, mat: MixingMatrix) -> None:
 
 
 def _require(method: Method, cert) -> None:
-    if cert is None or not cert.ok:
+    if not cert.ok:
         raise CertificateError("mixing matrix carries no valid stochasticity "
                                "certificate")
     modes = (COLUMN, DOUBLY) if method.push else (DOUBLY,)
@@ -97,42 +97,36 @@ def _require(method: Method, cert) -> None:
 class Mixers:
     """The mixing matrices of consecutive iterations, for one `step` call:
     `weights[j]` is the entries of the j-th, and `certificates` holds the
-    report that decides each run of them, a matrix repeated or consecutive
-    slices of one build."""
+    report that decides each run of them, consecutive slices of one build."""
 
     __slots__ = ("weights", "certificates", "runs")
 
     def __init__(self):
         self.weights: list[np.ndarray] = []
-        self.certificates: list[StochasticityReport | None] = []
-        self.runs: list[tuple] = []   # (matrix, count) or (matrix, drawn, lo, hi)
+        self.certificates: list[StochasticityReport] = []
+        self.runs: list[tuple] = []   # (matrix, snapshots, lo, hi)
 
-    def repeat(self, mat: MixingMatrix, count: int = 1) -> None:
-        """`mat` on the next `count` iterations."""
-        self.weights += [mat.entries] * count
-        if self.runs and self.runs[-1][0] is mat and len(self.runs[-1]) == 2:
-            self.runs[-1] = (mat, self.runs[-1][1] + count)
-        else:
-            self.certificates.append(mat.certificate)
-            self.runs.append((mat, count))
-
-    def slices(self, mat: MixingMatrix, drawn: DrawnBlock, lo: int, hi: int) -> None:
-        """Slices lo .. hi - 1 of the build `mat` is a slice of, whose
-        snapshots `drawn` serves, on the next hi - lo iterations."""
+    def slices(self, mat: MixingMatrix, lo: int, hi: int, snaps) -> None:
+        """Slices lo .. hi - 1 of the build `mat` is a slice of, each read
+        modulo the build's size, on the next hi - lo iterations; `snaps[i]`
+        is the snapshot of slice i."""
         stack, certificates = mat.source[0]
-        self.weights += list(stack[lo:hi])
+        # the stack's slices repeated as far as hi reaches
+        self.weights += (list(stack) * -(-hi // len(stack)))[lo:hi]
         self.certificates.append(certificates.decisive(lo, hi))
-        self.runs.append((mat, drawn, lo, hi))
+        self.runs.append((mat, snaps, lo, hi))
+
+    def alone(self, mat: MixingMatrix) -> None:
+        """`mat` on the next iteration: the one slice of its build it is."""
+        i = mat.source[1]
+        self.slices(mat, i, i + 1, {i: mat.snapshot})
 
     def matrices(self) -> list[MixingMatrix]:
         """One MixingMatrix per iteration, as its rule gives it."""
         out = []
-        for mat, *run in self.runs:
-            if len(run) == 1:
-                out += [mat] * run[0]
-            else:
-                drawn, lo, hi = run
-                out += [mat.sibling(i, drawn[i]) for i in range(lo, hi)]
+        for mat, snaps, lo, hi in self.runs:
+            size = len(mat.source[0][0])
+            out += [mat.sibling(i % size, snaps[i % size]) for i in range(lo, hi)]
         return out
 
 
@@ -165,7 +159,7 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers,
     chunk = mat
     if single:
         chunk = Mixers()
-        chunk.repeat(mat)
+        chunk.alone(mat)
     for cert in chunk.certificates:
         _require(method, cert)
     alphas = alpha if isinstance(alpha, list) else [alpha] * len(chunk.weights)
@@ -436,42 +430,34 @@ def _lockstep_members(**values) -> list[tuple]:
 
 
 class _Group:
-    """The live members on one sequence and rule, the rule's last matrix and
-    the snapshot it was last asked about, and the chunk being served."""
+    """The live members on one sequence and rule, the rule's last matrix,
+    and the chunk being served."""
 
-    __slots__ = ("rule", "members", "mat", "snap", "mixers")
+    __slots__ = ("rule", "members", "mat", "mixers")
 
     def __init__(self, rule):
-        self.rule, self.members, self.mat, self.snap = rule, [], None, None
+        self.rule, self.members, self.mat = rule, [], None
 
-    def serve(self, snaps, lo: int, hi: int) -> None:
-        """Iterations on snapshots lo .. hi - 1 of a block, i serving
-        snapshot i mod the block's size (a periodic block serves past its
-        end). A drawn block's rule is asked at the first slice served; when
-        its matrix is a slice of the block's build, that build serves every
-        slice. Otherwise the rule is asked again only when the snapshot
-        changes, and a one-snapshot block is one run."""
-        if isinstance(snaps, DrawnBlock):
-            if not self.built_on(snaps.block):
-                self.mat, self.snap = self.rule(snaps[lo]), snaps[lo]
-            if self.built_on(snaps.block):
-                self.mixers.slices(self.mat, snaps, lo, hi)
+    def serve(self, drawn: DrawnBlock, lo: int, hi: int) -> None:
+        """Iterations on slices lo .. hi - 1 of a block, i serving slice i
+        mod the block's size (a periodic block serves past its end). The
+        rule is asked at slice lo unless its last matrix is a slice of this
+        block's build, and a matrix that is serves every slice left from
+        that build. A matrix that is not (a custom one, or one built on
+        another block) serves its own slice alone, and the rule is asked
+        again at the next."""
+        for i in range(lo, hi):
+            if not self.built_on(drawn.block):
+                self.mat = self.rule(drawn[i % len(drawn)])
+            if self.built_on(drawn.block):
+                self.mixers.slices(self.mat, i, hi, drawn)
                 return
-        i = lo
-        while i < hi:
-            snap = snaps[i % len(snaps)]
-            if snap is not self.snap and snap != self.snap:
-                self.mat = self.rule(snap)
-            self.snap = snap
-            count = hi - i if len(snaps) == 1 else 1
-            self.mixers.repeat(self.mat, count)
-            i += count
+            self.mixers.alone(self.mat)
 
     def built_on(self, block) -> bool:
         """Whether the last matrix is a slice of `block`'s build."""
         mat = self.mat
-        return (mat is not None and mat.source is not None
-                and block.built.get(mat.rule) is mat.source[0])
+        return mat is not None and block.built.get(mat.rule) is mat.source[0]
 
 
 def _plan(members: list[_Member]) -> list[tuple[GraphSequence, list[_Group]]]:
@@ -495,10 +481,10 @@ def _serve(seq: GraphSequence, groups: list[_Group], k0: int, k1: int) -> None:
     while k < k1:
         seq.snapshot(k)   # draws block t unless it is kept
         t, i = divmod(k, seq.size)
-        snaps = seq.snapshots(t)
+        drawn = seq.snapshots(t)
         hi = i + k1 - k if seq.repeats else min(seq.size, i + k1 - k)
         for group in groups:
-            group.serve(snaps, i, hi)
+            group.serve(drawn, i, hi)
         k += hi - i
 
 
@@ -519,10 +505,11 @@ def run(algorithm: str | tuple[str, ...],
     that member's own `run`. Every member shares the other inputs. The run
     goes `_CHUNK` iterations at a time: each distinct sequence serves the
     chunk's matrices once per distinct rule on it, and every live member
-    then steps the chunk in one call of its method's preset. A drawn
-    block's rule is asked once and its other slices read from that build;
-    on any other block a rule is asked again only when the snapshot
-    changes. `input_problems` lists what `run` rejects with a ValueError.
+    then steps the chunk in one call of its method's preset. A block's rule
+    is asked once, and its other slices read from that build; a matrix not
+    built on the block (a custom one, or one built on another block) is
+    asked for at every slice. `input_problems` lists what `run` rejects
+    with a ValueError.
     `rule` maps a snapshot to a MixingMatrix. `v_floor` is the fatal lower
     bound on push-sum weights; methods without push ignore it.
     When `x0` is None the run starts from zeros; the string "random" draws a

@@ -3,13 +3,13 @@
 Vertices are labeled 1..n and fixed over time; only the link set, an n x n
 boolean adjacency matrix, changes. A sequence is a pure function of
 (iteration, seed), served one way: `GraphSequence` draws a block of
-consecutive snapshots on its first touch and keeps it. A static or periodic
-sequence's block is the given snapshots; a subsample or block-connected
-sequence's block is one `GraphBlock`, a read-only stack of adjacency
-matrices that the mixing rules build and certify as a whole, whose slices
-are made into snapshots on their first read; a directed view's block is the
-directed twin of its base's block. A snapshot built on its own is the one
-slice of a block of its own.
+consecutive snapshots on its first touch and keeps it. Every block is one
+`GraphBlock`, a read-only stack of adjacency matrices that the mixing rules
+build and certify as a whole, whose slices are made into snapshots on their
+first read: a static or periodic sequence stacks its period into one block
+when it is made, a subsample or block-connected sequence draws each block,
+and a directed view's block is the directed twin of its base's block. A
+snapshot built on its own is the one slice of a block of its own.
 """
 
 from __future__ import annotations
@@ -196,9 +196,10 @@ def _reaches_all(adj: np.ndarray) -> bool:
 
 
 class DrawnBlock:
-    """The snapshots of a drawn `GraphBlock`, slice i serving iteration i of
-    its sequence block. Each is made on its first read and kept, so a read
-    of the same slice gives the same object."""
+    """The snapshots of a sequence block's `GraphBlock`, slice i serving
+    iteration i of the block (of every block, for a periodic sequence).
+    Each is made on its first read and kept, so a read of the same slice
+    gives the same object."""
 
     __slots__ = ("block", "_snaps")
 
@@ -221,19 +222,19 @@ class DrawnBlock:
 @dataclass(frozen=True)
 class GraphSequence:
     """Seeded map from iteration index k to a graph snapshot. Block t,
-    iterations t * size .. t * size + size - 1, is draw(seed, t): `size`
-    snapshots of the sequence's n and kind, or a `GraphBlock` of `size`
-    slices, served as a `DrawnBlock`; either is checked once. The draw must
-    be pure: the same (seed, t) always yields the same snapshots, in this
-    process or any other. A draw that returns, for another block, the tuple
-    the sequence keeps is periodic: that tuple is then every block, and the
-    draw is not called again. The sequence keeps the last block it drew; a
+    iterations t * size .. t * size + size - 1, is draw(seed, t): a
+    `GraphBlock` of `size` slices of the sequence's n and kind, checked
+    once and served as a `DrawnBlock`. The draw must be pure: the same
+    (seed, t) always yields the same stack, in this process or any other.
+    A draw that returns, for another block, the block the sequence keeps is
+    periodic: that block then serves every block, and the draw is not
+    called again. The sequence keeps the last block it drew; a
     `dataclasses.replace` copy keeps its own."""
 
     n: int
     kind: str
     size: int
-    draw: Callable[[int, int], tuple[GraphSnapshot, ...] | GraphBlock]
+    draw: Callable[[int, int], GraphBlock]
     seed: int = 0
     declared_B: int | None = None
     description: str = ""
@@ -249,47 +250,39 @@ class GraphSequence:
 
     @property
     def repeats(self) -> bool:
-        """Whether the draw has returned the kept tuple for another block,
-        so that tuple serves every block."""
+        """Whether the draw has returned the kept block for another block,
+        so that block serves every block."""
         return None in self.kept
 
-    def snapshots(self, t: int) -> tuple[GraphSnapshot, ...] | DrawnBlock:
-        """The snapshots of block t. A draw that returns the tuple already
+    def snapshots(self, t: int) -> DrawnBlock:
+        """The snapshots of block t. A draw that returns the block already
         kept (a periodic sequence's one block) is not checked again, and
         serves every block from then on."""
-        snaps = self.kept.get(t, self.kept.get(None))
-        if snaps is None:
-            drawn, bad = self.draw(self.seed, t), False
-            if isinstance(drawn, GraphBlock):
-                bad = drawn.adj.shape[:2] != (self.size, self.n) or drawn.kind != self.kind
-                drawn = DrawnBlock(drawn)
-            elif drawn is next(iter(self.kept.values()), None):
-                self.kept[None] = drawn
-                return drawn
-            else:
-                drawn = tuple(drawn)
-                bad = len(drawn) != self.size or any(s.n != self.n or s.kind != self.kind
-                                                     for s in drawn)
-            if bad:
+        drawn = self.kept.get(t, self.kept.get(None))
+        if drawn is None:
+            block = self.draw(self.seed, t)
+            last = next(iter(self.kept.values()), None)
+            if last is not None and block is last.block:
+                self.kept[None] = last
+                return last
+            if (not isinstance(block, GraphBlock) or block.kind != self.kind
+                    or block.adj.shape[:2] != (self.size, self.n)):
                 raise ValueError(f"block {t} is not {self.size} {self.kind} "
                                  f"snapshots of {self.n} vertices")
             self.kept.clear()
-            self.kept[t] = snaps = drawn
-        return snaps
+            self.kept[t] = drawn = DrawnBlock(block)
+        return drawn
 
 
 def directed_view(seq: GraphSequence) -> GraphSequence:
     """Each undirected edge becomes two opposite arcs, for push-sum rules:
-    block t is the directed twins of the block t the base keeps."""
+    block t is the directed twin of the block t the base keeps."""
     if seq.kind == DIRECTED:
         return seq
 
-    def draw(s: int, t: int) -> tuple[GraphSnapshot, ...] | GraphBlock:
+    def draw(s: int, t: int) -> GraphBlock:
         base = seq if s == seq.seed else replace(seq, seed=s)
-        drawn = base.snapshots(t)
-        if isinstance(drawn, DrawnBlock):
-            return drawn.block.directed
-        return tuple(snap.as_directed() for snap in drawn)
+        return base.snapshots(t).block.directed
 
     return GraphSequence(seq.n, DIRECTED, seq.size, draw, seq.seed, seq.declared_B,
                          seq.description + " (directed view)")
@@ -332,14 +325,15 @@ def static_sequence(snap: GraphSnapshot, description: str = "static") -> GraphSe
 
 def periodic_sequence(snaps: list[GraphSnapshot], declared_B: int | None = None,
                       description: str = "periodic") -> GraphSequence:
-    """Cycle through the given snapshot objects, one block per period."""
+    """Cycle through the given snapshots: their matrices, stacked in order
+    into one `GraphBlock` here, serve every period."""
     if not snaps:
         raise ValueError("need at least one snapshot")
     n, kind = snaps[0].n, snaps[0].kind
     if any(s.n != n or s.kind != kind for s in snaps):
         raise ValueError("snapshots must share vertex count and kind")
-    snaps = tuple(snaps)
-    return GraphSequence(n, kind, len(snaps), lambda s, t: snaps, 0, declared_B,
+    block = GraphBlock(kind, np.stack([s.adj for s in snaps]))
+    return GraphSequence(n, kind, len(snaps), lambda s, t: block, 0, declared_B,
                          description)
 
 
@@ -397,6 +391,8 @@ def _extra_edges(n: int, extra_edges: int) -> tuple[int, int]:
     many of them it picks."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
+    if extra_edges < 0:
+        raise ValueError(f"extra edge count must be nonnegative, got {extra_edges}")
     free = n * (n - 1) // 2 - (n - 1)
     return free, min(extra_edges, free)
 
@@ -457,6 +453,7 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
     so a copy of the sequence on another seed draws batches of its own."""
     if b_tilde < 1:
         raise ValueError("window length must be >= 1")
+    _extra_edges(n, extra_edges)   # a bad size fails here, not at the first read
     per = max(1, _BLOCK // b_tilde)   # windows per block
     batches = {}   # {seed: (batch index, its windows' `_window_edges`)}
 

@@ -162,8 +162,8 @@ def _static_snapshot(get: ConfigBlock) -> graphs.GraphSnapshot:
         return graphs.undirected(n, [(a, b) for a in range(1, n + 1)
                                      for b in range(a + 1, n + 1)])
     if gtype == "static-random-connected":
-        return graphs.random_connected_graph(get("n"), get("extra_edges", default=0),
-                                             get("seed", default=0))
+        return graphs.random_connected_graph(
+            get("n"), get("extra_edges", "a nonnegative integer", 0), get("seed", default=0))
     if gtype == "static-random-digraph":
         return graphs.random_strongly_connected_digraph(get("n"), get("m"),
                                                         get("seed", default=0))
@@ -185,7 +185,7 @@ def build_sequence(cfg) -> graphs.GraphSequence:
     elif gtype == "block-connected":
         seq = graphs.block_connected_sequence(get("n"), get("window"),
                                               get("seed", default=0),
-                                              get("extra_edges", default=0))
+                                              get("extra_edges", "a nonnegative integer", 0))
     else:
         seq = graphs.static_sequence(_static_snapshot(get),
                                      description=f"static {gtype}")
@@ -205,13 +205,13 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
                                            get("curvatures", "a list of numbers"))
     elif family == "quadratic":
         rng = np.random.default_rng(get("seed", default=0))
-        n, p = get("n"), get("p", default=1)
+        n, p = get("n"), get("p", "a positive integer", 1)
         lo, hi = get("curvature_range", "two positive numbers", (0.5, 2.0))
         curv = rng.uniform(lo, hi, size=n)
         targets = rng.normal(scale=get("target_scale", "a number", 1.0), size=(n, p))
         suite = objectives.quadratic_suite(targets, curv)
     elif family == "zero":
-        suite = objectives.zero_suite(get("n"), get("p", default=1))
+        suite = objectives.zero_suite(get("n"), get("p", "a positive integer", 1))
     elif family == "bundle":
         path = get("path", "a string")
         try:

@@ -4,8 +4,8 @@ Doubly stochastic rules (Metropolis, lazy Metropolis) serve undirected
 snapshots; the out-degree rule builds column stochastic matrices for
 directed snapshots. Every snapshot is a slice of a `GraphBlock`, and each
 builder weighs and certifies the block's whole stack of adjacency matrices
-at once (degrees being their row sums), keeping the result on the block.
-Contraction is measured as the largest singular value of the windowed
+at once (degrees being their row sums), keeping the result on the block;
+a custom matrix is the one slice of a build of its own. Contraction is measured as the largest singular value of the windowed
 product minus the uniform averaging matrix, by LAPACK's SVD; a window whose
 union graph is not connected contracts nothing and has delta = 1.
 """
@@ -40,17 +40,18 @@ class StochasticityReport:
 @dataclass(frozen=True)
 class MixingMatrix:
     """A certified n x n matrix: `entries` is read-only and checked where it
-    is made, by `_build` for a rule's block or by `custom_mixing`. A rule's
-    matrix records its `source`: the block's build, (stack, certificates),
-    and the slice it is."""
+    is made, by `_build` for a rule's block or by `custom_mixing`. Every
+    matrix records its `source`: the build it is a slice of, (stack,
+    certificates), and the slice it is; a custom matrix is the one slice of
+    a build of its own."""
 
     n: int
     entries: np.ndarray
     rule: str
-    snapshot: GraphSnapshot | None = None
-    certificate: StochasticityReport | None = None
-    source: tuple[tuple[np.ndarray, Certificates], int] | None = field(
-        default=None, compare=False, repr=False)
+    snapshot: GraphSnapshot | None
+    certificate: StochasticityReport
+    source: tuple[tuple[np.ndarray, Certificates], int] = field(compare=False,
+                                                                repr=False)
 
     def sibling(self, i: int, snapshot: GraphSnapshot) -> MixingMatrix:
         """The matrix of slice i of the build this one is a slice of."""
@@ -68,12 +69,14 @@ class Certificates:
     def __init__(self, mode: str, ok: np.ndarray, deviation: list[float],
                  failed: dict[int, StochasticityReport]):
         self.mode, self.ok, self._deviation, self._reports = mode, ok, deviation, failed
+        self._failing = tuple(failed)
 
     def decisive(self, lo: int, hi: int) -> StochasticityReport:
-        """The report that decides slices lo .. hi - 1: the first failing
-        one's, else slice lo's."""
-        failing = np.flatnonzero(~self.ok[lo:hi])
-        return self[lo + int(failing[0]) if len(failing) else lo]
+        """The report that decides slices lo .. hi - 1, each read modulo the
+        stack's size: the first failing one's, else slice lo's."""
+        size = len(self)
+        first = min((lo + (s - lo) % size for s in self._failing), default=hi)
+        return self[(first if first < hi else lo) % size]
 
     def __len__(self) -> int:
         return len(self._deviation)
@@ -225,11 +228,14 @@ def _certify(stack: np.ndarray, mode: str) -> Certificates:
 
 def custom_mixing(entries: np.ndarray, mode: str,
                   snapshot: GraphSnapshot | None = None) -> MixingMatrix:
-    """Wrap a read-only copy of an externally supplied matrix, validating
-    the requested stochasticity; raises if the certificate fails."""
+    """Wrap a read-only copy of an externally supplied matrix, the one slice
+    of a build of its own, validating the requested stochasticity; raises
+    if the certificate fails."""
     entries = np.array(entries, dtype=float)
     entries.flags.writeable = False
-    report = validate_stochasticity(entries, mode)
+    stack = _one_slice(entries)
+    certificates = _certify(stack, mode)
+    report = certificates[0]
     if not report.ok:
         axis, idx, dev = report.first_offender
         if axis == "non-finite-row":
@@ -237,7 +243,8 @@ def custom_mixing(entries: np.ndarray, mode: str,
             raise ValueError(f"custom matrix entry ({idx}, {col}) is not finite")
         raise ValueError(f"custom matrix is not {mode} stochastic: "
                          f"{axis} {idx} off by {dev:.3e}")
-    return MixingMatrix(len(entries), entries, "custom", snapshot, report)
+    return MixingMatrix(len(entries), entries, "custom", snapshot, report,
+                        ((stack, certificates), 0))
 
 
 def validate_stochasticity(matrix: np.ndarray | MixingMatrix,
@@ -245,10 +252,15 @@ def validate_stochasticity(matrix: np.ndarray | MixingMatrix,
     """The stochasticity report of one square matrix, as `_certify` gives it."""
     if isinstance(matrix, MixingMatrix):
         matrix = matrix.entries
+    return _certify(_one_slice(matrix), mode)[0]
+
+
+def _one_slice(matrix: np.ndarray) -> np.ndarray:
+    """A square matrix as a (1, n, n) stack, a view where it can be."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("stochasticity check needs a square matrix")
-    return _certify(m[None], mode)[0]
+    return m[None]
 
 
 def averaging_gap(matrix: np.ndarray) -> np.ndarray:

@@ -577,7 +577,8 @@ class TestLockstep:
 
 
 class TestMatrixReuse:
-    """`run` asks the rule for a matrix only when the snapshot changes."""
+    """`run` asks the rule for a matrix once per block, and that build
+    serves every slice of the block."""
 
     @staticmethod
     def counting(rule):
@@ -598,26 +599,31 @@ class TestMatrixReuse:
             assert len(calls) - before == 1
 
     def test_equal_snapshots_share_a_build(self):
-        # the directed view of a static sequence makes a new but equal
-        # snapshot at every iteration, each block being one iteration
+        # the directed view of a static sequence is the directed twin of its
+        # one block, which serves every iteration
         suite = zero_suite(3, 1)
         base = graphs.static_sequence(graphs.undirected(3, [(1, 2), (2, 3)]))
         seq = graphs.directed_view(base)
-        assert seq.snapshot(1) is not seq.snapshot(0)
-        assert seq.snapshot(1) == seq.snapshot(0)
+        assert seq.snapshot(1) is seq.snapshot(0)
+        assert seq.snapshot(1).block == (base.snapshots(0).block.directed, 0)
         rule, calls = self.counting(mixing.out_degree_column)
         trace = alg.run("push-diging", seq, rule, suite, 0.1, 40, x0="random")
         assert len(calls) == 1
         assert len(trace) == 41
 
-    def test_changing_snapshots_rebuild_each_change(self):
+    def test_changing_snapshots_read_one_build(self):
+        # a periodic sequence's period is one block: the rule is asked at
+        # its first slice, and that build serves each snapshot change
         suite = zero_suite(3, 1)
         a = graphs.undirected(3, [(1, 2)])
         b = graphs.undirected(3, [(2, 3)])
         seq = graphs.periodic_sequence([a, a, b], declared_B=3)
         rule, calls = self.counting(mixing.metropolis)
-        alg.run("diging", seq, rule, suite, 0.1, 9, x0="random")
-        assert calls == [a, b, a, b, a, b]
+        trace = alg.run("diging", seq, rule, suite, 0.1, 9, x0="random",
+                        record_states=True)
+        assert calls == [a] and calls[0].block == (seq.snapshots(0).block, 0)
+        assert [m.entries.tobytes() for m in trace.history["mixers"]] == [
+            mixing.metropolis((a, a, b)[k % 3]).entries.tobytes() for k in range(9)]
 
     @pytest.mark.parametrize("members", [1, 2, 4])
     def test_lockstep_draws_once_per_iteration(self, members):
@@ -629,24 +635,26 @@ class TestMatrixReuse:
 
         def drawn(s, t):
             draws.append(t)
-            return (periodic.snapshot(t),)
+            return graphs.GraphBlock(graphs.UNDIRECTED, periodic.snapshot(t).adj[None])
 
         seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, drawn)
         rule, calls = self.counting(mixing.metropolis)
         traces = alg.run(("diging", "diging-atc", "dgd", "diging")[:members],
                          seq, rule, suite, 0.1, 9, x0="random")
         assert draws == list(range(9))
-        assert calls == [a, b, a, b, a, b]
+        # each iteration is a fresh block, asked about once for every member
+        assert calls == [(a, a, b)[k % 3] for k in range(9)]
         assert all(len(trace) == 10 for trace in traces)
 
     def test_periodic_sequence_serves_chunks(self):
-        # a draw that hands back the tuple the sequence keeps is periodic:
-        # after it, one read serves the rest of each chunk, the rule still
-        # asked at each snapshot change
+        # a draw that hands back the block the sequence keeps is periodic:
+        # after it, one read serves the rest of each chunk from the build
+        # the rule was asked for once
         suite = zero_suite(3, 1)
         a = graphs.undirected(3, [(1, 2)])
         b = graphs.undirected(3, [(2, 3)])
-        period, draws = (a, a, b), []
+        period = graphs.GraphBlock(graphs.UNDIRECTED, np.stack([a.adj, a.adj, b.adj]))
+        draws = []
 
         def drawn(s, t):
             draws.append(t)
@@ -656,17 +664,19 @@ class TestMatrixReuse:
         rule, calls = self.counting(mixing.metropolis)
         trace = alg.run("diging", seq, rule, suite, 0.1, 200, x0="random")
         assert draws == [0, 1] and seq.repeats
-        assert calls == [period[k % 3] for k in range(200)
-                         if k == 0 or period[k % 3] is not period[(k - 1) % 3]]
+        assert calls == [a] and calls[0].block == (period, 0)
         # the same periods drawn anew per block, served a block at a time
-        fresh = graphs.GraphSequence(3, graphs.UNDIRECTED, 3, lambda s, t: list(period))
+        fresh = graphs.GraphSequence(3, graphs.UNDIRECTED, 3, lambda s, t:
+                                     graphs.GraphBlock(graphs.UNDIRECTED, period.adj.copy()))
         assert trace.to_csv() == alg.run("diging", fresh, mixing.metropolis, suite,
                                          0.1, 200, x0="random").to_csv()
         assert not fresh.repeats
 
     def test_static_chunk_is_one_run(self):
         # a static sequence's chunk is one read and one run of its matrix
-        static, draws = (graphs.undirected(3, [(1, 2), (2, 3)]),), []
+        static = graphs.GraphBlock(graphs.UNDIRECTED,
+                                   graphs.undirected(3, [(1, 2), (2, 3)]).adj[None])
+        draws = []
 
         def drawn(s, t):
             draws.append(t)
@@ -677,7 +687,7 @@ class TestMatrixReuse:
         alg._serve(seq, [group], 0, alg._CHUNK)
         alg._serve(seq, [group], alg._CHUNK, 2 * alg._CHUNK)
         assert draws == [0, 1]
-        assert group.mixers.runs == [(group.mat, alg._CHUNK)]
+        assert group.mixers.runs == [(group.mat, seq.snapshots(1), 0, alg._CHUNK)]
         assert len(group.mixers.weights) == alg._CHUNK
         assert len(group.mixers.matrices()) == alg._CHUNK
 
@@ -926,11 +936,19 @@ def assert_equals_step_loop(trace, seq, rule, suite, x0, x_star, tmp_path,
 
 def chunk_cases():
     """(label, sequence, rule, methods) over drawn blocks aligned with the
-    chunk and not, one-slice blocks, directed views and a custom matrix."""
+    chunk and not, one-slice blocks, directed views, a custom matrix and
+    custom matrices that differ by snapshot."""
     base = graphs.random_connected_graph(6, 4, seed=141)
     a, b = graphs.undirected(6, [(1, 2), (3, 4)]), graphs.undirected(6, [(2, 3), (5, 6)])
     periodic = graphs.periodic_sequence([a, b, a, a, base], declared_B=5)
     custom = mixing.custom_mixing(np.full((6, 6), 1 / 6), mixing.DOUBLY)
+    # a custom matrix per snapshot, by its link count
+    customs = [mixing.custom_mixing(m, mixing.DOUBLY) for m in (
+        np.full((6, 6), 1 / 6), np.eye(6), mixing.metropolis(base).entries)]
+
+    def by_snapshot(snap):
+        return customs[int(snap.adj.sum()) % len(customs)]
+
     undirected = ("diging", "diging-atc", "dgd")
     push = ("push-diging", "subgradient-push")
     cases = [
@@ -940,10 +958,13 @@ def chunk_cases():
         ("period5", periodic, mixing.metropolis),
         ("static", graphs.static_sequence(base), mixing.metropolis),
         ("custom", graphs.subsample_sequence(base, 0.6, 145), lambda snap: custom),
+        ("custom-period5", periodic, by_snapshot),
+        ("custom-subsample", graphs.subsample_sequence(base, 0.6, 149), by_snapshot),
     ]
     out = [(label, seq, rule, undirected) for label, seq, rule in cases]
-    out += [(label + "-view", harness.directed_view(seq), mixing.out_degree_column
-             if label != "custom" else rule, push) for label, seq, rule in cases]
+    out += [(label + "-view", harness.directed_view(seq), rule
+             if label.startswith("custom") else mixing.out_degree_column, push)
+            for label, seq, rule in cases]
     return out
 
 
@@ -1051,12 +1072,14 @@ class TestChunkedStepping:
                            match="need a doubly stochastic matrix, got column"):
             alg.run("diging", graphs.subsample_sequence(base, 0.6, 156),
                     self.faulty(mixing.COLUMN, 40), suite, 0.1, 5)
-        # nor does a matrix certified column stochastic only, second in a chunk
+        # nor does a matrix certified column stochastic only, second in a
+        # chunk; custom matrices are asked for at each slice
         a, b = graphs.undirected(6, [(1, 2)]), graphs.undirected(6, [(2, 3)])
+        doubly = mixing.custom_mixing(np.full((6, 6), 1 / 6), mixing.DOUBLY)
         column = mixing.custom_mixing(np.full((6, 6), 1 / 6), mixing.COLUMN)
 
         def rule(snap):
-            return column if snap == b else mixing.metropolis(snap)
+            return column if snap == b else doubly
 
         seq = graphs.periodic_sequence([a, a, b])
         alg.run("push-diging", harness.directed_view(seq), lambda snap: column,
@@ -1064,3 +1087,18 @@ class TestChunkedStepping:
         alg.run("diging", seq, rule, suite, 0.1, 2)
         with pytest.raises(alg.CertificateError, match="got column"):
             alg.run("diging", seq, rule, suite, 0.1, 3)
+
+    def test_wrapped_segment_refused_a_failing_slice(self):
+        # a chunk of a periodic sequence that opens mid-period reads its
+        # slices modulo the period: failing slice 0 is first met past its end
+        suite = zero_suite(6, 1)
+        a, b = graphs.undirected(6, [(1, 2)]), graphs.undirected(6, [(2, 3)])
+        seq = graphs.periodic_sequence([a, b, b])
+        seq.snapshot(0)
+        seq.snapshot(3)   # block 1 is block 0 again: the sequence repeats
+        assert seq.repeats
+        group = alg._Group(self.faulty(mixing.DOUBLY, 0))
+        alg._serve(seq, [group], alg._CHUNK, 2 * alg._CHUNK)
+        assert [run[2:] for run in group.mixers.runs] == [(1, alg._CHUNK + 1)]
+        with pytest.raises(alg.CertificateError, match="no valid"):
+            alg.diging_step(alg.init(suite, np.ones((6, 1))), group.mixers, suite, 0.1)

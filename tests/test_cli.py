@@ -243,6 +243,12 @@ class TestMalformedBlocks:
                         "curvatures": [1.0, 1.0, float("inf"), 1.0]}}, "objective"),
         ({"graph": {"type": "static-edges", "n": 4,
                     "links": [[1, 2], [2, 3], [3, 4], [3, True]]}}, "graph"),
+        ({"graph": {"type": "block-connected", "n": 4, "window": 2,
+                    "extra_edges": -3}}, "graph"),
+        ({"graph": {"type": "static-random-connected", "n": 4, "extra_edges": -1}},
+         "graph"),
+        ({"objective": {"family": "quadratic", "n": 4, "p": 0}}, "objective"),
+        ({"objective": {"family": "zero", "n": 4, "p": 0}}, "objective"),
     ], ids=["graph-without-n", "graph-number", "audit-B-list", "audit-eta-string",
             "fraction-string", "objective-without-n", "kind-misspelt",
             "directed-view-string", "directed-view-integer", "declared-B-zero",
@@ -253,7 +259,8 @@ class TestMalformedBlocks:
             "graph-file-missing", "graph-file-directory", "base-file-missing",
             "bundle-missing", "mixing-matrix-missing", "curvature-range-nan",
             "curvature-range-three", "target-nan", "targets-ragged",
-            "curvature-infinite", "link-boolean"])
+            "curvature-infinite", "link-boolean", "block-extra-edges-negative",
+            "static-extra-edges-negative", "quadratic-p-zero", "zero-p-zero"])
     def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
                                           override, block):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)

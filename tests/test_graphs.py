@@ -168,6 +168,14 @@ class TestJointConnectivity:
             assert graphs.is_jointly_connected(seq, b_tilde, 6 * b_tilde).ok
 
 
+def test_negative_extra_edges_rejected():
+    with pytest.raises(ValueError, match="extra edge count must be nonnegative, got -1"):
+        graphs.random_connected_graph(5, -1, 3)
+    # a block-connected sequence fails when it is made, not at its first read
+    with pytest.raises(ValueError, match="extra edge count must be nonnegative, got -3"):
+        graphs.block_connected_sequence(5, 2, 0, -3)
+
+
 class TestBlockConnected:
     def test_block_draws_its_graph_once(self, monkeypatch):
         # a window's (seed, w) row is hashed for its one-word sub-seed, its
@@ -614,7 +622,7 @@ class TestSubsampleBlocks:
                     link for link, u in zip(links, keep) if u < fraction]
                 assert snap.block[1] == k % graphs._BLOCK
             else:
-                assert snap is base
+                assert snap == base and snap.block == (seq.snapshots(0).block, 0)
 
     @pytest.mark.parametrize("kind", [graphs.UNDIRECTED, graphs.DIRECTED])
     def test_seeds_do_not_share_a_block(self, kind):
@@ -764,32 +772,35 @@ class TestServing:
         periodic = graphs.periodic_sequence([a, a, b], declared_B=3)
         assert (static.size, periodic.size) == (1, 3)
         for k in (0, 1, 5, 7):
-            assert static.snapshot(k) is a
-            assert periodic.snapshot(k) is (a, a, b)[k % 3]
+            assert static.snapshot(k) == a
+            assert static.snapshot(k).block == (static.snapshots(0).block, 0)
+            assert periodic.snapshot(k) == (a, a, b)[k % 3]
+            assert periodic.snapshot(k).block == (periodic.snapshots(0).block, k % 3)
             assert graphs.directed_view(periodic).snapshot(k).block == \
-                ((a, a, b)[k % 3].block[0].directed, 0)
+                (periodic.snapshots(0).block.directed, k % 3)
 
     def test_kept_block_drawn_again_is_not_checked_again(self):
         reads = []
 
-        class Probe:
-            kind = graphs.UNDIRECTED
+        class Probe(graphs.GraphBlock):
+            def __getattribute__(self, name):
+                if name == "kind":
+                    reads.append(1)
+                return super().__getattribute__(name)
 
-            @property
-            def n(self):
-                reads.append(1)
-                return 3
-
-        probe = Probe()
-        block = (probe,)
-        # a periodic draw hands back the tuple the sequence keeps: checked once
+        block = Probe(graphs.UNDIRECTED, np.zeros((1, 3, 3), dtype=bool))
+        # a periodic draw hands back the block the sequence keeps: checked once
         seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, lambda s, t: block)
-        assert all(seq.snapshot(k) is probe for k in range(10))
-        assert len(reads) == 1
-        # a draw that builds a new tuple each time is checked each time
-        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, lambda s, t: (probe,))
-        assert all(seq.snapshot(k) is probe for k in range(10))
-        assert len(reads) == 11
+        snap = seq.snapshot(0)
+        checked = len(reads)
+        assert all(seq.snapshot(k) is snap for k in range(10))
+        assert len(reads) == checked and seq.repeats
+        # a draw that makes a new block each time is checked each time
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, lambda s, t: Probe(
+            graphs.UNDIRECTED, block.adj.copy()))
+        snaps = [seq.snapshot(k) for k in range(10)]
+        assert all(s == snap for s in snaps) and not seq.repeats
+        assert len(reads) == 11 * checked
 
     @pytest.mark.parametrize("snaps", [
         (graphs.undirected(3, [(1, 2)]),),

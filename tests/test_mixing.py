@@ -496,6 +496,19 @@ class TestCertificates:
         with pytest.raises(IndexError):
             certs[64]
 
+    def test_decisive_reads_slices_modulo_the_stack(self):
+        good = np.full((3, 3), 1 / 3)
+        stack = np.stack([good + 1e-6 * np.eye(3), good, good])
+        certs = mixing._certify(stack, mixing.DOUBLY)
+        assert not certs[0].ok and certs[1].ok
+        # failing slice 0 lies before slice 1, and is met past the stack's end
+        assert certs.decisive(1, 3) is certs[1]
+        assert certs.decisive(1, 4) is certs[0]
+        assert certs.decisive(2, 70) is certs[0]
+        assert certs.decisive(0, 1) is certs[0] and certs.decisive(2, 3) is certs[2]
+        passing = mixing._certify(np.stack([good] * 3), mixing.DOUBLY)
+        assert passing.decisive(2, 70) is passing[2]
+
 
 class TestSliceViews:
     """A rule-built matrix is a read-only, C-ordered view of its block's
@@ -536,3 +549,7 @@ class TestSliceViews:
         assert not np.shares_memory(mat.entries, given)
         assert not mat.entries.flags.writeable
         assert mat.n == 3 and mat.certificate.ok
+        # the one slice of a build of its own
+        (stack, certificates), i = mat.source
+        assert i == 0 and stack.shape == (1, 3, 3) and stack.base is mat.entries
+        assert list(certificates) == [mat.certificate]

@@ -80,6 +80,11 @@ It covers:
   entries and certificate fields of their Metropolis and lazy Metropolis
   builds); and audited runs of DIGing, DIGing-ATC and DGD in one lockstep
   call whose horizon ends inside the second batch: trace CSV and sidecar.
+- lockstep runs whose horizons end mid-chunk, past a period's end: a
+  period-3 sequence that repeats a snapshot, with the undirected methods,
+  and its directed view, with the push methods; and custom matrices chosen
+  by snapshot on a static and on a subsample sequence, the latter past a
+  draw-block boundary: trace CSV and sidecar.
 
 The first line names the `digrate` package that was imported.
 """
@@ -115,6 +120,7 @@ IGD_ITERATIONS = 120
 CHUNK_ITERATIONS = 300   # crosses run's chunks of 64 and blocks of 63 and 70
 BATCH_BLOCKS = 16   # block-connected draw blocks drawn in one pass
 BATCH_WINDOWS = (1, 2, 3, 5, 65)   # window lengths read across a batch's end
+LOCKSTEP_HORIZONS = (62, 130)   # mid-chunk, past period ends and a block's end
 UNDIRECTED_ALGOS = ("diging", "diging-atc", "dgd")
 PUSH_ALGOS = ("push-diging", "subgradient-push")
 
@@ -472,6 +478,41 @@ def chunk_digests(work: Path):
             yield f"chunks {label} {algo} {len(trace)} rows", digest(written(path))
 
 
+def lockstep_digests(work: Path):
+    """Lockstep runs on a period-3 sequence that repeats a snapshot and on
+    its directed view, and with custom matrices chosen by snapshot on a
+    static and on a subsample sequence."""
+    n, p = 6, 2
+    suite = harness.build_suite({"family": "quadratic", "n": n, "p": p, "seed": 9})
+    a = graphs.undirected(n, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+    base = graphs.random_connected_graph(n, 4, 10)
+    periodic = graphs.periodic_sequence([a, a, base], declared_B=3)
+    customs = [mixing.custom_mixing(m, mixing.DOUBLY) for m in (
+        np.full((n, n), 1 / n), mixing.metropolis(a).entries,
+        mixing.lazy_metropolis(base).entries)]
+
+    def by_snapshot(snap):
+        return customs[int(snap.adj.sum()) % len(customs)]
+
+    static = graphs.static_sequence(base)
+    drawn = graphs.subsample_sequence(base, 0.6, 11)
+    calls = (("period 3", UNDIRECTED_ALGOS, periodic, mixing.metropolis,
+              (0.05, 0.08, 0.05)),
+             ("period 3 directed view", PUSH_ALGOS, graphs.directed_view(periodic),
+              mixing.out_degree_column, (0.03, 0.5)),
+             ("custom static subsample", UNDIRECTED_ALGOS + ("diging",),
+              (static, static, drawn, drawn), by_snapshot, (0.05, 0.08, 0.05, 0.05)))
+    for iterations in LOCKSTEP_HORIZONS:
+        for label, algos, seq, rule, alphas in calls:
+            traces = algorithms.run(algos, seq, rule, suite, alphas, iterations,
+                                    x0="random", seed=12, record_audit=True)
+            for i, (algo, trace) in enumerate(zip(algos, traces)):
+                path = work / f"lockstep-{label.replace(' ', '-')}-{i}-{algo}.csv"
+                trace.write(path)
+                yield (f"lockstep {label} {algo} member {i} {len(trace)} rows",
+                       digest(written(path)))
+
+
 def gradient_suites():
     rng = np.random.default_rng(1903)
     n, p = 10, 4
@@ -647,7 +688,7 @@ def main() -> None:
                      window_digests(), cycle_digests(), bounds_digests(work),
                      gradient_digests(), reader_digests(work),
                      loader_digests(work), chunk_digests(work),
-                     batch_digests(work)):
+                     batch_digests(work), lockstep_digests(work)):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
