@@ -5,9 +5,11 @@ centralized inexact gradient method `run_igd` is one loop beside it. Both
 evaluate every gradient through `block_gradient`.
 
 Every step is a pure function from explicit state to the next state; no
-randomness lives inside a step, so runs replay bit-for-bit. `run` calls a
-method's step once per chunk of iterations, on the matrices its sequence
-serves for the chunk.
+randomness lives inside a step, so runs replay bit-for-bit. `run` steps
+all live members of a call as one batch: one `step` call per chunk of
+iterations, on state with a leading member axis and the matrices each
+member's sequence serves for the chunk, each member bit-equal to its own
+run.
 """
 
 from __future__ import annotations
@@ -96,13 +98,12 @@ def _require(method: Method, cert) -> None:
 
 class Mixers:
     """The mixing matrices of consecutive iterations, for one `step` call:
-    `weights[j]` is the entries of the j-th, and `certificates` holds the
+    `stack()[j]` is the entries of the j-th, and `certificates` holds the
     report that decides each run of them, consecutive slices of one build."""
 
-    __slots__ = ("weights", "certificates", "runs")
+    __slots__ = ("certificates", "runs")
 
     def __init__(self):
-        self.weights: list[np.ndarray] = []
         self.certificates: list[StochasticityReport] = []
         self.runs: list[tuple] = []   # (matrix, snapshots, lo, hi)
 
@@ -110,16 +111,30 @@ class Mixers:
         """Slices lo .. hi - 1 of the build `mat` is a slice of, each read
         modulo the build's size, on the next hi - lo iterations; `snaps[i]`
         is the snapshot of slice i."""
-        stack, certificates = mat.source[0]
-        # the stack's slices repeated as far as hi reaches
-        self.weights += (list(stack) * -(-hi // len(stack)))[lo:hi]
-        self.certificates.append(certificates.decisive(lo, hi))
+        self.certificates.append(mat.source[0][1].decisive(lo, hi))
         self.runs.append((mat, snaps, lo, hi))
 
     def alone(self, mat: MixingMatrix) -> None:
         """`mat` on the next iteration: the one slice of its build it is."""
         i = mat.source[1]
         self.slices(mat, i, i + 1, {i: mat.snapshot})
+
+    def stack(self) -> np.ndarray:
+        """Every iteration's entries as one (iterations, n, n) array: a view
+        of the build when one run lies within it, a C-ordered copy else."""
+        parts = [built[lo:hi] if hi <= len(built) else built[np.arange(lo, hi) % len(built)]
+                 for built, lo, hi in ((m.source[0][0], lo, hi) for m, _, lo, hi in self.runs)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        """Every iteration's entries, one matrix each: views of the builds'
+        slices, repeated as far as a periodic run reaches."""
+        out = []
+        for mat, _, lo, hi in self.runs:
+            built = mat.source[0][0]
+            out += (list(built) * -(-hi // len(built)))[lo:hi]
+        return out
 
     def matrices(self) -> list[MixingMatrix]:
         """One MixingMatrix per iteration, as its rule gives it."""
@@ -138,11 +153,11 @@ def init(suite: ObjectiveSuite, x0: np.ndarray) -> State:
     return State(0, x0.copy(), np.ones(suite.n), x0.copy(), g.copy(), g)
 
 
-def step(method: Method, state: State, mat: MixingMatrix | Mixers,
-         suite: ObjectiveSuite, alpha: float | list[float],
-         v_floor: float | None = None):
-    """One iteration of `method` on one matrix, or one per matrix of
-    `Mixers`, each with its step size when `alpha` is a list.
+def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
+         suite: ObjectiveSuite, alpha, v_floor: float | None = None,
+         methods: tuple[Method, ...] | None = None):
+    """One iteration of `method` on one matrix, or a chunk of iterations of
+    a batch of members.
 
     The local step descends along the tracker, or along the raw gradient
     without tracking. Mixing follows the local step under push-sum or
@@ -151,50 +166,111 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers,
     of column stochastic mixing; a nonpositive (or under-floor) weight is
     fatal by design. The tracker then adds the newest gradient difference,
     mixed after it under adapt-then-combine. One matrix gives the next
-    State or raises PushSumViolation. `Mixers` give (iterates, violation):
-    the (u, v, x, y, grad) of each iteration taken, and the violation that
-    ended them early, or None.
+    State or raises PushSumViolation.
+
+    A batch has `methods`, one per member, a State whose arrays have a
+    leading member axis, one `Mixers` per member and each member's step
+    size (or list of one per iteration); one `Mixers` alone is a batch of
+    one. Each member is refused a certificate its method cannot step on.
+    An iteration makes one stacked matmul per mixing product and one
+    `block_gradient` call on the (A, n, p) block. A switch below is True
+    when every member does it, False when none does, else an (A, 1, 1) mask
+    picking each member's formula; a one-member batch steps on its own
+    n x p blocks, as a solo step does. Every method steps along y (a
+    non-tracking member's y is its gradient), and a member without push-sum
+    keeps v = 1 exactly, so u / v is u. A weight under the floor (or under
+    the least positive double) breaches, and that member steps on to the
+    chunk's end on weights of one. A batch gives the (u, v, x, y, grad)
+    buffers, (iterations, members, ...), and {member: (iterations taken,
+    PushSumViolation)} for each member a breach ended.
     """
-    single = not isinstance(mat, Mixers)
-    chunk = mat
+    if methods is None:
+        methods, alpha, mat = (method,), (alpha,), (mat,)
+        state = State(state.k, *(a[None] for a in (state.u, state.v, state.x,
+                                                   state.y, state.grad)))
+    single = isinstance(mat[0], MixingMatrix)
     if single:
-        chunk = Mixers()
-        chunk.alone(mat)
-    for cert in chunk.certificates:
-        _require(method, cert)
-    alphas = alpha if isinstance(alpha, list) else [alpha] * len(chunk.weights)
-    if method.tracking and min(alphas, default=1.0) <= 0:
-        raise ValueError("step size must be positive")
-    tracking, push, atc = method.tracking, method.push, method.atc
+        one = Mixers()
+        one.alone(mat[0])
+        mat = (one,)
+    c, size = sum(hi - lo for *_, lo, hi in mat[0].runs), len(methods)
+    alphas = [a if isinstance(a, list) else [a] * c for a in alpha]
+    for m, mixers, a in zip(methods, mat, alphas):
+        for cert in mixers.certificates:
+            _require(m, cert)
+        if m.tracking and min(a, default=1.0) <= 0:
+            raise ValueError("step size must be positive")
     gradient = block_gradient
-    k, u, v, x, y, g = state.k, state.u, state.v, state.x, state.y, state.grad
-    iterates, violation = [], None
-    for w, a in zip(chunk.weights, alphas):
-        d = y if tracking else g
-        if push:
-            u1 = w @ (u - a * d)
+    # mixing after the local step (push-sum or adapt-then-combine), push-sum,
+    # adapt-then-combine, tracking
+    late, push, atc, tracking = (all(f) or (any(f) and np.array(f)[:, None, None])
+                                 for f in zip(*((m.push or m.atc, m.push, m.atc, m.tracking)
+                                                for m in methods)))
+    least = v_floor if v_floor is not None and v_floor > 0 else 5e-324
+    floor = [least if m.push else -np.inf for m in methods]
+    k, u, v, y, g = state.k, state.u, state.v[..., None], state.y, state.grad
+    if size == 1:
+        weights, steps, floor = mat[0].weights, alphas[0], floor[0]
+        u, v, y, g = u[0], v[0], y[0], g[0]
+    else:
+        stacks = {id(mixers): mixers.stack() for mixers in mat}
+        weights = np.stack([stacks[id(mixers)] for mixers in mat], axis=1)
+        steps, floor = np.array(alphas).T[:, :, None, None], np.array(floor)[:, None, None]
+    xs, gs, vs, ends = [], [], [], {}
+    us = xs if push is False else []   # u is x without push-sum
+    ys = gs if tracking is False else []   # and y is the gradient without tracking
+    for j, (w, a) in enumerate(zip(weights, steps)):
+        ad = a * y
+        if late is False:
+            u1 = w @ u - ad
+        elif late is True:
+            u1 = w @ (u - ad)
+        else:
+            m = w @ np.where(late, u - ad, u)
+            u1 = np.where(late, m, m - ad)
+        x1 = u1
+        if push is not False:
             v1 = w @ v
-            if (v1 <= 0).any() or (v_floor is not None and v1.min() < v_floor):
-                violation = PushSumViolation(k + 1, v1, v_floor)
-                break
-            x1 = u1 / v1[:, None]
-        else:
-            x1 = w @ (x - a * d) if atc else w @ x - a * d
-            u1, v1 = x1, v
+            if push is not True:
+                np.copyto(v1, 1.0, where=~push)
+            low = v1 < floor
+            if low.any():
+                weak = v1.reshape(size, -1)
+                for b in np.flatnonzero(low.reshape(size, -1).any(axis=1)).tolist():
+                    if b not in ends:
+                        ends[b] = (j, PushSumViolation(k + j + 1, weak[b], v_floor))
+                v1[low] = 1.0
+            x1 = u1 / v1
+            us.append(u1)
+            vs.append(v1)
+            v = v1
         g1 = gradient(suite, x1)
-        if not tracking:
+        if tracking is False:
             y1 = g1
-        elif atc:
-            y1 = w @ (y + g1 - g)
         else:
-            y1 = w @ y + g1 - g
-        k, u, v, x, y, g = k + 1, u1, v1, x1, y1, g1
-        iterates.append((u, v, x, y, g))
+            if atc is False:
+                y1 = w @ y + g1 - g
+            elif atc is True:
+                y1 = w @ (y + g1 - g)
+            else:
+                m = w @ np.where(atc, y + g1 - g, y)
+                y1 = np.where(atc, m, m + g1 - g)
+            if tracking is not True:
+                y1 = np.where(tracking, y1, g1)
+            ys.append(y1)
+        xs.append(x1)
+        gs.append(g1)
+        u, y, g = u1, y1, g1
+    shape = (c, size) + state.u.shape[1:]
+    x, g = np.array(xs).reshape(shape), np.array(gs).reshape(shape)
+    u = x if us is xs else np.array(us).reshape(shape)
+    y = g if ys is gs else np.array(ys).reshape(shape)
+    v = np.array(vs).reshape(shape[:3]) if vs else np.ones(shape[:3])
     if not single:
-        return iterates, violation
-    if violation is not None:
-        raise violation
-    return State(k, u, v, x, y, g)
+        return (u, v, x, y, g), ends
+    if ends:
+        raise ends[0][1]
+    return State(state.k + 1, u[0, 0], v[0, 0], x[0, 0], y[0, 0], g[0, 0])
 
 
 # one preset per method; `run` reaches every member's steps through these names
@@ -312,107 +388,109 @@ def input_problems(algorithm: str, seq: GraphSequence, suite: ObjectiveSuite,
 # a member's row buffer: row i holds one series, column k iteration k; the
 # last two are filled only for a run that records audit series
 _SERIES = SERIES + AUDIT_SERIES
-# iterations each member steps per call of its preset
+# iterations a batch steps per `step` call
 _CHUNK = 64
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each block a[c], bit for bit: a 1 x m @ m x 1 matmul
+    """np.linalg.norm of each a[j, i], bit for bit: a 1 x m @ m x 1 matmul
     slice runs the same ddot over the raveled block."""
-    c = len(a)
-    return np.sqrt(np.matmul(a.reshape(c, 1, -1), a.reshape(c, -1, 1))).ravel()
+    flat = a.reshape(a.shape[0] * a.shape[1], 1, -1)
+    return np.sqrt(np.matmul(flat, flat.reshape(len(flat), -1, 1))).reshape(a.shape[:2])
 
 
 class _Member:
     """One run of a lockstep call: its method, step size, sequence, rule and
-    last state, and its metrics written into a buffer preallocated for every
-    iteration. It steps a chunk of iterations per call of its method's
-    preset and records every series of the chunk at once, each value
-    bit-equal to np.linalg.norm and consensus_violation on its own state;
-    the first non-finite residual ends the run there."""
+    group, its rows of series (row i one series, column k iteration k), its
+    last iterate's index, how it ended, and its history under record_states."""
 
     def __init__(self, algorithm: str, alpha: float, seq: GraphSequence, rule,
-                 suite: ObjectiveSuite, x0: np.ndarray, x_star: np.ndarray,
-                 r0: float, iterations: int, record_states: bool, audit: bool):
-        self.algorithm = algorithm
-        self.seq = seq
-        self.rule = rule
+                 iterations: int, record_states: bool):
+        self.algorithm, self.alpha, self.seq, self.rule = algorithm, alpha, seq, rule
         self.method = METHODS[algorithm]
-        # looked up per `run` call, so a rebound module name takes effect
-        self.preset = globals()[algorithm.replace("-", "_") + "_step"]
-        self.alpha = alpha
-        self.x_star = x_star
-        self.r0 = r0
-        self.audit = audit
         self.rows = np.empty((len(_SERIES), iterations + 1))
-        if not self.method.tracking:
-            self.rows[2:4] = float("nan")   # cons_viol_y, conservation_err
-        if not self.method.push:
-            self.rows[4] = float("nan")     # v_min
-        self.terminated = None
-        st = self.state = init(suite, x0)
-        self.states = [st] if record_states else None
+        self.k, self.terminated, self.group = 0, None, None
+        self.states = [] if record_states else None
         self.mixers = [] if record_states else None
-        self.record(0, [(st.u, st.v, st.x, st.y, st.grad)], None)
 
-    def record(self, k0: int, iterates: list[tuple], before: np.ndarray | None) -> int:
-        """Write every series of the (u, v, x, y, grad) iterates k0, k0 + 1,
-        ... up to the first with a non-finite residual, and return how many
-        were written. `before` is the gradient of iterate k0 - 1, None for
-        k0 = 0."""
-        method, rows = self.method, self.rows
-        _, vs, xs, ys, gs = zip(*iterates)
-        x = np.array(xs)
+
+class _Batch:
+    """The live members of a `run` call, stepped as one `step` call per
+    chunk through the preset named for the first member; every series of a
+    chunk is computed for all members at once, each value bit-equal to
+    np.linalg.norm and consensus_violation on its own state. A member's
+    first non-finite residual, or a push-sum breach before it, ends it."""
+
+    def __init__(self, members: list[_Member], suite: ObjectiveSuite,
+                 x0: np.ndarray, x_star: np.ndarray, r0: float, audit: bool):
+        self.members, self.x_star, self.r0, self.audit = members, x_star, r0, audit
+        st = init(suite, x0)
+        self.record(0, [np.repeat(a[None, None], len(members), axis=1)
+                        for a in (st.u, st.v, st.x, st.y, st.grad)], None, {}, ())
+
+    def advance(self, k0: int, k1: int, suite: ObjectiveSuite,
+                v_floor: float | None) -> None:
+        """Step iterations k0 + 1 .. k1 on the members' served mixers and
+        record them."""
+        live = self.members
+        alphas = tuple([m.alpha / math.sqrt(k + 1) for k in range(k0, k1)]
+                       if m.method.diminishing else m.alpha for m in live)
+        mixers = tuple(m.group.mixers for m in live)
+        # looked up per call, so a rebound module name takes effect
+        preset = globals()[live[0].algorithm.replace("-", "_") + "_step"]
+        before = self.state.grad
+        iterates, ends = preset(self.state, mixers, suite, alphas, v_floor=v_floor,
+                                methods=tuple(m.method for m in live))
+        self.record(k0 + 1, iterates, before, ends, mixers)
+
+    def record(self, k: int, iterates, before: np.ndarray | None, ends: dict,
+               mixers: tuple) -> None:
+        """Write every series of the members' iterates k, k + 1, ... (the
+        (u, v, x, y, grad) buffers `step` gives), each member's up to its
+        first non-finite residual or the breach `ends` gives. `before` holds
+        the gradients of iterate k - 1, None for k = 0."""
+        u, v, x, y, g = iterates
+        live = self.members
+        c, size, n = x.shape[:3]
+        push = np.array([m.method.push for m in live])
+        tracking = np.array([m.method.tracking for m in live])
+        block = np.empty((len(_SERIES) if self.audit else len(SERIES), c, size))
         q = _norms(x - self.x_star)
-        residual = q / self.r0 if self.r0 > 0 else q
-        bad = np.flatnonzero(~np.isfinite(residual))
-        count = int(bad[0]) + 1 if bad.size else len(x)
-        cols = slice(k0, k0 + count)
-        rows[0, cols], rows[5, cols] = residual[:count], q[:count]
-        self.residual = float(residual[count - 1])
-        x = x[:count]
-        n = x.shape[1]
-        rows[1, cols] = _norms(x - x.sum(axis=1, keepdims=True) / n)
-        if method.push:
-            v = np.array(vs[:count])
-            rows[4, cols] = v.min(axis=1)
-        if method.tracking or self.audit:
-            g = np.array(gs[:count])
-        if method.tracking:
-            y = np.array(ys[:count])
-            y_read = y / v[:, :, None] if method.push else y
-            rows[2, cols] = _norms(y_read - y_read.sum(axis=1, keepdims=True) / n)
-            rows[3, cols] = _norms(y.sum(axis=1) - g.sum(axis=1))
+        block[0] = residual = q / self.r0 if self.r0 > 0 else q
+        block[1] = _norms(x - x.sum(axis=2, keepdims=True) / n)
+        if tracking.any():   # y / v is y where v = 1 exactly, without push-sum
+            y_read = y / v[..., None] if push.any() else y
+            block[2] = _norms(y_read - y_read.sum(axis=2, keepdims=True) / n)
+            block[3] = _norms(y.sum(axis=2) - g.sum(axis=2))
+        block[4] = v.min(axis=2)
+        # NaN where a member has no such series
+        block[2:5] = np.where(np.array([~tracking, ~tracking, ~push])[:, None], np.nan,
+                              block[2:5])
         if self.audit:
-            first = g[:1] if before is None else before[None]
-            rows[6, cols] = _norms(np.diff(g, axis=0, prepend=first))
-            rows[6, 0] = 0.0   # z(0) = 0
-            rows[7, cols] = _norms(g)
-        return count
-
-    def advance(self, k0: int, mixers: Mixers, suite: ObjectiveSuite,
-                v_floor: float | None) -> bool:
-        """Step iterations k0, k0 + 1, ... on `mixers` and record them; False
-        once the run has ended on a non-finite residual or a push-sum
-        violation, whichever came first."""
-        count = len(mixers.weights)
-        alpha = ([self.alpha / math.sqrt(k + 1) for k in range(k0, k0 + count)]
-                 if self.method.diminishing else self.alpha)
-        iterates, violation = self.preset(self.state, mixers, suite, alpha,
-                                          v_floor=v_floor)
-        kept = self.record(k0 + 1, iterates, self.state.grad) if iterates else 0
-        if kept:
-            # a State for the last iterate kept, or for each under record_states
-            first = 0 if self.states is not None else kept - 1
-            states = [State(k0 + 1 + j, *iterates[j]) for j in range(first, kept)]
-            self.state = states[-1]
-            if self.states is not None:
-                self.states += states
-                self.mixers += mixers.matrices()[:kept]
-        if not math.isfinite(self.residual):
-            return False
-        self.terminated = violation and str(violation)
-        return violation is None
+            z = np.empty_like(g)   # np.diff's differences, z(0) = 0
+            np.subtract(g[1:], g[:-1], out=z[1:])
+            z[0] = 0.0 if before is None else g[0] - before
+            block[5], block[6], block[7] = q, _norms(z), _norms(g)
+        finite = np.isfinite(residual)
+        keep = []
+        for a, m in enumerate(live):
+            m.rows[:len(block), k:k + c] = block[:, :, a]
+            count = ends[a][0] if a in ends else c
+            bad = np.flatnonzero(~finite[:count, a])
+            count = int(bad[0]) + 1 if bad.size else count
+            m.k = k + count - 1
+            if m.states is not None:
+                m.states += [State(k + j, *(b[j, a] for b in iterates)) for j in range(count)]
+                m.mixers += mixers[a].matrices()[:count] if mixers else []
+            if bad.size:
+                m.terminated = f"residual is not finite at iteration {m.k}"
+            elif a in ends:
+                m.terminated = str(ends[a][1])
+            keep.append(not bad.size and a not in ends)
+        if not all(keep):
+            self.members = [m for m, kept in zip(live, keep) if kept]
+        self.state = State(k + c - 1, *(b[-1, keep] if not all(keep) else b[-1]
+                                        for b in iterates))
 
 
 def _lockstep_members(**values) -> list[tuple]:
@@ -430,13 +508,13 @@ def _lockstep_members(**values) -> list[tuple]:
 
 
 class _Group:
-    """The live members on one sequence and rule, the rule's last matrix,
-    and the chunk being served."""
+    """The members on one sequence and rule: the rule, its last matrix, and
+    the chunk being served."""
 
-    __slots__ = ("rule", "members", "mat", "mixers")
+    __slots__ = ("rule", "mat", "mixers")
 
     def __init__(self, rule):
-        self.rule, self.members, self.mat = rule, [], None
+        self.rule, self.mat = rule, None
 
     def serve(self, drawn: DrawnBlock, lo: int, hi: int) -> None:
         """Iterations on slices lo .. hi - 1 of a block, i serving slice i
@@ -455,20 +533,19 @@ class _Group:
             self.mixers.alone(self.mat)
 
     def built_on(self, block) -> bool:
-        """Whether the last matrix is a slice of `block`'s build."""
+        """Whether the last matrix is a slice of a build kept on `block`."""
         mat = self.mat
-        return mat is not None and block.built.get(mat.rule) is mat.source[0]
+        return mat is not None and any(b is mat.source[0] for b in block.built.values())
 
 
-def _plan(members: list[_Member]) -> list[tuple[GraphSequence, list[_Group]]]:
-    """The members grouped by sequence, then by rule, in member order."""
+def _plan(members: list[_Member]) -> dict[GraphSequence, dict]:
+    """The members' groups by sequence, then by rule, in member order; each
+    member is told its group."""
     plan: dict = {}
     for m in members:
         groups = plan.setdefault(m.seq, {})
-        if m.rule not in groups:
-            groups[m.rule] = _Group(m.rule)
-        groups[m.rule].members.append(m)
-    return [(seq, list(groups.values())) for seq, groups in plan.items()]
+        m.group = groups.setdefault(m.rule, _Group(m.rule))
+    return plan
 
 
 def _serve(seq: GraphSequence, groups: list[_Group], k0: int, k1: int) -> None:
@@ -504,12 +581,12 @@ def run(algorithm: str | tuple[str, ...],
     member runs per entry and a tuple of traces comes back, each equal to
     that member's own `run`. Every member shares the other inputs. The run
     goes `_CHUNK` iterations at a time: each distinct sequence serves the
-    chunk's matrices once per distinct rule on it, and every live member
-    then steps the chunk in one call of its method's preset. A block's rule
-    is asked once, and its other slices read from that build; a matrix not
-    built on the block (a custom one, or one built on another block) is
-    asked for at every slice. `input_problems` lists what `run` rejects
-    with a ValueError.
+    chunk's matrices once per distinct rule on it, and all live members
+    then step the chunk as one batch, in one `step` call on state of shape
+    (members, n, p). A block's rule is asked once, and its other slices
+    read from that build; a matrix not built on the block (a custom one,
+    or one built on another block) is asked for at every slice.
+    `input_problems` lists what `run` rejects with a ValueError.
     `rule` maps a snapshot to a MixingMatrix. `v_floor` is the fatal lower
     bound on push-sum weights; methods without push ignore it.
     When `x0` is None the run starts from zeros; the string "random" draws a
@@ -544,37 +621,31 @@ def run(algorithm: str | tuple[str, ...],
     x_star = np.asarray(x_star, dtype=float).reshape(p)
 
     r0 = float(np.linalg.norm(x0 - x_star[None, :]))
+    members = [_Member(algo, a, member_seq, member_rule, iterations, record_states)
+               for algo, a, member_seq, member_rule in entries]
+    plan = _plan(members)
     # a diverging run overflows on its way to the first non-finite residual,
     # where that member stops and says so
     with np.errstate(over="ignore", invalid="ignore"):
-        members = [_Member(algo, a, member_seq, member_rule, suite, x0, x_star, r0,
-                           iterations, record_states, record_audit)
-                   for algo, a, member_seq, member_rule in entries]
-        plan = _plan([m for m in members if math.isfinite(m.residual)])
+        batch = _Batch(members, suite, x0, x_star, r0, record_audit)
         for k0 in range(0, iterations, _CHUNK):
-            ended = []
-            for member_seq, groups in plan:
-                _serve(member_seq, groups, k0, min(k0 + _CHUNK, iterations))
-                ended += [m for group in groups for m in group.members
-                          if not m.advance(k0, group.mixers, suite, v_floor)]
-            if ended:   # the groups left keep their last matrices
-                for _, groups in plan:
-                    for group in groups:
-                        group.members = [m for m in group.members if m not in ended]
-                plan = [(s, left) for s, gs in plan
-                        if (left := [g for g in gs if g.members])]
+            live = {m.group for m in batch.members}   # a group left keeps its last matrix
+            if not live:
+                break
+            for member_seq, groups in plan.items():
+                if serving := [group for group in groups.values() if group in live]:
+                    _serve(member_seq, serving, k0, min(k0 + _CHUNK, iterations))
+            batch.advance(k0, min(k0 + _CHUNK, iterations), suite, v_floor)
 
     traces = []
     for m in members:
-        if not math.isfinite(m.residual):
-            m.terminated = f"residual is not finite at iteration {m.state.k}"
-        rows = m.rows[:, :m.state.k + 1]
+        kept = m.rows[:, :m.k + 1]
         audit = {}
         if record_audit:
-            audit = dict(zip(AUDIT_SERIES, rows[len(SERIES):]), r0=r0,
+            audit = dict(zip(AUDIT_SERIES, kept[len(SERIES):]), r0=r0,
                          xbar0_error=float(np.linalg.norm(x0.mean(axis=0) - x_star)))
         traces.append(RunTrace(
-            k=np.arange(rows.shape[1]), **dict(zip(SERIES, rows)), **audit,
+            k=np.arange(kept.shape[1]), **dict(zip(SERIES, kept)), **audit,
             metadata={
                 "algorithm": m.algorithm,
                 "alpha": float(m.alpha),

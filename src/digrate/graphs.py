@@ -448,22 +448,26 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
     generates, are scattered across the window's slots by
     default_rng((seed, w, 2)).integers(0, b_tilde, size=edges). A drawn
     block holds `_BLOCK // b_tilde` whole windows, or one window longer
-    than `_BLOCK`. Blocks are drawn `_BATCH` at a time, by
-    `_window_edges`; the draw keeps the last batch of each seed it drew,
-    so a copy of the sequence on another seed draws batches of its own."""
+    than `_BLOCK`. Blocks are drawn by `_window_edges`: the first read of
+    a seed draws the block read, and each later read outside the blocks
+    kept draws `_BATCH` blocks from the block read on. The draw keeps the
+    last batch of each seed it drew, so a copy of the sequence on another
+    seed draws batches of its own."""
     if b_tilde < 1:
         raise ValueError("window length must be >= 1")
     _extra_edges(n, extra_edges)   # a bad size fails here, not at the first read
     per = max(1, _BLOCK // b_tilde)   # windows per block
-    batches = {}   # {seed: (batch index, its windows' `_window_edges`)}
+    batches = {}   # {seed: (first block, its blocks' windows' `_window_edges`)}
 
     def draw(s: int, t: int) -> GraphBlock:
-        b, i = divmod(t, _BATCH)
-        if batches.get(s, (None,))[0] != b:
-            windows = range(b * _BATCH * per, (b + 1) * _BATCH * per)
-            batches[s] = b, _window_edges(n, b_tilde, extra_edges, s, windows)
+        first, edges = batches.get(s, (t, None))
+        if edges is None or not 0 <= t - first < len(edges) // per:
+            count = _BATCH if s in batches else 1
+            batches[s] = t, _window_edges(n, b_tilde, extra_edges, s,
+                                          range(t * per, (t + count) * per))
+        first, edges = batches[s]
         adj = np.zeros((per * b_tilde, n, n), dtype=bool)
-        adj.ravel()[batches[s][1][i * per:(i + 1) * per]] = True
+        adj.ravel()[edges[(t - first) * per:(t - first + 1) * per]] = True
         return GraphBlock(UNDIRECTED, adj | adj.swapaxes(1, 2))
 
     return GraphSequence(n, UNDIRECTED, per * b_tilde, draw, seed, b_tilde,

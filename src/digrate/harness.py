@@ -228,7 +228,8 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
 
 def build_rule(cfg):
     """Mixing rule name (or custom block) -> callable snapshot -> matrix; a
-    custom rule returns its one matrix whatever the snapshot."""
+    custom rule gives its one matrix whatever the snapshot, a slice of a
+    build repeating it over the snapshot's block (`mixing.constant_rule`)."""
     if isinstance(cfg, dict):
         get = ConfigBlock(cfg, "mixing")
         if get("rule", "a string") != "custom":
@@ -236,7 +237,7 @@ def build_rule(cfg):
         path, mode = get("path", "a string"), get("mode", "a string", mixing.DOUBLY)
         get.done()
         mat = mixing.custom_mixing(mixing.matrix_from_csv(read_input(path, "mixing")), mode)
-        return lambda snap: mat
+        return mixing.constant_rule(mat)
     if cfg == "metropolis":
         return mixing.metropolis
     if cfg == "lazy-metropolis":
@@ -266,7 +267,7 @@ def _assemble(config: ExperimentConfig):
     rule = build_rule(config.mixing)
     problems = algorithms.input_problems(
         config.algorithm, seq, suite, schedule=isinstance(config.alpha, dict))
-    size = rule(None).n if isinstance(config.mixing, dict) else seq.n
+    size = rule.matrix.n if isinstance(config.mixing, dict) else seq.n
     if size != seq.n:
         problems.append(f"size: custom matrix is {size}x{size}, graph has {seq.n} vertices")
     audit = None

@@ -5,9 +5,11 @@ snapshots; the out-degree rule builds column stochastic matrices for
 directed snapshots. Every snapshot is a slice of a `GraphBlock`, and each
 builder weighs and certifies the block's whole stack of adjacency matrices
 at once (degrees being their row sums), keeping the result on the block;
-a custom matrix is the one slice of a build of its own. Contraction is measured as the largest singular value of the windowed
-product minus the uniform averaging matrix, by LAPACK's SVD; a window whose
-union graph is not connected contracts nothing and has delta = 1.
+a custom matrix is the one slice of a build of its own, and `constant_rule`
+repeats one over each block it serves. Contraction is measured as the
+largest singular value of the windowed product minus the uniform averaging
+matrix, by LAPACK's SVD; a window whose union graph is not connected
+contracts nothing and has delta = 1.
 """
 
 from __future__ import annotations
@@ -245,6 +247,23 @@ def custom_mixing(entries: np.ndarray, mode: str,
                          f"{axis} {idx} off by {dev:.3e}")
     return MixingMatrix(len(entries), entries, "custom", snapshot, report,
                         ((stack, certificates), 0))
+
+
+def constant_rule(mat: MixingMatrix):
+    """A rule giving `mat` at every snapshot, as a slice of a build kept on
+    the snapshot's block: a read-only np.broadcast_to of `mat` over the
+    block's slices, certified on the block's first request, so `run` asks
+    the rule once per block. `rule.matrix` is `mat`."""
+    def rule(snapshot: GraphSnapshot) -> MixingMatrix:
+        block, i = snapshot.block
+        if rule not in block.built:
+            stack = np.broadcast_to(mat.entries, (len(block.adj),) + mat.entries.shape)
+            block.built[rule] = (stack, _certify(stack, mat.certificate.mode))
+        built = block.built[rule]
+        return MixingMatrix(mat.n, built[0][i], mat.rule, snapshot, built[1][i], (built, i))
+
+    rule.matrix = mat
+    return rule
 
 
 def validate_stochasticity(matrix: np.ndarray | MixingMatrix,

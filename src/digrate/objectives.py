@@ -52,8 +52,9 @@ class ObjectiveSuite:
     `mu_bar_override` lets a caller substitute an effective mean modulus
     (e.g. the restricted strong convexity constant near the solution) when
     the per-component moduli are zero but rate bounds are still wanted.
-    `stacked_grad`, when set, maps the n x p block to all n gradients at
-    once and must agree bit for bit with the components' oracles.
+    `stacked_grad`, when set, maps an n x p block, or a stack of them
+    along leading axes, to every gradient at once and must agree bit for
+    bit with the components' oracles.
     """
 
     components: tuple[ComponentFunction, ...]
@@ -118,17 +119,20 @@ class ObjectiveSuite:
 
 
 def block_gradient(suite: ObjectiveSuite, x: np.ndarray) -> np.ndarray:
-    """Stack per-agent gradients: row i is grad f_i at row i of x. Uses the
-    suite's stacked oracle when it has one, the per-agent loop otherwise."""
+    """Stack per-agent gradients: row i is grad f_i at row i of x, an n x p
+    block or a stack of them along leading axes (one per lockstep member).
+    Uses the suite's stacked oracle when it has one, the per-agent loop
+    otherwise."""
     x = np.asarray(x, dtype=float)
     # not the n and p properties: this check runs on every gradient
-    if x.shape != (len(suite.components), suite.components[0].dimension):
+    if x.shape[-2:] != (len(suite.components), suite.components[0].dimension):
         raise ValueError(f"iterate block must be {suite.n}x{suite.p}, got {x.shape}")
     if suite.stacked_grad is not None:
         return suite.stacked_grad(x)
     out = np.empty_like(x)
-    for i, c in enumerate(suite.components):
-        out[i] = c.grad(x[i])
+    for block in np.ndindex(x.shape[:-2]):
+        for i, c in enumerate(suite.components):
+            out[block + (i,)] = c.grad(x[block + (i,)])
     return out
 
 
@@ -164,7 +168,7 @@ def zero_suite(n: int, p: int) -> ObjectiveSuite:
     comp = ComponentFunction(p, value=lambda x: 0.0,
                              grad=lambda x: np.zeros(p), L=0.0, mu=0.0)
     return ObjectiveSuite((comp,) * n, family="zero", data={"n": n, "p": p},
-                          stacked_grad=lambda x: np.zeros((n, p)))
+                          stacked_grad=lambda x: np.zeros(x.shape))
 
 
 def huber_value(a: float, xi: float) -> float:
@@ -216,11 +220,11 @@ def huber_regression_suite(rows: list[np.ndarray], targets: list[np.ndarray],
         y_all = np.stack(ys)[:, :, None]
 
         def stacked(x):
-            r = np.matmul(m_all, x[:, :, None]) - y_all
+            r = np.matmul(m_all, x[..., None]) - y_all
             # np.clip in place, without its Python wrappers; NaN propagates
             np.maximum(r, -xi, out=r)
             np.minimum(r, xi, out=r)
-            return np.matmul(m_all_t, r)[:, :, 0]
+            return np.matmul(m_all_t, r)[..., 0]
     return ObjectiveSuite(tuple(comps), family="huber",
                           data={"rows": mats, "targets": ys, "xi": xi},
                           stacked_grad=stacked)

@@ -1102,3 +1102,144 @@ class TestChunkedStepping:
         assert [run[2:] for run in group.mixers.runs] == [(1, alg._CHUNK + 1)]
         with pytest.raises(alg.CertificateError, match="no valid"):
             alg.diging_step(alg.init(suite, np.ones((6, 1))), group.mixers, suite, 0.1)
+
+
+class TestBatchedStepping:
+    """All live members of a `run` call step each chunk as one batch, in one
+    `step` call on state with a member axis; each member's trace, sidecar
+    and states equal its own per-iteration loop's, byte for byte."""
+
+    ALPHAS = TestChunkedRecording.ALPHAS
+    FIVE = ("diging", "diging-atc", "dgd", "push-diging", "subgradient-push")
+
+    def members(self, base, alphas=None):
+        """The five methods in one call: the undirected ones on `base`, the
+        push ones on its directed view."""
+        view = harness.directed_view(base)
+        push = [alg.METHODS[a].push for a in self.FIVE]
+        return (self.FIVE, tuple(view if p else base for p in push),
+                tuple(mixing.out_degree_column if p else mixing.metropolis
+                      for p in push),
+                tuple((alphas or self.ALPHAS)[a] for a in self.FIVE))
+
+    def assert_each_alone(self, traces, members, suite, x0, x_star, tmp_path,
+                          v_floor=None):
+        kwargs = dict(x0=x0, x_star=x_star, v_floor=v_floor, record_audit=True,
+                      record_states=True)
+        for trace, (algo, seq, rule, alpha) in zip(traces, zip(*members), strict=True):
+            iterations = trace.metadata["iterations"]
+            assert_same_trace(trace, alg.run(algo, seq, rule, suite, alpha,
+                                             iterations, **kwargs))
+            assert_equals_step_loop(trace, seq, rule, suite,
+                                    np.ascontiguousarray(x0), x_star, tmp_path,
+                                    v_floor=v_floor)
+
+    @pytest.mark.parametrize("iterations", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_five_methods_equal_their_step_loops(self, iterations, p, tmp_path):
+        # the Huber suite's stacked oracle, a Fortran-ordered start and drawn
+        # blocks of 63 slices, which chunks of 64 straddle
+        rng = np.random.default_rng(160 + p)
+        suite = huber_regression_suite([rng.normal(size=(3, p)) for _ in range(6)],
+                                       [3.0 * rng.normal(size=3) for _ in range(6)],
+                                       xi=1.0)
+        x_star = solve_reference(suite).x_star
+        x0 = np.asfortranarray(rng.normal(size=(6, p)))
+        members = self.members(graphs.block_connected_sequence(6, 3, 162, 2))
+        traces = alg.run(*members[:3], suite, members[3], iterations, x0=x0,
+                         x_star=x_star, record_audit=True, record_states=True)
+        assert [len(trace) for trace in traces] == [iterations + 1] * 5
+        self.assert_each_alone(traces, members, suite, x0, x_star, tmp_path)
+
+    def test_members_end_in_one_chunk(self, tmp_path):
+        """DGD diverges and both push members breach the floor inside the
+        second chunk of one five-method call; the other two go on. The
+        quadratic suite's gradients are unbounded, so DGD can overflow."""
+        rng = np.random.default_rng(163)
+        suite = quadratic_suite(rng.normal(size=(6, 2)), rng.uniform(0.5, 2, 6))
+        x0 = rng.normal(size=(6, 2))
+        members = self.members(graphs.block_connected_sequence(6, 3, 164, 2),
+                               dict(self.ALPHAS, dgd=20.0))
+        # the floor just above the push-sum weights' first record low in the
+        # second chunk: the push members breach there
+        v_min = alg.run("push-diging", members[1][3], members[2][3], suite, 0.04,
+                        2 * alg._CHUNK, x0=x0, x_star=suite.x_star).v_min
+        low = next(k for k in range(alg._CHUNK + 1, 2 * alg._CHUNK)
+                   if v_min[k] < v_min[:k].min())
+        floor = float(np.nextafter(v_min[low], np.inf))
+        traces = alg.run(*members[:3], suite, members[3], 200, x0=x0,
+                         x_star=suite.x_star, v_floor=floor, record_audit=True,
+                         record_states=True)
+        ends = [trace.metadata["terminated"] for trace in traces]
+        assert ends[0] is ends[1] is None
+        assert ends[2] == f"residual is not finite at iteration {traces[2].k[-1]}"
+        assert ends[3] == ends[4] and ends[3].startswith(
+            f"push-sum weight degenerated: min weight {v_min[low]:.3e} at "
+            f"iteration {low} (floor")
+        for trace in traces[2:]:
+            assert alg._CHUNK < trace.k[-1] < 2 * alg._CHUNK - 1
+        self.assert_each_alone(traces, members, suite, x0, suite.x_star, tmp_path,
+                               v_floor=floor)
+
+    def test_zero_weight_ends_a_member_without_warnings(self, tmp_path):
+        # vertex 1 only sends: its weight halves each iteration until it is
+        # zero at iteration 1075, with no floor; dividing by it would warn
+        suite = zero_suite(4, 2)
+        x0 = np.random.default_rng(165).normal(size=(4, 2))
+        leaky = graphs.static_sequence(graphs.directed(4, [(1, 2), (2, 3), (3, 4),
+                                                          (4, 2)]))
+        path = graphs.static_sequence(graphs.undirected(4, [(1, 2), (2, 3), (3, 4)]))
+        members = (("push-diging", "subgradient-push", "diging"), (leaky, leaky, path),
+                   (mixing.out_degree_column, mixing.out_degree_column,
+                    mixing.metropolis), (0.02, 0.5, 0.05))
+        traces = alg.run(*members[:3], suite, members[3], 1100, x0=x0,
+                         x_star=x0.mean(axis=0), record_audit=True,
+                         record_states=True)
+        want = "push-sum weight degenerated: min weight 0.000e+00 at iteration 1075"
+        assert [trace.metadata["terminated"] for trace in traces] == [want, want, None]
+        self.assert_each_alone(traces, members, suite, x0, x0.mean(axis=0), tmp_path)
+
+
+class TestConstantRule:
+    """A config's custom matrix is served by `mixing.constant_rule`: one
+    read-only build per block, so `run` asks it once per block, and every
+    trace equals the one a rule asked at every slice gives."""
+
+    @pytest.mark.parametrize("make, blocks", [
+        (lambda: graphs.static_sequence(graphs.random_connected_graph(6, 4, 170)), 1),
+        (lambda: graphs.subsample_sequence(graphs.random_connected_graph(6, 4, 171),
+                                           0.6, 172), 4),
+    ], ids=["static", "subsample"])
+    def test_asked_once_per_block(self, make, blocks, tmp_path):
+        rng = np.random.default_rng(173)
+        suite = quadratic_suite(rng.normal(size=(6, 2)), rng.uniform(0.5, 2, 6))
+        custom = mixing.custom_mixing(mixing.lazy_metropolis(
+            graphs.random_connected_graph(6, 4, 174)).entries, mixing.DOUBLY)
+        constant = mixing.constant_rule(custom)
+        assert constant.matrix is custom
+        rule, calls = TestMatrixReuse.counting(constant)
+        seq = make()
+        kwargs = dict(x0="random", seed=175, record_audit=True, record_states=True)
+        got = alg.run(("diging", "dgd"), seq, rule, suite, 0.05, 3 * 64 + 5, **kwargs)
+        assert len(calls) == blocks
+        block, _ = calls[0].block
+        stack, _ = block.built[constant]   # the block's build, kept on it
+        assert not stack.flags.writeable and stack.shape == (len(block.adj), 6, 6)
+        assert all(s.tobytes() == custom.entries.tobytes() for s in stack)
+        want = alg.run(("diging", "dgd"), make(), lambda snap: custom, suite, 0.05,
+                       3 * 64 + 5, **kwargs)
+        for a, b in zip(got, want, strict=True):
+            assert_same_trace(a, b)
+            assert [m.entries.tobytes() for m in a.history["mixers"]] == \
+                [m.entries.tobytes() for m in b.history["mixers"]]
+
+    def test_config_custom_block_is_a_constant_rule(self, tmp_path):
+        path = tmp_path / "w.csv"
+        w = mixing.metropolis(graphs.random_connected_graph(4, 2, seed=3))
+        path.write_text(mixing.matrix_to_csv(w))
+        rule = harness.build_rule({"rule": "custom", "path": str(path),
+                                   "mode": "doubly"})
+        assert rule.matrix.entries.tobytes() == w.entries.tobytes()
+        snap = graphs.static_sequence(graphs.undirected(4, [(1, 2)])).snapshot(0)
+        assert rule(snap).entries.tobytes() == w.entries.tobytes()
+        assert rule(snap).source[0] is rule(snap).source[0]

@@ -1,6 +1,7 @@
 """Objective suites: constants, gradient oracles, reference solves."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,32 @@ class TestStackedOracle:
         x = rng.normal(size=(3, 2))
         want = np.vstack([c.grad(x[i]) for i, c in enumerate(suite.components)])
         assert np.array_equal(block_gradient(suite, x), want)
+
+    @pytest.mark.parametrize("name", ["section6", "huber-r3", "quadratic", "zero",
+                                      "ragged"])
+    def test_member_axis_matches_per_member_calls(self, name):
+        # a lockstep batch asks for every member's gradients in one call on
+        # an (A, n, p) stack; each member's block is its own call's, bit for bit
+        rng = np.random.default_rng(26)
+        suites = self.suites()
+        suites["ragged"] = huber_regression_suite(
+            [rng.normal(size=(r, 4)) for r in (1, 3, 2, 3, 1, 2, 2)],
+            [rng.normal(size=r) for r in (1, 3, 2, 3, 1, 2, 2)], xi=0.5)
+        suite = suites[name]
+        for members in (1, 4):
+            x = 50.0 * rng.normal(size=(members, suite.n, suite.p))
+            got = block_gradient(suite, x)
+            assert got.shape == x.shape
+            for a in range(members):
+                assert got[a].tobytes() == block_gradient(suite, x[a]).tobytes()
+                assert got[a].tobytes() == loop_reference(suite, x[a]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (3, 8, 4), (7,), (2, 4, 7)])
+    def test_member_axis_checks_trailing_shape(self, shape):
+        suite = self.suites()["quadratic"]
+        message = f"iterate block must be 7x4, got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            block_gradient(suite, np.zeros(shape))
 
     def test_loaded_suites_keep_stacked_oracle(self, tmp_path):
         suite = self.suites()["huber-r3"]

@@ -85,6 +85,11 @@ It covers:
   and its directed view, with the push methods; and custom matrices chosen
   by snapshot on a static and on a subsample sequence, the latter past a
   draw-block boundary: trace CSV and sidecar.
+- the five methods in one lockstep call at seeds 0 and 11, the undirected
+  ones on a block-connected sequence (blocks of 63 iterations) and the
+  push ones on its directed view, over 129 iterations of a Huber suite
+  with p = 3: trace CSV and sidecar. The tool exits non-zero if a member's
+  differs from its own `run`'s.
 
 The first line names the `digrate` package that was imported.
 """
@@ -121,6 +126,8 @@ CHUNK_ITERATIONS = 300   # crosses run's chunks of 64 and blocks of 63 and 70
 BATCH_BLOCKS = 16   # block-connected draw blocks drawn in one pass
 BATCH_WINDOWS = (1, 2, 3, 5, 65)   # window lengths read across a batch's end
 LOCKSTEP_HORIZONS = (62, 130)   # mid-chunk, past period ends and a block's end
+BATCHED_SEEDS = (0, 11)
+BATCHED_ITERATIONS = 129   # two chunks of 64 and one iteration of a third
 UNDIRECTED_ALGOS = ("diging", "diging-atc", "dgd")
 PUSH_ALGOS = ("push-diging", "subgradient-push")
 
@@ -513,6 +520,38 @@ def lockstep_digests(work: Path):
                        digest(written(path)))
 
 
+def batched_digests(work: Path):
+    """The five methods in one lockstep call per seed, the push ones on the
+    directed view of the others' block-connected sequence; each member's
+    trace must equal its own `run`'s."""
+    algos = UNDIRECTED_ALGOS + PUSH_ALGOS
+    push = [algorithms.METHODS[algo].push for algo in algos]
+    alphas = (0.05, 0.08, 0.05, 0.04, 0.5)
+    for seed in BATCHED_SEEDS:
+        n, p = 6, 3
+        rng = np.random.default_rng((1905, seed))
+        suite = objectives.huber_regression_suite(
+            [rng.normal(size=(3, p)) for _ in range(n)],
+            [3.0 * rng.normal(size=3) for _ in range(n)], xi=1.0)
+        base = graphs.block_connected_sequence(n, 3, seed, 2)
+        seqs = tuple(graphs.directed_view(base) if q else base for q in push)
+        rules = tuple(mixing.out_degree_column if q else mixing.metropolis for q in push)
+        kwargs = dict(seed=seed, x0="random", record_audit=True)
+        traces = algorithms.run(algos, seqs, rules, suite, alphas, BATCHED_ITERATIONS,
+                                **kwargs)
+        for i, (algo, trace) in enumerate(zip(algos, traces)):
+            path, alone = (work / f"batched-{seed}-{i}-{algo}{tag}.csv"
+                           for tag in ("", "-alone"))
+            trace.write(path)
+            algorithms.run(algo, seqs[i], rules[i], suite, alphas[i],
+                           BATCHED_ITERATIONS, **kwargs).write(alone)
+            if written(path) != written(alone):
+                raise SystemExit(f"batched seed {seed} {algo}: member {i} differs "
+                                 "from its own run")
+            yield (f"batched seed {seed} {algo} member {i} {len(trace)} rows",
+                   digest(written(path)))
+
+
 def gradient_suites():
     rng = np.random.default_rng(1903)
     n, p = 10, 4
@@ -688,7 +727,8 @@ def main() -> None:
                      window_digests(), cycle_digests(), bounds_digests(work),
                      gradient_digests(), reader_digests(work),
                      loader_digests(work), chunk_digests(work),
-                     batch_digests(work), lockstep_digests(work)):
+                     batch_digests(work), lockstep_digests(work),
+                     batched_digests(work)):
             for label, value in part:
                 print(f"{value}  {label}", flush=True)
 
