@@ -128,13 +128,8 @@ class Mixers:
 
     @property
     def weights(self) -> list[np.ndarray]:
-        """Every iteration's entries, one matrix each: views of the builds'
-        slices, repeated as far as a periodic run reaches."""
-        out = []
-        for mat, _, lo, hi in self.runs:
-            built = mat.source[0][0]
-            out += (list(built) * -(-hi // len(built)))[lo:hi]
-        return out
+        """Every iteration's entries, one matrix each: the rows of `stack()`."""
+        return list(self.stack())
 
     def matrices(self) -> list[MixingMatrix]:
         """One MixingMatrix per iteration, as its rule gives it."""
@@ -169,18 +164,17 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
     State or raises PushSumViolation.
 
     A batch has `methods`, one per member, a State whose arrays have a
-    leading member axis, one `Mixers` per member and each member's step
-    size (or list of one per iteration); one `Mixers` alone is a batch of
-    one. Each member is refused a certificate its method cannot step on.
-    An iteration makes one stacked matmul per mixing product and one
-    `block_gradient` call on the (A, n, p) block. A switch below is True
-    when every member does it, False when none does, else an (A, 1, 1) mask
-    picking each member's formula; a one-member batch steps on its own
-    n x p blocks, as a solo step does. Every method steps along y (a
-    non-tracking member's y is its gradient), and a member without push-sum
-    keeps v = 1 exactly, so u / v is u. A weight under the floor (or under
-    the least positive double) breaches, and that member steps on to the
-    chunk's end on weights of one. A batch gives the (u, v, x, y, grad)
+    leading member axis, one `Mixers` per member (one `Mixers` alone is a
+    batch of one) and each member's step size or list of them. A member is
+    refused a certificate its method cannot step on. An iteration makes one
+    stacked matmul per mixing product and one `block_gradient` call on the
+    (A, n, p) block. A switch is True when every member does it, False when
+    none does, else an (A, 1, 1) mask picking each member's formula, so a
+    one-member batch does a solo step's arithmetic. Every method steps
+    along y (a non-tracking member's y is its gradient), and a member
+    without push-sum keeps v = 1 exactly, so u / v is u. A weight under the
+    floor (or the least positive double) ends its member, which steps on to
+    the chunk's end on weights of one. A batch gives the (u, v, x, y, grad)
     buffers, (iterations, members, ...), and {member: (iterations taken,
     PushSumViolation)} for each member a breach ended.
     """
@@ -200,35 +194,23 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
             _require(m, cert)
         if m.tracking and min(a, default=1.0) <= 0:
             raise ValueError("step size must be positive")
-    gradient = block_gradient
     # mixing after the local step (push-sum or adapt-then-combine), push-sum,
     # adapt-then-combine, tracking
     late, push, atc, tracking = (all(f) or (any(f) and np.array(f)[:, None, None])
                                  for f in zip(*((m.push or m.atc, m.push, m.atc, m.tracking)
                                                 for m in methods)))
     least = v_floor if v_floor is not None and v_floor > 0 else 5e-324
-    floor = [least if m.push else -np.inf for m in methods]
+    floor = np.array([least if m.push else -np.inf for m in methods])[:, None, None]
     k, u, v, y, g = state.k, state.u, state.v[..., None], state.y, state.grad
-    if size == 1:
-        weights, steps, floor = mat[0].weights, alphas[0], floor[0]
-        u, v, y, g = u[0], v[0], y[0], g[0]
-    else:
-        stacks = {id(mixers): mixers.stack() for mixers in mat}
-        weights = np.stack([stacks[id(mixers)] for mixers in mat], axis=1)
-        steps, floor = np.array(alphas).T[:, :, None, None], np.array(floor)[:, None, None]
+    stacks = {id(mixers): mixers.stack() for mixers in mat}
+    weights = np.stack([stacks[id(mixers)] for mixers in mat], axis=1)
+    steps = np.array(alphas).T[:, :, None, None]
     xs, gs, vs, ends = [], [], [], {}
     us = xs if push is False else []   # u is x without push-sum
     ys = gs if tracking is False else []   # and y is the gradient without tracking
     for j, (w, a) in enumerate(zip(weights, steps)):
         ad = a * y
-        if late is False:
-            u1 = w @ u - ad
-        elif late is True:
-            u1 = w @ (u - ad)
-        else:
-            m = w @ np.where(late, u - ad, u)
-            u1 = np.where(late, m, m - ad)
-        x1 = u1
+        u1 = x1 = _mixed(w, u, late, lambda b: b - ad)
         if push is not False:
             v1 = w @ v
             if push is not True:
@@ -244,33 +226,36 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
             us.append(u1)
             vs.append(v1)
             v = v1
-        g1 = gradient(suite, x1)
-        if tracking is False:
-            y1 = g1
-        else:
-            if atc is False:
-                y1 = w @ y + g1 - g
-            elif atc is True:
-                y1 = w @ (y + g1 - g)
-            else:
-                m = w @ np.where(atc, y + g1 - g, y)
-                y1 = np.where(atc, m, m + g1 - g)
+        g1 = block_gradient(suite, x1)
+        y1 = g1
+        if tracking is not False:
+            y1 = _mixed(w, y, atc, lambda b: b + g1 - g)
             if tracking is not True:
                 y1 = np.where(tracking, y1, g1)
             ys.append(y1)
         xs.append(x1)
         gs.append(g1)
         u, y, g = u1, y1, g1
-    shape = (c, size) + state.u.shape[1:]
-    x, g = np.array(xs).reshape(shape), np.array(gs).reshape(shape)
-    u = x if us is xs else np.array(us).reshape(shape)
-    y = g if ys is gs else np.array(ys).reshape(shape)
-    v = np.array(vs).reshape(shape[:3]) if vs else np.ones(shape[:3])
+    x, g = np.array(xs), np.array(gs)
+    u = x if us is xs else np.array(us)
+    y = g if ys is gs else np.array(ys)
+    v = np.array(vs)[..., 0] if vs else np.ones(x.shape[:3])
     if not single:
         return (u, v, x, y, g), ends
     if ends:
         raise ends[0][1]
     return State(state.k + 1, u[0, 0], v[0, 0], x[0, 0], y[0, 0], g[0, 0])
+
+
+def _mixed(w: np.ndarray, a: np.ndarray, after, more: Callable) -> np.ndarray:
+    """more(w @ a) where `after` is False, w @ more(a) where it is True, and
+    under an (A, 1, 1) mask each member's own of the two."""
+    if after is False:
+        return more(w @ a)
+    if after is True:
+        return w @ more(a)
+    m = w @ np.where(after, more(a), a)
+    return np.where(after, m, more(m))
 
 
 # one preset per method; `run` reaches every member's steps through these names

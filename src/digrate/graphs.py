@@ -450,9 +450,9 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
     block holds `_BLOCK // b_tilde` whole windows, or one window longer
     than `_BLOCK`. Blocks are drawn by `_window_edges`: the first read of
     a seed draws the block read, and each later read outside the blocks
-    kept draws `_BATCH` blocks from the block read on. The draw keeps the
-    last batch of each seed it drew, so a copy of the sequence on another
-    seed draws batches of its own."""
+    kept draws from the block read up to the next multiple of `_BATCH`
+    blocks. The draw keeps the last batch of each seed it drew, so a copy
+    of the sequence on another seed draws batches of its own."""
     if b_tilde < 1:
         raise ValueError("window length must be >= 1")
     _extra_edges(n, extra_edges)   # a bad size fails here, not at the first read
@@ -462,9 +462,9 @@ def block_connected_sequence(n: int, b_tilde: int, seed: int,
     def draw(s: int, t: int) -> GraphBlock:
         first, edges = batches.get(s, (t, None))
         if edges is None or not 0 <= t - first < len(edges) // per:
-            count = _BATCH if s in batches else 1
+            end = (t // _BATCH + 1) * _BATCH if s in batches else t + 1
             batches[s] = t, _window_edges(n, b_tilde, extra_edges, s,
-                                          range(t * per, (t + count) * per))
+                                          range(t * per, end * per))
         first, edges = batches[s]
         adj = np.zeros((per * b_tilde, n, n), dtype=bool)
         adj.ravel()[edges[(t - first) * per:(t - first + 1) * per]] = True

@@ -53,8 +53,8 @@ class ObjectiveSuite:
     (e.g. the restricted strong convexity constant near the solution) when
     the per-component moduli are zero but rate bounds are still wanted.
     `stacked_grad`, when set, maps an n x p block, or a stack of them
-    along leading axes, to every gradient at once and must agree bit for
-    bit with the components' oracles.
+    along leading axes, to every gradient at once, in a block of the same
+    shape, and must agree bit for bit with the components' oracles.
     """
 
     components: tuple[ComponentFunction, ...]
@@ -128,7 +128,11 @@ def block_gradient(suite: ObjectiveSuite, x: np.ndarray) -> np.ndarray:
     if x.shape[-2:] != (len(suite.components), suite.components[0].dimension):
         raise ValueError(f"iterate block must be {suite.n}x{suite.p}, got {x.shape}")
     if suite.stacked_grad is not None:
-        return suite.stacked_grad(x)
+        out = suite.stacked_grad(x)
+        if np.shape(out) != x.shape:
+            raise ValueError(f"stacked gradient oracle gave shape {np.shape(out)} "
+                             f"for an iterate block of shape {x.shape}")
+        return out
     out = np.empty_like(x)
     for block in np.ndindex(x.shape[:-2]):
         for i, c in enumerate(suite.components):

@@ -180,8 +180,9 @@ class TestBlockConnected:
     def test_block_draws_its_graph_once(self, monkeypatch):
         # a window's (seed, w) row is hashed for its one-word sub-seed, its
         # (seed, w, 2) row for the generator of its slots; the first read
-        # draws the block read, and a later miss a batch of `_BATCH` blocks
-        # from the block read on, hashing the rows of all its windows at once
+        # draws the block read, and a later miss the blocks from it to the
+        # next multiple of `_BATCH`, hashing the rows of all their windows
+        # at once
         drawn, slotted = [], []
         real = streams.seed_state
 
@@ -200,7 +201,7 @@ class TestBlockConnected:
             seq.snapshot(k)
         assert drawn == [(41, w) for w in range(windows)]
         snap = seq.snapshot(span + 4)
-        assert drawn == [(41, w) for w in range(windows + batch)]
+        assert drawn == [(41, w) for w in range(batch)]
         # the block is read-only, holds its windows' slots and is shared by them
         block, i = snap.block
         assert i == 4 and block.adj.shape == (span, 6, 6)
@@ -208,13 +209,10 @@ class TestBlockConnected:
         later = np.random.default_rng(45).permutation(
             np.arange(span, 2 * span)).tolist()
         assert all(seq.snapshot(k).block == (block, k - span) for k in later)
-        # the batch holds blocks 1 .. _BATCH; the next batch's rows follow,
-        # each once
+        # the next batch's rows follow, each once
         seq.snapshot(graphs._BATCH * span)
-        assert drawn == [(41, w) for w in range(windows + batch)]
-        seq.snapshot((graphs._BATCH + 1) * span)
-        assert drawn == [(41, w) for w in range(windows + 2 * batch)]
-        assert slotted == [(41, w, 2) for w in range(windows + 2 * batch)]
+        assert drawn == [(41, w) for w in range(2 * batch)]
+        assert slotted == [(41, w, 2) for w in range(2 * batch)]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     @pytest.mark.parametrize("b_tilde", [1, 2, 3, 5, 64, 65])
@@ -319,9 +317,8 @@ class TestRawOutputDraws:
         # numpy rejects a word a few times in 2**32 at these bounds, so one
         # is forced: as if the first word of window 35 in each Lemire draw
         # were rejected, its values garbage (every parent 0, every edge in
-        # slot 0). That window is walked word by word instead. Block 0 is
-        # read first, so block 1 is a miss that draws a batch from block 1
-        # on, window 35 its fourth.
+        # slot 0). That window, the fourth of block 1, is walked word by
+        # word instead; block 1 read first is drawn alone.
         want = graphs.block_connected_sequence(12, 2, 7, extra_edges).snapshots(1)
         real, forced = streams.bounded, []
 
@@ -331,13 +328,11 @@ class TestRawOutputDraws:
             forced.append(words.shape)
             return values, rejected
 
-        seq = graphs.block_connected_sequence(12, 2, 7, extra_edges)
-        seq.snapshots(0)
         monkeypatch.setattr(streams, "bounded", rejecting)
-        got = seq.snapshots(1)
+        got = graphs.block_connected_sequence(12, 2, 7, extra_edges).snapshots(1)
         assert got.block.adj.tobytes() == want.block.adj.tobytes()
         # the tree parents, the extra edges' Floyd draws and shuffle, the slots
-        rows = graphs._BATCH * graphs._BLOCK // 2
+        rows = graphs._BLOCK // 2
         assert forced == [(10, rows)] + [(5, rows)] * (extra_edges > 0) + [
             (11 + extra_edges, rows)]
 
@@ -421,8 +416,7 @@ class TestRawOutputDraws:
     def test_seed_copies_draw_each_window_once(self, monkeypatch):
         # copies of one sequence on two seeds, stepped in one lockstep call
         # across a batch boundary, keep a batch each: each (seed, w) row is
-        # hashed once, in order: block 0, then a batch from block 1 on, then
-        # one from block _BATCH + 1 on
+        # hashed once, in order
         real, keys = streams.seed_state, []
 
         def counted(rows, words):
@@ -434,8 +428,8 @@ class TestRawOutputDraws:
         b = dataclasses.replace(a, seed=81)
         suite = objectives.quadratic_suite(np.zeros((6, 1)), np.ones(6))
         algorithms.run(("diging", "diging"), (a, b), mixing.metropolis, suite, 0.1,
-                       (graphs._BATCH + 2) * a.size)
-        windows = (2 * graphs._BATCH + 1) * a.size // 2   # windows of 2
+                       (graphs._BATCH + 1) * a.size)
+        windows = 2 * graphs._BATCH * a.size // 2   # two batches of windows of 2
         for seed in (80, 81):
             assert [key for key in keys if key[0] == seed] == [
                 (seed, w) for w in range(windows)]

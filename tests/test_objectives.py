@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from digrate import harness, objectives
+from digrate import algorithms, graphs, harness, mixing, objectives
 from digrate.objectives import (block_gradient, check_gradients, huber_value,
                                 huber_regression_suite, quadratic_suite,
                                 solve_reference, zero_suite)
@@ -329,6 +329,21 @@ class TestStackedOracle:
         message = f"iterate block must be 7x4, got {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             block_gradient(suite, np.zeros(shape))
+
+    def test_oracle_of_wrong_shape_is_refused(self):
+        # an oracle written for one n x p block only: on a lockstep stack it
+        # pairs each component with a member's block, and the stack of their
+        # gradients has another shape
+        suite = self.suites()["quadratic"]
+        rows = dataclasses.replace(suite, stacked_grad=lambda x: np.vstack(
+            [c.grad(row) for c, row in zip(suite.components, x)]))
+        x = np.random.default_rng(27).normal(size=(7, 4))
+        assert block_gradient(rows, x).tobytes() == loop_reference(suite, x).tobytes()
+        message = ("stacked gradient oracle gave shape (14, 4) for an iterate "
+                   "block of shape (2, 7, 4)")
+        seq = graphs.static_sequence(graphs.random_connected_graph(7, 2, 0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            algorithms.run(("diging", "dgd"), seq, mixing.metropolis, rows, 0.1, 3)
 
     def test_loaded_suites_keep_stacked_oracle(self, tmp_path):
         suite = self.suites()["huber-r3"]
