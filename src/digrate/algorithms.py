@@ -169,8 +169,9 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
     refused a certificate its method cannot step on. An iteration makes one
     stacked matmul per mixing product and one `block_gradient` call on the
     (A, n, p) block. A switch is True when every member does it, False when
-    none does, else an (A, 1, 1) mask picking each member's formula, so a
-    one-member batch does a solo step's arithmetic. Every method steps
+    none does, else an (A, 1, 1) mask picking each member's formula; a
+    one-member batch steps on its own n x p blocks with no mask, as a solo
+    step does. Every method steps
     along y (a non-tracking member's y is its gradient), and a member
     without push-sum keeps v = 1 exactly, so u / v is u. A weight under the
     floor (or the least positive double) ends its member, which steps on to
@@ -203,8 +204,13 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
     floor = np.array([least if m.push else -np.inf for m in methods])[:, None, None]
     k, u, v, y, g = state.k, state.u, state.v[..., None], state.y, state.grad
     stacks = {id(mixers): mixers.stack() for mixers in mat}
-    weights = np.stack([stacks[id(mixers)] for mixers in mat], axis=1)
-    steps = np.array(alphas).T[:, :, None, None]
+    weights = [stacks[id(mixers)] for mixers in mat]
+    if size == 1:   # numpy's cost per call grows with the axes: a lone member
+        # steps on its own n x p blocks, with Python floats for step sizes
+        weights, steps, floor = weights[0], alphas[0], floor[0]
+        u, v, y, g = u[0], v[0], y[0], g[0]
+    else:
+        weights, steps = np.stack(weights, axis=1), np.array(alphas).T[:, :, None, None]
     xs, gs, vs, ends = [], [], [], {}
     us = xs if push is False else []   # u is x without push-sum
     ys = gs if tracking is False else []   # and y is the gradient without tracking
@@ -236,10 +242,11 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
         xs.append(x1)
         gs.append(g1)
         u, y, g = u1, y1, g1
-    x, g = np.array(xs), np.array(gs)
-    u = x if us is xs else np.array(us)
-    y = g if ys is gs else np.array(ys)
-    v = np.array(vs)[..., 0] if vs else np.ones(x.shape[:3])
+    shape = (c, size) + state.u.shape[1:]
+    x, g = np.array(xs).reshape(shape), np.array(gs).reshape(shape)
+    u = x if us is xs else np.array(us).reshape(shape)
+    y = g if ys is gs else np.array(ys).reshape(shape)
+    v = np.array(vs).reshape(shape[:3]) if vs else np.ones(shape[:3])
     if not single:
         return (u, v, x, y, g), ends
     if ends:

@@ -129,8 +129,8 @@ def block_gradient(suite: ObjectiveSuite, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"iterate block must be {suite.n}x{suite.p}, got {x.shape}")
     if suite.stacked_grad is not None:
         out = suite.stacked_grad(x)
-        if np.shape(out) != x.shape:
-            raise ValueError(f"stacked gradient oracle gave shape {np.shape(out)} "
+        if out.shape != x.shape:
+            raise ValueError(f"stacked gradient oracle gave shape {out.shape} "
                              f"for an iterate block of shape {x.shape}")
         return out
     out = np.empty_like(x)
