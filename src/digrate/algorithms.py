@@ -170,8 +170,7 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
     stacked matmul per mixing product and one `block_gradient` call on the
     (A, n, p) block. A switch is True when every member does it, False when
     none does, else an (A, 1, 1) mask picking each member's formula; a
-    one-member batch steps on its own n x p blocks with no mask, as a solo
-    step does. Every method steps
+    one-member batch steps on its own n x p blocks. Every method steps
     along y (a non-tracking member's y is its gradient), and a member
     without push-sum keeps v = 1 exactly, so u / v is u. A weight under the
     floor (or the least positive double) ends its member, which steps on to
@@ -201,29 +200,31 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
                                  for f in zip(*((m.push or m.atc, m.push, m.atc, m.tracking)
                                                 for m in methods)))
     least = v_floor if v_floor is not None and v_floor > 0 else 5e-324
-    floor = np.array([least if m.push else -np.inf for m in methods])[:, None, None]
     k, u, v, y, g = state.k, state.u, state.v[..., None], state.y, state.grad
-    stacks = {id(mixers): mixers.stack() for mixers in mat}
-    weights = [stacks[id(mixers)] for mixers in mat]
     if size == 1:   # numpy's cost per call grows with the axes: a lone member
         # steps on its own n x p blocks, with Python floats for step sizes
-        weights, steps, floor = weights[0], alphas[0], floor[0]
+        weights, steps, floor = mat[0].stack(), alphas[0], least
         u, v, y, g = u[0], v[0], y[0], g[0]
-    else:
-        weights, steps = np.stack(weights, axis=1), np.array(alphas).T[:, :, None, None]
+    else:   # members of a group share their Mixers, stacked once
+        stacks = {id(mixers): mixers.stack() for mixers in mat}
+        weights = np.stack([stacks[id(mixers)] for mixers in mat], axis=1)
+        steps = np.array(alphas).T[:, :, None, None]
+        floor = np.array([least if m.push else -np.inf for m in methods])[:, None, None]
     xs, gs, vs, ends = [], [], [], {}
     us = xs if push is False else []   # u is x without push-sum
     ys = gs if tracking is False else []   # and y is the gradient without tracking
-    for j, (w, a) in enumerate(zip(weights, steps)):
+    # each product's local part, on the loop's current ad, g1 and g
+    descent, tracked = (lambda b: b - ad), (lambda b: b + g1 - g)
+    for w, a in zip(weights, steps):
         ad = a * y
-        u1 = x1 = _mixed(w, u, late, lambda b: b - ad)
+        u1 = x1 = _mixed(w, u, late, descent)
         if push is not False:
             v1 = w @ v
             if push is not True:
                 np.copyto(v1, 1.0, where=~push)
             low = v1 < floor
             if low.any():
-                weak = v1.reshape(size, -1)
+                j, weak = len(xs), v1.reshape(size, -1)
                 for b in np.flatnonzero(low.reshape(size, -1).any(axis=1)).tolist():
                     if b not in ends:
                         ends[b] = (j, PushSumViolation(k + j + 1, weak[b], v_floor))
@@ -235,7 +236,7 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
         g1 = block_gradient(suite, x1)
         y1 = g1
         if tracking is not False:
-            y1 = _mixed(w, y, atc, lambda b: b + g1 - g)
+            y1 = _mixed(w, y, atc, tracked)
             if tracking is not True:
                 y1 = np.where(tracking, y1, g1)
             ys.append(y1)

@@ -124,14 +124,15 @@ def block_gradient(suite: ObjectiveSuite, x: np.ndarray) -> np.ndarray:
     Uses the suite's stacked oracle when it has one, the per-agent loop
     otherwise."""
     x = np.asarray(x, dtype=float)
+    shape, oracle = x.shape, suite.stacked_grad
     # not the n and p properties: this check runs on every gradient
-    if x.shape[-2:] != (len(suite.components), suite.components[0].dimension):
-        raise ValueError(f"iterate block must be {suite.n}x{suite.p}, got {x.shape}")
-    if suite.stacked_grad is not None:
-        out = suite.stacked_grad(x)
-        if out.shape != x.shape:
+    if shape[-2:] != (len(suite.components), suite.components[0].dimension):
+        raise ValueError(f"iterate block must be {suite.n}x{suite.p}, got {shape}")
+    if oracle is not None:
+        out = oracle(x)
+        if out.shape != shape:
             raise ValueError(f"stacked gradient oracle gave shape {out.shape} "
-                             f"for an iterate block of shape {x.shape}")
+                             f"for an iterate block of shape {shape}")
         return out
     out = np.empty_like(x)
     for block in np.ndindex(x.shape[:-2]):
