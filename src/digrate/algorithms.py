@@ -7,9 +7,10 @@ evaluate every gradient through `block_gradient`.
 Every step is a pure function from explicit state to the next state; no
 randomness lives inside a step, so runs replay bit-for-bit. `run` steps
 all live members of a call as one batch: one `step` call per chunk of
-iterations, on state with a leading member axis and the matrices each
-member's sequence serves for the chunk, each member bit-equal to its own
-run.
+iterations, on state with a leading member axis and the entries each
+member's group (its sequence and rule) serves for the chunk, each member
+bit-equal to its own run. A group refuses each run of slices it serves
+whose certificate its members cannot step on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import DIRECTED, DrawnBlock, GraphSequence
-from .mixing import COLUMN, DOUBLY, MixingMatrix, StochasticityReport
+from .mixing import COLUMN, DOUBLY, MixingMatrix
 from .objectives import ObjectiveSuite, block_gradient, solve_reference
 from .traces import AUDIT_SERIES, SERIES, RunTrace
 
@@ -82,8 +83,13 @@ class State:
 def require_certificate(method: Method, mat: MixingMatrix) -> None:
     """Raise CertificateError unless `mat` carries a passing certificate in a
     mode `method` steps on: column or doubly stochastic under push-sum,
-    doubly otherwise. `step` and a config's validation both apply it."""
+    doubly otherwise. `step`, a config's validation and `_Group` apply its test."""
     _require(method, mat.certificate)
+
+
+def _require_step_size(alpha) -> None:   # or a diminishing method's scale
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"step size must be positive and finite, got {alpha}")
 
 
 def _require(method: Method, cert) -> None:
@@ -96,50 +102,6 @@ def _require(method: Method, cert) -> None:
                                f"got {cert.mode}")
 
 
-class Mixers:
-    """The mixing matrices of consecutive iterations, for one `step` call:
-    `stack()[j]` is the entries of the j-th, and `certificates` holds the
-    report that decides each run of them, consecutive slices of one build."""
-
-    __slots__ = ("certificates", "runs")
-
-    def __init__(self):
-        self.certificates: list[StochasticityReport] = []
-        self.runs: list[tuple] = []   # (matrix, snapshots, lo, hi)
-
-    def slices(self, mat: MixingMatrix, lo: int, hi: int, snaps) -> None:
-        """Slices lo .. hi - 1 of the build `mat` is a slice of, each read
-        modulo the build's size, on the next hi - lo iterations; `snaps[i]`
-        is the snapshot of slice i."""
-        self.certificates.append(mat.source[0][1].decisive(lo, hi))
-        self.runs.append((mat, snaps, lo, hi))
-
-    def alone(self, mat: MixingMatrix) -> None:
-        """`mat` on the next iteration: the one slice of its build it is."""
-        i = mat.source[1]
-        self.slices(mat, i, i + 1, {i: mat.snapshot})
-
-    def stack(self) -> np.ndarray:
-        """Every iteration's entries as one (iterations, n, n) array: a view
-        of the build when one run lies within it, a C-ordered copy else."""
-        parts = [built[lo:hi] if hi <= len(built) else built[np.arange(lo, hi) % len(built)]
-                 for built, lo, hi in ((m.source[0][0], lo, hi) for m, _, lo, hi in self.runs)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    @property
-    def weights(self) -> list[np.ndarray]:
-        """Every iteration's entries, one matrix each: the rows of `stack()`."""
-        return list(self.stack())
-
-    def matrices(self) -> list[MixingMatrix]:
-        """One MixingMatrix per iteration, as its rule gives it."""
-        out = []
-        for mat, snaps, lo, hi in self.runs:
-            size = len(mat.source[0][0])
-            out += [mat.sibling(i % size, snaps[i % size]) for i in range(lo, hi)]
-        return out
-
-
 def init(suite: ObjectiveSuite, x0: np.ndarray) -> State:
     """Unit weights, mass and readout at x0, tracker at the initial block
     gradient; `block_gradient` rejects a block of the wrong shape."""
@@ -148,7 +110,7 @@ def init(suite: ObjectiveSuite, x0: np.ndarray) -> State:
     return State(0, x0.copy(), np.ones(suite.n), x0.copy(), g.copy(), g)
 
 
-def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
+def step(method: Method, state: State, mat: MixingMatrix | tuple[np.ndarray, ...],
          suite: ObjectiveSuite, alpha, v_floor: float | None = None,
          methods: tuple[Method, ...] | None = None):
     """One iteration of `method` on one matrix, or a chunk of iterations of
@@ -160,16 +122,17 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
     weights and reads out x = u / v, undoing the uneven mass distribution
     of column stochastic mixing; a nonpositive (or under-floor) weight is
     fatal by design. The tracker then adds the newest gradient difference,
-    mixed after it under adapt-then-combine. One matrix gives the next
-    State or raises PushSumViolation.
+    mixed after it under adapt-then-combine. One matrix, refused unless it
+    carries a certificate `method` steps on, and a positive finite step
+    size give the next State or raise PushSumViolation.
 
     A batch has `methods`, one per member, a State whose arrays have a
-    leading member axis, one `Mixers` per member (one `Mixers` alone is a
-    batch of one) and each member's step size or list of them. A member is
-    refused a certificate its method cannot step on. An iteration makes one
-    stacked matmul per mixing product and one `block_gradient` call on the
-    (A, n, p) block. A switch is True when every member does it, False when
-    none does, else an (A, 1, 1) mask picking each member's formula; a
+    leading member axis, one (iterations, n, n) stack of entries per member
+    and each member's step size or list of them; it checks no certificate
+    or step size, which `run` has checked. An iteration makes one stacked
+    matmul per mixing product and one `block_gradient` call on the (A, n, p)
+    block. A switch is True when every member does it, False when none
+    does, else an (A, 1, 1) mask picking each member's formula; a
     one-member batch steps on its own n x p blocks. Every method steps
     along y (a non-tracking member's y is its gradient), and a member
     without push-sum keeps v = 1 exactly, so u / v is u. A weight under the
@@ -178,22 +141,14 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
     buffers, (iterations, members, ...), and {member: (iterations taken,
     PushSumViolation)} for each member a breach ended.
     """
-    if methods is None:
-        methods, alpha, mat = (method,), (alpha,), (mat,)
+    if single := methods is None:
+        require_certificate(method, mat)
+        _require_step_size(alpha)
+        methods, alpha, mat = (method,), (alpha,), (mat.entries[None],)
         state = State(state.k, *(a[None] for a in (state.u, state.v, state.x,
                                                    state.y, state.grad)))
-    single = isinstance(mat[0], MixingMatrix)
-    if single:
-        one = Mixers()
-        one.alone(mat[0])
-        mat = (one,)
-    c, size = sum(hi - lo for *_, lo, hi in mat[0].runs), len(methods)
+    c, size = len(mat[0]), len(methods)
     alphas = [a if isinstance(a, list) else [a] * c for a in alpha]
-    for m, mixers, a in zip(methods, mat, alphas):
-        for cert in mixers.certificates:
-            _require(m, cert)
-        if m.tracking and min(a, default=1.0) <= 0:
-            raise ValueError("step size must be positive")
     # mixing after the local step (push-sum or adapt-then-combine), push-sum,
     # adapt-then-combine, tracking
     late, push, atc, tracking = (all(f) or (any(f) and np.array(f)[:, None, None])
@@ -203,11 +158,10 @@ def step(method: Method, state: State, mat: MixingMatrix | Mixers | tuple,
     k, u, v, y, g = state.k, state.u, state.v[..., None], state.y, state.grad
     if size == 1:   # numpy's cost per call grows with the axes: a lone member
         # steps on its own n x p blocks, with Python floats for step sizes
-        weights, steps, floor = mat[0].stack(), alphas[0], least
+        weights, steps, floor = mat[0], alphas[0], least
         u, v, y, g = u[0], v[0], y[0], g[0]
-    else:   # members of a group share their Mixers, stacked once
-        stacks = {id(mixers): mixers.stack() for mixers in mat}
-        weights = np.stack([stacks[id(mixers)] for mixers in mat], axis=1)
+    else:
+        weights = np.stack(mat, axis=1)
         steps = np.array(alphas).T[:, :, None, None]
         floor = np.array([least if m.push else -np.inf for m in methods])[:, None, None]
     xs, gs, vs, ends = [], [], [], {}
@@ -419,29 +373,29 @@ class _Batch:
         self.members, self.x_star, self.r0, self.audit = members, x_star, r0, audit
         st = init(suite, x0)
         self.record(0, [np.repeat(a[None, None], len(members), axis=1)
-                        for a in (st.u, st.v, st.x, st.y, st.grad)], None, {}, ())
+                        for a in (st.u, st.v, st.x, st.y, st.grad)], None, {})
 
     def advance(self, k0: int, k1: int, suite: ObjectiveSuite,
                 v_floor: float | None) -> None:
-        """Step iterations k0 + 1 .. k1 on the members' served mixers and
-        record them."""
+        """Step iterations k0 + 1 .. k1 on the chunk each member's group
+        served, stacked once per group, and record them."""
         live = self.members
         alphas = tuple([m.alpha / math.sqrt(k + 1) for k in range(k0, k1)]
                        if m.method.diminishing else m.alpha for m in live)
-        mixers = tuple(m.group.mixers for m in live)
+        stacks = {group: group.stack() for group in {m.group for m in live}}
         # looked up per call, so a rebound module name takes effect
         preset = globals()[live[0].algorithm.replace("-", "_") + "_step"]
         before = self.state.grad
-        iterates, ends = preset(self.state, mixers, suite, alphas, v_floor=v_floor,
-                                methods=tuple(m.method for m in live))
-        self.record(k0 + 1, iterates, before, ends, mixers)
+        iterates, ends = preset(self.state, tuple(stacks[m.group] for m in live), suite,
+                                alphas, v_floor=v_floor, methods=tuple(m.method for m in live))
+        self.record(k0 + 1, iterates, before, ends)
 
-    def record(self, k: int, iterates, before: np.ndarray | None, ends: dict,
-               mixers: tuple) -> None:
+    def record(self, k: int, iterates, before: np.ndarray | None, ends: dict) -> None:
         """Write every series of the members' iterates k, k + 1, ... (the
         (u, v, x, y, grad) buffers `step` gives), each member's up to its
-        first non-finite residual or the breach `ends` gives. `before` holds
-        the gradients of iterate k - 1, None for k = 0."""
+        first non-finite residual or the breach `ends` gives, and under
+        record_states the matrices its group served. `before` holds the
+        gradients of iterate k - 1, None for k = 0."""
         u, v, x, y, g = iterates
         live = self.members
         c, size, n = x.shape[:3]
@@ -474,7 +428,7 @@ class _Batch:
             m.k = k + count - 1
             if m.states is not None:
                 m.states += [State(k + j, *(b[j, a] for b in iterates)) for j in range(count)]
-                m.mixers += mixers[a].matrices()[:count] if mixers else []
+                m.mixers += m.group.matrices()[:count]
             if bad.size:
                 m.terminated = f"residual is not finite at iteration {m.k}"
             elif a in ends:
@@ -501,13 +455,15 @@ def _lockstep_members(**values) -> list[tuple]:
 
 
 class _Group:
-    """The members on one sequence and rule: the rule, its last matrix, and
-    the chunk being served."""
+    """The members on one sequence and rule: the rule, a method whose
+    certificate modes they all step on (they share push-sum, as they share
+    a sequence), its last matrix, and the chunk being served, as runs
+    (matrix, snapshots, lo, hi) of consecutive slices of one build."""
 
-    __slots__ = ("rule", "mat", "mixers")
+    __slots__ = ("rule", "method", "mat", "runs")
 
-    def __init__(self, rule):
-        self.rule, self.mat = rule, None
+    def __init__(self, rule, method: Method):
+        self.rule, self.method, self.mat, self.runs = rule, method, None, []
 
     def serve(self, drawn: DrawnBlock, lo: int, hi: int) -> None:
         """Iterations on slices lo .. hi - 1 of a block, i serving slice i
@@ -521,9 +477,31 @@ class _Group:
             if not self.built_on(drawn.block):
                 self.mat = self.rule(drawn[i % len(drawn)])
             if self.built_on(drawn.block):
-                self.mixers.slices(self.mat, i, hi, drawn)
-                return
-            self.mixers.alone(self.mat)
+                return self.take(i, hi, drawn)
+            j = self.mat.source[1]
+            self.take(j, j + 1, {j: self.mat.snapshot})
+
+    def take(self, lo: int, hi: int, snaps) -> None:
+        """Slices lo .. hi - 1 of the last matrix's build (`snaps[i]` the
+        snapshot of slice i), refused unless their decisive report certifies
+        a mode the members step on."""
+        self.runs.append((self.mat, snaps, lo, hi))
+        _require(self.method, self.mat.source[0][1].decisive(lo, hi))
+
+    def stack(self) -> np.ndarray:
+        """Every iteration's entries as one (iterations, n, n) array: a view
+        of the build when one run lies within it, a C-ordered copy else."""
+        parts = [built[lo:hi] if hi <= len(built) else built[np.arange(lo, hi) % len(built)]
+                 for built, lo, hi in ((m.source[0][0], lo, hi) for m, _, lo, hi in self.runs)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def matrices(self) -> list[MixingMatrix]:
+        """One MixingMatrix per iteration, as its rule gives it."""
+        out = []
+        for mat, snaps, lo, hi in self.runs:
+            size = len(mat.source[0][0])
+            out += [mat.sibling(i % size, snaps[i % size]) for i in range(lo, hi)]
+        return out
 
     def built_on(self, block) -> bool:
         """Whether the last matrix is a slice of a build kept on `block`."""
@@ -537,16 +515,16 @@ def _plan(members: list[_Member]) -> dict[GraphSequence, dict]:
     plan: dict = {}
     for m in members:
         groups = plan.setdefault(m.seq, {})
-        m.group = groups.setdefault(m.rule, _Group(m.rule))
+        m.group = groups.setdefault(m.rule, _Group(m.rule, m.method))
     return plan
 
 
 def _serve(seq: GraphSequence, groups: list[_Group], k0: int, k1: int) -> None:
-    """Fill each group's mixers for iterations k0 .. k1 - 1, reading the
-    snapshot at the first iteration of each block's segment; a periodic
-    sequence's one block serves the rest of the chunk."""
+    """Serve each group iterations k0 .. k1 - 1, reading the snapshot at the
+    first iteration of each block's segment; a periodic sequence's one block
+    serves the rest of the chunk."""
     for group in groups:
-        group.mixers = Mixers()
+        group.runs = []
     k = k0
     while k < k1:
         seq.snapshot(k)   # draws block t unless it is kept
@@ -568,31 +546,33 @@ def run(algorithm: str | tuple[str, ...],
     """Drive one algorithm, or several in lockstep, over a graph sequence and
     record per-iteration metrics; deterministic in all inputs.
 
-    `alpha` is the fixed step size; a diminishing method reads it as the
-    scale a of alpha_k = a / sqrt(k+1). `algorithm`, `seq`, `rule` and
-    `alpha` may each be a tuple (of equal length when several are): one
-    member runs per entry and a tuple of traces comes back, each equal to
-    that member's own `run`. Every member shares the other inputs. The run
-    goes `_CHUNK` iterations at a time: each distinct sequence serves the
-    chunk's matrices once per distinct rule on it, and all live members
-    then step the chunk as one batch, in one `step` call on state of shape
-    (members, n, p). A block's rule is asked once, and its other slices
-    read from that build; a matrix not built on the block (a custom one,
-    or one built on another block) is asked for at every slice.
-    `input_problems` lists what `run` rejects with a ValueError.
-    `rule` maps a snapshot to a MixingMatrix. `v_floor` is the fatal lower
-    bound on push-sum weights; methods without push ignore it.
-    When `x0` is None the run starts from zeros; the string "random" draws a
-    standard normal block from `seed`. A push-sum violation or the first
-    non-finite residual ends a member early, the others going on; that row
-    is kept and `metadata["terminated"]` says why.
+    `alpha`, positive and finite, is the fixed step size; a diminishing
+    method reads it as the scale a of alpha_k = a / sqrt(k+1). `algorithm`,
+    `seq`, `rule` and `alpha` may each be a tuple (of equal length when
+    several are): one member runs per entry and a tuple of traces comes
+    back, each equal to that member's own `run`. Every member shares the
+    other inputs. The run goes `_CHUNK` iterations at a time: each distinct
+    sequence serves the chunk's matrices once per distinct rule on it,
+    refusing a run its members cannot step on, and all live members then
+    step the chunk as one batch, in one `step` call on state of shape
+    (members, n, p). A block's rule is asked once, and its other slices read
+    from that build; a matrix not built on the block (a custom one, or one
+    built on another block) is asked for at every slice. `input_problems`
+    lists what else `run` rejects with a ValueError. `rule` maps a snapshot
+    to a MixingMatrix. `v_floor` is the fatal lower bound on push-sum
+    weights; methods without push ignore it. When `x0` is None the run
+    starts from zeros; the string "random" draws a standard normal block
+    from `seed`. A push-sum violation or the first non-finite residual ends
+    a member early, the others going on; that row is kept and
+    `metadata["terminated"]` says why.
     """
     entries = _lockstep_members(algorithm=algorithm, alpha=alpha, seq=seq,
                                 rule=rule)
-    for algo, _, member_seq, _ in entries:
+    for algo, a, member_seq, _ in entries:
         problems = input_problems(algo, member_seq, suite)
         if problems:
             raise ValueError(problems[0])
+        _require_step_size(a)
     if iterations < 0:
         raise ValueError(f"iteration count must be nonnegative, got {iterations}")
 

@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     get = ConfigBlock(decode_json(read_input(args.params, "params"), "params"), "params")
-    n, B = get("n"), get("B", default=1)
+    n, B = get("n", "a positive integer"), get("B", "a positive integer", 1)
     delta = float(get("delta", "a number", 0.0))
     mu_bar = float(get("mu_bar", "a number", 1.0))
     L, kappa_bar = get("L", "a number", None), get("kappa_bar", "a number", None)

@@ -60,8 +60,10 @@ _KINDS = {
     "a positive number": lambda v: _finite(v) and v > 0,
     "a number in (0, 1]": lambda v: _finite(v) and 0 < v <= 1,
     "a string": lambda v: isinstance(v, str),
-    "a list": lambda v: isinstance(v, list),
     "a list of numbers": _numbers,
+    # a run's output series: a diverged run's hold NaN and infinities
+    "a list of numbers, NaN or infinities": lambda v: isinstance(v, list) and all(
+        isinstance(e, float) or _finite(e) for e in v),
     "two positive numbers": lambda v: _numbers(v, 2) and min(v) > 0,
     "a matrix of numbers": _matrix,
     "a list of integer pairs": lambda v: isinstance(v, list) and all(

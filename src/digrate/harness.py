@@ -150,23 +150,25 @@ class ExperimentConfig:
 def _static_snapshot(get: ConfigBlock) -> graphs.GraphSnapshot:
     gtype = get("type", "a string")
     if gtype == "static-edges":
-        n, links = get("n"), get("links", "a list of integer pairs")
+        n = get("n", "a positive integer")
+        links = get("links", "a list of integer pairs")
         if get("kind", "'undirected' or 'directed'", graphs.UNDIRECTED) == graphs.DIRECTED:
             return graphs.directed(n, links)
         return graphs.undirected(n, links)
     if gtype == "static-path":
-        n = get("n")
+        n = get("n", "a positive integer")
         return graphs.undirected(n, [(i, i + 1) for i in range(1, n)])
     if gtype == "static-clique":
-        n = get("n")
+        n = get("n", "a positive integer")
         return graphs.undirected(n, [(a, b) for a in range(1, n + 1)
                                      for b in range(a + 1, n + 1)])
     if gtype == "static-random-connected":
         return graphs.random_connected_graph(
-            get("n"), get("extra_edges", "a nonnegative integer", 0), get("seed", default=0))
+            get("n", "a positive integer"), get("extra_edges", "a nonnegative integer", 0),
+            get("seed", "a nonnegative integer", 0))
     if gtype == "static-random-digraph":
-        return graphs.random_strongly_connected_digraph(get("n"), get("m"),
-                                                        get("seed", default=0))
+        return graphs.random_strongly_connected_digraph(
+            get("n", "a positive integer"), get("m"), get("seed", "a nonnegative integer", 0))
     if gtype == "file":
         return graphs.snapshot_from_text(read_input(get("path", "a string"), get.name))
     raise ConfigError(f"unknown static graph type {gtype!r}")
@@ -180,12 +182,13 @@ def build_sequence(cfg) -> graphs.GraphSequence:
         base = get.block("base")
         snap = _static_snapshot(base)
         base.done()
-        seq = graphs.subsample_sequence(snap, get("fraction", "a number"),
-                                        get("seed", default=0))
+        seq = graphs.subsample_sequence(snap, get("fraction", "a number in (0, 1]"),
+                                        get("seed", "a nonnegative integer", 0))
     elif gtype == "block-connected":
-        seq = graphs.block_connected_sequence(get("n"), get("window"),
-                                              get("seed", default=0),
-                                              get("extra_edges", "a nonnegative integer", 0))
+        seq = graphs.block_connected_sequence(
+            get("n", "a positive integer"), get("window", "a positive integer"),
+            get("seed", "a nonnegative integer", 0),
+            get("extra_edges", "a nonnegative integer", 0))
     else:
         seq = graphs.static_sequence(_static_snapshot(get),
                                      description=f"static {gtype}")
@@ -204,14 +207,15 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
         suite = objectives.quadratic_suite(get("targets", "a matrix of numbers"),
                                            get("curvatures", "a list of numbers"))
     elif family == "quadratic":
-        rng = np.random.default_rng(get("seed", default=0))
-        n, p = get("n"), get("p", "a positive integer", 1)
+        rng = np.random.default_rng(get("seed", "a nonnegative integer", 0))
+        n, p = get("n", "a positive integer"), get("p", "a positive integer", 1)
         lo, hi = get("curvature_range", "two positive numbers", (0.5, 2.0))
         curv = rng.uniform(lo, hi, size=n)
         targets = rng.normal(scale=get("target_scale", "a number", 1.0), size=(n, p))
         suite = objectives.quadratic_suite(targets, curv)
     elif family == "zero":
-        suite = objectives.zero_suite(get("n"), get("p", "a positive integer", 1))
+        suite = objectives.zero_suite(get("n", "a positive integer"),
+                                      get("p", "a positive integer", 1))
     elif family == "bundle":
         path = get("path", "a string")
         try:
@@ -219,7 +223,7 @@ def build_suite(cfg) -> objectives.ObjectiveSuite:
         except ValueError as exc:
             raise ConfigError(f"objective: bundle {exc}") from exc
     elif family == "huber-benchmark":
-        suite = section6_problem(get("seed", default=0)).suite
+        suite = section6_problem(get("seed", "a nonnegative integer", 0)).suite
     else:
         raise ConfigError(f"unknown objective family {family!r}")
     get.done()
@@ -350,9 +354,9 @@ def _audit_params(config: ExperimentConfig, seq, suite, rule) -> dict:
     lambda and where it came from. Raises NoGuaranteeError when the block
     certifies nothing."""
     get = ConfigBlock(config.theory_audit, "theory_audit")
-    B = get("B", default=seq.declared_B or 1)
+    B = get("B", "a positive integer", seq.declared_B or 1)
     delta = get("delta", "a number or 'empirical'", "empirical")
-    horizon = get("delta_horizon", default=max(3 * B, 6))
+    horizon = get("delta_horizon", "a positive integer", max(3 * B, 6))
     beta, eta = get("beta", "a number", None), get("eta", "a number", 1.0)
     lam = get("lambda", "a number or 'certified'", "certified")
     get.done()

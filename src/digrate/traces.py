@@ -130,8 +130,8 @@ class RunTrace:
         try:
             get = ConfigBlock(decode_json(read_input(sidecar, sidecar.name),
                                           sidecar.name), sidecar.name)
-            # the series stay plain lists: a diverged run's hold NaN or inf
-            series = {name: get(name, "a list") for name in AUDIT_SERIES}
+            series = {name: get(name, "a list of numbers, NaN or infinities")
+                      for name in AUDIT_SERIES}
             trace.metadata = get("metadata", "an object", {})
             trace.xbar0_error = get("xbar0_error", "a number")
             trace.r0 = get("r0", "a number")

@@ -427,6 +427,32 @@ class TestRunDriver:
         assert trace.metadata["terminated"] == (
             f"residual is not finite at iteration {trace.k[-1]}")
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, math.nan, math.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("algorithm", alg.ALGORITHMS)
+    def test_step_size_must_be_positive_and_finite(self, algorithm, alpha):
+        # for subgradient-push alpha is the scale a of a / sqrt(k + 1)
+        suite = quadratic_suite(np.array([[0.0], [2.0]]), np.ones(2))
+        push = alg.METHODS[algorithm].push
+        seq = two_cycle_seq() if push else two_clique_seq()
+        rule, calls = TestMatrixReuse.counting(
+            mixing.out_degree_column if push else mixing.metropolis)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            alg.run(algorithm, seq, rule, suite, alpha, 10)
+        assert calls == []   # refused before any iteration
+        mat = rule(seq.snapshot(0))
+        with pytest.raises(ValueError, match="step size must be positive"):
+            alg.step(alg.METHODS[algorithm], alg.init(suite, np.ones((2, 1))), mat,
+                     suite, alpha)
+
+    def test_lockstep_member_with_a_bad_step_size_refused(self):
+        suite = quadratic_suite(np.array([[0.0], [2.0]]), np.ones(2))
+        rule, calls = TestMatrixReuse.counting(mixing.metropolis)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            alg.run(("diging", "dgd", "diging-atc"), two_clique_seq(), rule, suite,
+                    (0.1, 0.2, math.nan), 10)
+        assert calls == []
+
 
 def assert_same_trace(got, want):
     """Equal CSV bytes, metadata, audit series and recorded states."""
@@ -683,13 +709,13 @@ class TestMatrixReuse:
             return static
 
         seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, drawn)
-        group = alg._Group(mixing.metropolis)
+        group = alg._Group(mixing.metropolis, alg.METHODS["diging"])
         alg._serve(seq, [group], 0, alg._CHUNK)
         alg._serve(seq, [group], alg._CHUNK, 2 * alg._CHUNK)
         assert draws == [0, 1]
-        assert group.mixers.runs == [(group.mat, seq.snapshots(1), 0, alg._CHUNK)]
-        assert len(group.mixers.weights) == alg._CHUNK
-        assert len(group.mixers.matrices()) == alg._CHUNK
+        assert group.runs == [(group.mat, seq.snapshots(1), 0, alg._CHUNK)]
+        assert len(group.stack()) == alg._CHUNK
+        assert len(group.matrices()) == alg._CHUNK
 
 
     def test_directed_view_reads_the_drawn_block(self, monkeypatch):
@@ -1090,18 +1116,64 @@ class TestChunkedStepping:
 
     def test_wrapped_segment_refused_a_failing_slice(self):
         # a chunk of a periodic sequence that opens mid-period reads its
-        # slices modulo the period: failing slice 0 is first met past its end
-        suite = zero_suite(6, 1)
+        # slices modulo the period: failing slice 0 is first met past its
+        # end, and the group refuses the run it serves
         a, b = graphs.undirected(6, [(1, 2)]), graphs.undirected(6, [(2, 3)])
         seq = graphs.periodic_sequence([a, b, b])
         seq.snapshot(0)
         seq.snapshot(3)   # block 1 is block 0 again: the sequence repeats
         assert seq.repeats
-        group = alg._Group(self.faulty(mixing.DOUBLY, 0))
-        alg._serve(seq, [group], alg._CHUNK, 2 * alg._CHUNK)
-        assert [run[2:] for run in group.mixers.runs] == [(1, alg._CHUNK + 1)]
+        group = alg._Group(self.faulty(mixing.DOUBLY, 0), alg.METHODS["diging"])
         with pytest.raises(alg.CertificateError, match="no valid"):
-            alg.diging_step(alg.init(suite, np.ones((6, 1))), group.mixers, suite, 0.1)
+            alg._serve(seq, [group], alg._CHUNK, 2 * alg._CHUNK)
+        assert [run[2:] for run in group.runs] == [(1, alg._CHUNK + 1)]
+
+    @staticmethod
+    def four_groups_members(rule):
+        """DIGing and DGD on a subsample sequence and `rule`, Push-DIGing and
+        subgradient-push on its directed view: two groups."""
+        seq = graphs.subsample_sequence(graphs.random_connected_graph(6, 4, 157), 0.6, 158)
+        view = harness.directed_view(seq)
+        return dict(algorithm=("diging", "dgd", "push-diging", "subgradient-push"),
+                    seq=(seq, seq, view, view),
+                    rule=(rule, rule, mixing.out_degree_column, mixing.out_degree_column),
+                    alpha=(0.1, 0.1, 0.05, 0.5))
+
+    def test_each_group_checks_the_runs_it_serves(self, monkeypatch):
+        # 130 iterations are three chunks, each one run of one drawn block
+        # per group: one check per group per run, not one per member
+        checked = []
+        require = alg._require
+
+        def counted(method, cert):
+            checked.append(method.push)
+            require(method, cert)
+
+        monkeypatch.setattr(alg, "_require", counted)
+        alg.run(**self.four_groups_members(mixing.metropolis), suite=zero_suite(6, 1),
+                iterations=130, x0="random")
+        assert checked == [False, True] * 3
+
+    def test_group_refuses_a_build_failing_mid_chunk(self):
+        # the second block's build fails at slice 10, iteration 74 of chunk 2
+        def rule(snap):
+            block = snap.block[0]
+            if block is not first and "metropolis" not in block.built:
+                stack = mixing._metropolis_weights(block.adj, lazy=False)
+                stack[10, 0, 0] += 1e-6
+                stack.flags.writeable = False
+                block.built["metropolis"] = (stack, mixing._certify(stack, mixing.DOUBLY))
+            return mixing.metropolis(snap)
+
+        for iterations in (74, 75, 130):
+            members = self.four_groups_members(rule)
+            first = members["seq"][0].snapshots(0).block
+            if iterations == 74:
+                alg.run(**members, suite=zero_suite(6, 1), iterations=iterations)
+                continue
+            with pytest.raises(alg.CertificateError, match="^mixing matrix carries no "
+                               "valid stochasticity certificate$"):
+                alg.run(**members, suite=zero_suite(6, 1), iterations=iterations)
 
 
 class TestBatchedStepping:

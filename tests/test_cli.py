@@ -249,6 +249,28 @@ class TestMalformedBlocks:
          "graph"),
         ({"objective": {"family": "quadratic", "n": 4, "p": 0}}, "objective"),
         ({"objective": {"family": "zero", "n": 4, "p": 0}}, "objective"),
+        # sizes are positive integers, seeds nonnegative ones
+        ({"graph": {"type": "static-path", "n": 0}}, "graph"),
+        ({"graph": {"type": "block-connected", "n": 0, "window": 2}}, "graph"),
+        ({"graph": {"type": "block-connected", "n": 4, "window": 0}}, "graph"),
+        ({"objective": {"family": "quadratic", "n": 0, "p": 2}}, "objective"),
+        ({"objective": {"family": "zero", "n": 0}}, "objective"),
+        ({"graph": {"type": "static-random-connected", "n": 4, "seed": -1}}, "graph"),
+        ({"graph": {"type": "block-connected", "n": 4, "window": 2, "seed": -1}},
+         "graph"),
+        ({"graph": {"type": "subsample", "fraction": 0.5, "seed": -1,
+                    "base": {"type": "static-path", "n": 4}}}, "graph"),
+        ({"graph": {"type": "subsample", "fraction": 0.5,
+                    "base": {"type": "static-random-connected", "n": 4, "seed": -1}}},
+         "graph.base"),
+        ({"objective": {"family": "quadratic", "n": 4, "p": 2, "seed": -2}}, "objective"),
+        ({"objective": {"family": "huber-benchmark", "seed": -1}}, "objective"),
+        ({"graph": {"type": "subsample", "fraction": 0,
+                    "base": {"type": "static-path", "n": 4}}}, "graph"),
+        ({"graph": {"type": "subsample", "fraction": 1.5,
+                    "base": {"type": "static-path", "n": 4}}}, "graph"),
+        ({"theory_audit": {"B": 0}}, "theory_audit"),
+        ({"theory_audit": {"B": 1, "delta_horizon": 0}}, "theory_audit"),
     ], ids=["graph-without-n", "graph-number", "audit-B-list", "audit-eta-string",
             "fraction-string", "objective-without-n", "kind-misspelt",
             "directed-view-string", "directed-view-integer", "declared-B-zero",
@@ -260,7 +282,12 @@ class TestMalformedBlocks:
             "bundle-missing", "mixing-matrix-missing", "curvature-range-nan",
             "curvature-range-three", "target-nan", "targets-ragged",
             "curvature-infinite", "link-boolean", "block-extra-edges-negative",
-            "static-extra-edges-negative", "quadratic-p-zero", "zero-p-zero"])
+            "static-extra-edges-negative", "quadratic-p-zero", "zero-p-zero",
+            "graph-n-zero", "block-n-zero", "window-zero", "quadratic-n-zero",
+            "zero-n-zero", "graph-seed-negative", "block-seed-negative",
+            "subsample-seed-negative", "base-seed-negative", "objective-seed-negative",
+            "huber-seed-negative", "fraction-zero", "fraction-above-one",
+            "audit-B-zero", "delta-horizon-zero"])
     def test_validate_and_run_both_reject(self, tmp_path, capsys, monkeypatch,
                                           override, block):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
@@ -399,8 +426,11 @@ class TestBounds:
     @pytest.mark.parametrize("raw", [
         {"B": 1, "mu_bar": 1.0, "L": 2.0}, [12, 1],
         {"n": 12, "B": 1, "mu_bar": 1.0, "L": 2.0, "alhpa": 0.01},
+        {"n": 0, "B": 1, "mu_bar": 1.0, "L": 2.0},
+        {"n": 12, "B": 0, "mu_bar": 1.0, "L": 2.0},
         *NON_FINITE_PARAMS,
-    ], ids=["without-n", "list-root", "key-misspelt", *NON_FINITE_IDS])
+    ], ids=["without-n", "list-root", "key-misspelt", "n-zero", "B-zero",
+            *NON_FINITE_IDS])
     def test_malformed_params_is_parse_error(self, tmp_path, capsys, raw):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(raw))
@@ -554,9 +584,19 @@ class TestAuditAndReproduce:
          "trace.csv.audit.json theory_audit: lambda='x' is not a number"),
         (audit_constant("n", 4.5), cli.EXIT_PARSE,
          "trace.csv.audit.json theory_audit: n=4.5 is not a positive integer"),
+        # series entries are numbers, NaN and infinities included
+        (lambda d: {**d, "q_norm": ["1.0", "2.0"]}, cli.EXIT_VALIDATION,
+         "trace.csv.audit.json: q_norm=['1.0', '2.0'] is not a list of numbers"),
+        (lambda d: {**d, "z_norm": [[1, 2], [3, 4]]}, cli.EXIT_VALIDATION,
+         "trace.csv.audit.json: z_norm=[[1, 2], [3, 4]] is not a list of numbers"),
+        (lambda d: {**d, "grad_norm": [None, 1.0]}, cli.EXIT_VALIDATION,
+         "trace.csv.audit.json: grad_norm=[None, 1.0] is not a list of numbers"),
+        (lambda d: {**d, "q_norm": [True, 1.0]}, cli.EXIT_VALIDATION,
+         "trace.csv.audit.json: q_norm=[True, 1.0] is not a list of numbers"),
     ], ids=["without-z_norm", "without-xbar0_error", "list-root", "q_norm-number",
             "r0-string", "metadata-list", "theory-audit-list", "lambda-string",
-            "n-fraction"])
+            "n-fraction", "q_norm-strings", "z_norm-pairs", "grad_norm-nulls",
+            "q_norm-booleans"])
     def test_audit_rejects_malformed_sidecar(self, tmp_path, capsys,
                                              monkeypatch, edit, code, message):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)

@@ -115,6 +115,16 @@ class TestTraceRoundTrip:
         assert np.array_equal(back.z_norm, trace.z_norm)
         assert back.r0 == trace.r0
 
+    def test_sidecar_series_keep_nan_and_infinities(self, tmp_path):
+        # a diverged run's series hold them, and they read back as written
+        trace = self.make_trace()
+        trace.q_norm[5], trace.z_norm[3], trace.grad_norm[4] = np.nan, np.inf, -np.inf
+        path = tmp_path / "run.csv"
+        trace.write(path)
+        back = RunTrace.read(path)
+        for name in ("q_norm", "z_norm", "grad_norm"):
+            assert np.array_equal(getattr(back, name), getattr(trace, name), equal_nan=True)
+
     @pytest.mark.parametrize("metadata", [
         {},
         {"algorithm": "diging", "alpha": np.float64(0.3), "n": np.int64(12),
