@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import DIRECTED, DrawnBlock, GraphSequence
+from .graphs import DIRECTED, GraphBlock, GraphSequence
 from .mixing import COLUMN, DOUBLY, MixingMatrix
 from .objectives import ObjectiveSuite, block_gradient, solve_reference
 from .traces import AUDIT_SERIES, SERIES, RunTrace
@@ -465,19 +465,18 @@ class _Group:
     def __init__(self, rule, method: Method):
         self.rule, self.method, self.mat, self.runs = rule, method, None, []
 
-    def serve(self, drawn: DrawnBlock, lo: int, hi: int) -> None:
-        """Iterations on slices lo .. hi - 1 of a block, i serving slice i
-        mod the block's size (a periodic block serves past its end). The
-        rule is asked at slice lo unless its last matrix is a slice of this
-        block's build, and a matrix that is serves every slice left from
-        that build. A matrix that is not (a custom one, or one built on
-        another block) serves its own slice alone, and the rule is asked
-        again at the next."""
+    def serve(self, block: GraphBlock, lo: int, hi: int) -> None:
+        """Iterations on slices lo .. hi - 1 of a block. The rule is asked
+        at slice lo unless its last matrix is a slice of this block's build,
+        and a matrix that is serves every slice left from that build. A
+        matrix that is not (a custom one, or one built on another block)
+        serves its own slice alone, and the rule is asked again at the
+        next."""
         for i in range(lo, hi):
-            if not self.built_on(drawn.block):
-                self.mat = self.rule(drawn[i % len(drawn)])
-            if self.built_on(drawn.block):
-                return self.take(i, hi, drawn)
+            if not self.built_on(block):
+                self.mat = self.rule(block[i])
+            if self.built_on(block):
+                return self.take(i, hi, block)
             j = self.mat.source[1]
             self.take(j, j + 1, {j: self.mat.snapshot})
 
@@ -490,18 +489,14 @@ class _Group:
 
     def stack(self) -> np.ndarray:
         """Every iteration's entries as one (iterations, n, n) array: a view
-        of the build when one run lies within it, a C-ordered copy else."""
-        parts = [built[lo:hi] if hi <= len(built) else built[np.arange(lo, hi) % len(built)]
-                 for built, lo, hi in ((m.source[0][0], lo, hi) for m, _, lo, hi in self.runs)]
+        of the build when one run serves the chunk, a C-ordered copy else."""
+        parts = [m.source[0][0][lo:hi] for m, _, lo, hi in self.runs]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def matrices(self) -> list[MixingMatrix]:
         """One MixingMatrix per iteration, as its rule gives it."""
-        out = []
-        for mat, snaps, lo, hi in self.runs:
-            size = len(mat.source[0][0])
-            out += [mat.sibling(i % size, snaps[i % size]) for i in range(lo, hi)]
-        return out
+        return [mat.sibling(i, snaps[i]) for mat, snaps, lo, hi in self.runs
+                for i in range(lo, hi)]
 
     def built_on(self, block) -> bool:
         """Whether the last matrix is a slice of a build kept on `block`."""
@@ -520,19 +515,17 @@ def _plan(members: list[_Member]) -> dict[GraphSequence, dict]:
 
 
 def _serve(seq: GraphSequence, groups: list[_Group], k0: int, k1: int) -> None:
-    """Serve each group iterations k0 .. k1 - 1, reading the snapshot at the
-    first iteration of each block's segment; a periodic sequence's one block
-    serves the rest of the chunk."""
+    """Serve each group iterations k0 .. k1 - 1, block by block, reading the
+    snapshot at the first iteration of each block's segment."""
     for group in groups:
         group.runs = []
     k = k0
     while k < k1:
         seq.snapshot(k)   # draws block t unless it is kept
         t, i = divmod(k, seq.size)
-        drawn = seq.snapshots(t)
-        hi = i + k1 - k if seq.repeats else min(seq.size, i + k1 - k)
+        hi = min(seq.size, i + k1 - k)
         for group in groups:
-            group.serve(drawn, i, hi)
+            group.serve(seq.snapshots(t), i, hi)
         k += hi - i
 
 

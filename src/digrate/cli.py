@@ -40,6 +40,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 @functools.cache   # parse_args leaves the parser as it was

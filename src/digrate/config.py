@@ -34,6 +34,11 @@ def decode_json(text: str, what: str):
 _REQUIRED = object()
 
 
+def _shown(v) -> str:  # a refused value in an error: its repr, cut to 60 characters
+    text = repr(v)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _finite(v) -> bool:  # json also reads NaN, Infinity and 400-digit integers
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)
@@ -74,6 +79,7 @@ _KINDS = {
     "a number or 'certified'": lambda v: v == "certified" or _finite(v),
     "'zeros' or 'random'": lambda v: v in ("zeros", "random"),
     "'undirected' or 'directed'": lambda v: v in ("undirected", "directed"),
+    "'doubly' or 'column'": lambda v: v in ("doubly", "column"),
 }
 
 
@@ -86,7 +92,7 @@ class ConfigBlock:
     def __init__(self, raw, where: str = ""):
         self.where, self.name = where, where or "config"
         if not isinstance(raw, dict):
-            raise ConfigError(f"{self.name}: must be an object, got {raw!r}")
+            raise ConfigError(f"{self.name}: must be an object, got {_shown(raw)}")
         self.raw, self.read = raw, set()
 
     def __call__(self, key: str, kind: str = "an integer", default=_REQUIRED):
@@ -100,7 +106,7 @@ class ConfigBlock:
             return default
         if isinstance(value, bool) != (kind == "a boolean") or not _KINDS[kind](value):
             at = f"{self.where}: {key}=" if self.where else f"{key}: "
-            raise ConfigError(f"{at}{value!r} is not {kind}")
+            raise ConfigError(f"{at}{_shown(value)} is not {kind}")
         return value
 
     def block(self, key: str) -> "ConfigBlock":

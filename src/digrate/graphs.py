@@ -5,11 +5,11 @@ boolean adjacency matrix, changes. A sequence is a pure function of
 (iteration, seed), served one way: `GraphSequence` draws a block of
 consecutive snapshots on its first touch and keeps it. Every block is one
 `GraphBlock`, a read-only stack of adjacency matrices that the mixing rules
-build and certify as a whole, whose slices are made into snapshots on their
-first read: a static or periodic sequence stacks its period into one block
-when it is made, a subsample or block-connected sequence draws each block,
-and a directed view's block is the directed twin of its base's block. A
-snapshot built on its own is the one slice of a block of its own.
+build and certify as a whole, each slice made into a snapshot when read: a
+static or periodic sequence stacks its period, repeated to `_BLOCK` slices
+or more, into one block, a subsample or block-connected sequence draws each
+block, and a directed view's block is the directed twin of its base's
+block. A snapshot built on its own is the one slice of a block of its own.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ DIRECTED = "directed"
 
 Link = tuple[int, int]
 
-# iterations a subsample sequence draws at once, aligned to multiples of it
+# iterations of an (aligned) subsample block, and the fewest a periodic one holds
 _BLOCK = 64
 # draw blocks of a block-connected sequence drawn in one pass
 _BATCH = 16
@@ -35,11 +35,11 @@ _BATCH = 16
 
 @dataclass(frozen=True, eq=False)
 class GraphBlock:
-    """Snapshots as one (s, n, n) boolean stack, slice i holding the
-    adjacency matrix of the block's i-th iteration (s = 1 for a snapshot
-    built on its own), checked once and made read-only here. Mixing rules
-    build and certify the whole stack on their first request and keep the
-    result in `built`, keyed by rule; blocks compare by identity."""
+    """Snapshots as one (s, n, n) boolean stack checked once and made
+    read-only here, slice i the adjacency matrix of iteration i (s = 1 for
+    a snapshot built on its own), made a snapshot by `block[i]` on each
+    read. Mixing rules build and certify the whole stack on their first
+    request and keep it in `built`, keyed by rule; blocks compare by identity."""
 
     kind: str
     adj: np.ndarray
@@ -60,6 +60,13 @@ class GraphBlock:
         if self.kind == UNDIRECTED and adj.swapaxes(1, 2).tobytes() != adj.tobytes():
             raise ValueError("undirected adjacency must be symmetric")
         adj.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.adj)
+
+    def __getitem__(self, i: int) -> "GraphSnapshot":
+        return GraphSnapshot(self.adj.shape[1], self.kind,
+                             block=(self, range(len(self.adj))[i]))
 
     @functools.cached_property
     def directed(self) -> "GraphBlock":
@@ -195,41 +202,14 @@ def _reaches_all(adj: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-class DrawnBlock:
-    """The snapshots of a sequence block's `GraphBlock`, slice i serving
-    iteration i of the block (of every block, for a periodic sequence).
-    Each is made on its first read and kept, so a read of the same slice
-    gives the same object."""
-
-    __slots__ = ("block", "_snaps")
-
-    def __init__(self, block: GraphBlock):
-        self.block = block
-        self._snaps: list[GraphSnapshot | None] = [None] * len(block.adj)
-
-    def __len__(self) -> int:
-        return len(self._snaps)
-
-    def __getitem__(self, i: int) -> GraphSnapshot:
-        snap = self._snaps[i]
-        if snap is None:
-            i %= len(self._snaps)
-            snap = self._snaps[i] = GraphSnapshot(self.block.adj.shape[1], self.block.kind,
-                                                  block=(self.block, i))
-        return snap
-
-
 @dataclass(frozen=True)
 class GraphSequence:
     """Seeded map from iteration index k to a graph snapshot. Block t,
     iterations t * size .. t * size + size - 1, is draw(seed, t): a
-    `GraphBlock` of `size` slices of the sequence's n and kind, checked
-    once and served as a `DrawnBlock`. The draw must be pure: the same
-    (seed, t) always yields the same stack, in this process or any other.
-    A draw that returns, for another block, the block the sequence keeps is
-    periodic: that block then serves every block, and the draw is not
-    called again. The sequence keeps the last block it drew; a
-    `dataclasses.replace` copy keeps its own."""
+    `GraphBlock` of `size` slices of the sequence's n and kind, checked on
+    each draw. The draw must be pure: the same (seed, t) always yields the
+    same stack, in this process or any other. The sequence keeps the last
+    block it drew; a `dataclasses.replace` copy keeps its own."""
 
     n: int
     kind: str
@@ -238,7 +218,7 @@ class GraphSequence:
     seed: int = 0
     declared_B: int | None = None
     description: str = ""
-    # {t: block t}, the last block drawn, and {None: it} once it repeats
+    # {t: block t}, the last block drawn
     kept: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
 
@@ -248,30 +228,18 @@ class GraphSequence:
         t, i = divmod(k, self.size)
         return self.snapshots(t)[i]
 
-    @property
-    def repeats(self) -> bool:
-        """Whether the draw has returned the kept block for another block,
-        so that block serves every block."""
-        return None in self.kept
-
-    def snapshots(self, t: int) -> DrawnBlock:
-        """The snapshots of block t. A draw that returns the block already
-        kept (a periodic sequence's one block) is not checked again, and
-        serves every block from then on."""
-        drawn = self.kept.get(t, self.kept.get(None))
-        if drawn is None:
+    def snapshots(self, t: int) -> GraphBlock:
+        """Block t, drawn unless it is the block kept."""
+        block = self.kept.get(t)
+        if block is None:
             block = self.draw(self.seed, t)
-            last = next(iter(self.kept.values()), None)
-            if last is not None and block is last.block:
-                self.kept[None] = last
-                return last
             if (not isinstance(block, GraphBlock) or block.kind != self.kind
                     or block.adj.shape[:2] != (self.size, self.n)):
                 raise ValueError(f"block {t} is not {self.size} {self.kind} "
                                  f"snapshots of {self.n} vertices")
             self.kept.clear()
-            self.kept[t] = drawn = DrawnBlock(block)
-        return drawn
+            self.kept[t] = block
+        return block
 
 
 def directed_view(seq: GraphSequence) -> GraphSequence:
@@ -282,7 +250,7 @@ def directed_view(seq: GraphSequence) -> GraphSequence:
 
     def draw(s: int, t: int) -> GraphBlock:
         base = seq if s == seq.seed else replace(seq, seed=s)
-        return base.snapshots(t).block.directed
+        return base.snapshots(t).directed
 
     return GraphSequence(seq.n, DIRECTED, seq.size, draw, seq.seed, seq.declared_B,
                          seq.description + " (directed view)")
@@ -326,14 +294,15 @@ def static_sequence(snap: GraphSnapshot, description: str = "static") -> GraphSe
 def periodic_sequence(snaps: list[GraphSnapshot], declared_B: int | None = None,
                       description: str = "periodic") -> GraphSequence:
     """Cycle through the given snapshots: their matrices, stacked in order
-    into one `GraphBlock` here, serve every period."""
+    and repeated ceil(`_BLOCK` / period) times into one `GraphBlock` here,
+    serve every block."""
     if not snaps:
         raise ValueError("need at least one snapshot")
     n, kind = snaps[0].n, snaps[0].kind
     if any(s.n != n or s.kind != kind for s in snaps):
         raise ValueError("snapshots must share vertex count and kind")
-    block = GraphBlock(kind, np.stack([s.adj for s in snaps]))
-    return GraphSequence(n, kind, len(snaps), lambda s, t: block, 0, declared_B,
+    block = GraphBlock(kind, np.stack([s.adj for s in snaps] * -(-_BLOCK // len(snaps))))
+    return GraphSequence(n, kind, len(block), lambda s, t: block, 0, declared_B,
                          description)
 
 

@@ -238,7 +238,8 @@ def build_rule(cfg):
         get = ConfigBlock(cfg, "mixing")
         if get("rule", "a string") != "custom":
             raise ConfigError("mixing block form is only for custom matrices")
-        path, mode = get("path", "a string"), get("mode", "a string", mixing.DOUBLY)
+        path = get("path", "a string")
+        mode = get("mode", "'doubly' or 'column'", mixing.DOUBLY)
         get.done()
         mat = mixing.custom_mixing(mixing.matrix_from_csv(read_input(path, "mixing")), mode)
         return mixing.constant_rule(mat)
@@ -412,7 +413,8 @@ class Section6Problem:
         return int(np.sum(np.abs(y) > XI))
 
 
-def section6_problem(seed: int, n: int = 12, p: int = 3) -> Section6Problem:
+def section6_problem(seed: int) -> Section6Problem:
+    n, p = 12, 3   # the benchmark problem's agents and dimensions
     rng = np.random.default_rng((seed, 6))
     m = rng.normal(size=(n, p))
     m /= np.linalg.norm(m, axis=1, keepdims=True)          # L_i = 1 exactly

@@ -74,11 +74,9 @@ class Certificates:
         self._failing = tuple(failed)
 
     def decisive(self, lo: int, hi: int) -> StochasticityReport:
-        """The report that decides slices lo .. hi - 1, each read modulo the
-        stack's size: the first failing one's, else slice lo's."""
-        size = len(self)
-        first = min((lo + (s - lo) % size for s in self._failing), default=hi)
-        return self[(first if first < hi else lo) % size]
+        """The report that decides slices lo .. hi - 1: the first failing
+        one's, else slice lo's."""
+        return self[next((s for s in self._failing if lo <= s < hi), lo)]
 
     def __len__(self) -> int:
         return len(self._deviation)

@@ -243,14 +243,13 @@ class ReferenceSolution:
 
 
 def solve_reference(suite: ObjectiveSuite, tolerance: float = 1e-12,
-                    x0: np.ndarray | None = None,
                     max_iter: int = 500_000) -> ReferenceSolution:
-    """Centralized gradient descent on f with step 1/L_bar until the
-    gradient norm drops to `tolerance`."""
+    """Centralized gradient descent on f from zero with step 1/L_bar until
+    the gradient norm drops to `tolerance`."""
     if suite.L_bar <= 0:
         raise ValueError("reference solve needs a nonzero objective")
     step = 1.0 / suite.L_bar
-    x = np.zeros(suite.p) if x0 is None else np.asarray(x0, dtype=float).reshape(suite.p)
+    x = np.zeros(suite.p)
     for it in range(max_iter + 1):
         g = suite.average_gradient(x)
         gn = float(np.linalg.norm(g))

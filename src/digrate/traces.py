@@ -97,7 +97,7 @@ class RunTrace:
         sidecar.write_text(_sidecar_json(payload))
 
     @classmethod
-    def from_csv(cls, text: str, metadata: dict | None = None) -> "RunTrace":
+    def from_csv(cls, text: str) -> "RunTrace":
         """Parse a trace CSV through numpy's C parser, or row by row where it
         refuses the rows, so that the first bad row raises."""
         lines = [ln for ln in text.strip().splitlines() if ln]
@@ -116,7 +116,7 @@ class RunTrace:
             cols = [np.ascontiguousarray(table[name]) for name in CSV_COLUMNS]
         except ValueError:
             cols = _parse_rows(rows)
-        return cls(k=cols[0], **dict(zip(SERIES, cols[1:])), metadata=metadata or {})
+        return cls(k=cols[0], **dict(zip(SERIES, cols[1:])))
 
     @classmethod
     def read(cls, path: str | Path) -> "RunTrace":

@@ -630,8 +630,8 @@ class TestMatrixReuse:
         suite = zero_suite(3, 1)
         base = graphs.static_sequence(graphs.undirected(3, [(1, 2), (2, 3)]))
         seq = graphs.directed_view(base)
-        assert seq.snapshot(1) is seq.snapshot(0)
-        assert seq.snapshot(1).block == (base.snapshots(0).block.directed, 0)
+        assert seq.snapshot(1) == seq.snapshot(0)
+        assert seq.snapshot(1).block == (base.snapshots(0).directed, 1)
         rule, calls = self.counting(mixing.out_degree_column)
         trace = alg.run("push-diging", seq, rule, suite, 0.1, 40, x0="random")
         assert len(calls) == 1
@@ -647,7 +647,7 @@ class TestMatrixReuse:
         rule, calls = self.counting(mixing.metropolis)
         trace = alg.run("diging", seq, rule, suite, 0.1, 9, x0="random",
                         record_states=True)
-        assert calls == [a] and calls[0].block == (seq.snapshots(0).block, 0)
+        assert calls == [a] and calls[0].block == (seq.snapshots(0), 0)
         assert [m.entries.tobytes() for m in trace.history["mixers"]] == [
             mixing.metropolis((a, a, b)[k % 3]).entries.tobytes() for k in range(9)]
 
@@ -673,9 +673,8 @@ class TestMatrixReuse:
         assert all(len(trace) == 10 for trace in traces)
 
     def test_periodic_sequence_serves_chunks(self):
-        # a draw that hands back the block the sequence keeps is periodic:
-        # after it, one read serves the rest of each chunk from the build
-        # the rule was asked for once
+        # a draw that hands back one block for every block is drawn for each
+        # block, and the build the rule was asked for once serves them all
         suite = zero_suite(3, 1)
         a = graphs.undirected(3, [(1, 2)])
         b = graphs.undirected(3, [(2, 3)])
@@ -689,31 +688,26 @@ class TestMatrixReuse:
         seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 3, drawn)
         rule, calls = self.counting(mixing.metropolis)
         trace = alg.run("diging", seq, rule, suite, 0.1, 200, x0="random")
-        assert draws == [0, 1] and seq.repeats
+        assert draws == list(range(67))
         assert calls == [a] and calls[0].block == (period, 0)
-        # the same periods drawn anew per block, served a block at a time
+        # a periodic sequence's one block, and the same periods drawn anew
+        # per block, give that trace
+        periodic = graphs.periodic_sequence([a, a, b])
         fresh = graphs.GraphSequence(3, graphs.UNDIRECTED, 3, lambda s, t:
                                      graphs.GraphBlock(graphs.UNDIRECTED, period.adj.copy()))
-        assert trace.to_csv() == alg.run("diging", fresh, mixing.metropolis, suite,
-                                         0.1, 200, x0="random").to_csv()
-        assert not fresh.repeats
+        for other in (periodic, fresh):
+            assert trace.to_csv() == alg.run("diging", other, mixing.metropolis, suite,
+                                             0.1, 200, x0="random").to_csv()
 
     def test_static_chunk_is_one_run(self):
-        # a static sequence's chunk is one read and one run of its matrix
-        static = graphs.GraphBlock(graphs.UNDIRECTED,
-                                   graphs.undirected(3, [(1, 2), (2, 3)]).adj[None])
-        draws = []
-
-        def drawn(s, t):
-            draws.append(t)
-            return static
-
-        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, drawn)
+        # an aligned chunk of a static sequence is one run of its one
+        # block's build, stepped on as a view of it
+        seq = graphs.static_sequence(graphs.undirected(3, [(1, 2), (2, 3)]))
         group = alg._Group(mixing.metropolis, alg.METHODS["diging"])
         alg._serve(seq, [group], 0, alg._CHUNK)
         alg._serve(seq, [group], alg._CHUNK, 2 * alg._CHUNK)
-        assert draws == [0, 1]
         assert group.runs == [(group.mat, seq.snapshots(1), 0, alg._CHUNK)]
+        assert np.shares_memory(group.stack(), group.mat.source[0][0])
         assert len(group.stack()) == alg._CHUNK
         assert len(group.matrices()) == alg._CHUNK
 
@@ -1115,18 +1109,15 @@ class TestChunkedStepping:
             alg.run("diging", seq, rule, suite, 0.1, 3)
 
     def test_wrapped_segment_refused_a_failing_slice(self):
-        # a chunk of a periodic sequence that opens mid-period reads its
-        # slices modulo the period: failing slice 0 is first met past its
-        # end, and the group refuses the run it serves
+        # a chunk of a periodic sequence that opens mid-period runs past the
+        # end of its 66-slice block: failing slice 0 is first met in the
+        # next block, and the group refuses the run it serves
         a, b = graphs.undirected(6, [(1, 2)]), graphs.undirected(6, [(2, 3)])
         seq = graphs.periodic_sequence([a, b, b])
-        seq.snapshot(0)
-        seq.snapshot(3)   # block 1 is block 0 again: the sequence repeats
-        assert seq.repeats
         group = alg._Group(self.faulty(mixing.DOUBLY, 0), alg.METHODS["diging"])
         with pytest.raises(alg.CertificateError, match="no valid"):
             alg._serve(seq, [group], alg._CHUNK, 2 * alg._CHUNK)
-        assert [run[2:] for run in group.runs] == [(1, alg._CHUNK + 1)]
+        assert [run[2:] for run in group.runs] == [(64, 66), (0, alg._CHUNK - 2)]
 
     @staticmethod
     def four_groups_members(rule):
@@ -1167,7 +1158,7 @@ class TestChunkedStepping:
 
         for iterations in (74, 75, 130):
             members = self.four_groups_members(rule)
-            first = members["seq"][0].snapshots(0).block
+            first = members["seq"][0].snapshots(0)
             if iterations == 74:
                 alg.run(**members, suite=zero_suite(6, 1), iterations=iterations)
                 continue

@@ -302,6 +302,24 @@ class TestMalformedBlocks:
         assert "config valid" not in captured.out
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_custom_matrix_mode_read_by_kind(self, tmp_path, capsys, monkeypatch):
+        # a mode other than doubly or column is the mixing block's parse
+        # error, for validate and run alike
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        matrix = tmp_path / "w.csv"
+        matrix.write_text("\n".join([",".join(["0.25"] * 4)] * 4) + "\n")
+        config = write_config(
+            tmp_path, graph={"type": "static-path", "n": 4},
+            mixing={"rule": "custom", "path": str(matrix), "mode": "row"})
+        assert cli.main(["validate", "--config", str(config)]) == cli.EXIT_PARSE
+        assert cli.main(["run", "--config", str(config), "--out",
+                         str(tmp_path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.count(
+            "error: mixing: mode='row' is not 'doubly' or 'column'") == 2
+        assert "config valid" not in captured.out
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("manifest", [
         {"n": 4, "p": 2},
         [{"family": "quadratic"}],
@@ -613,6 +631,25 @@ class TestAuditAndReproduce:
         assert "Traceback" not in captured.err and "PASS" not in captured.out
         assert message in captured.err
 
+    def test_audit_refusal_of_long_series_is_one_short_line(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        audited = write_config(
+            tmp_path, iterations=50, alpha=0.0004,
+            theory_audit={"B": 1, "delta": "empirical", "lambda": "certified"})
+        assert cli.main(["run", "--config", str(audited), "--out",
+                         str(tmp_path)]) == 0
+        sidecar = tmp_path / "trace.csv.audit.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       "q_norm": ["1.0"] * 4001}))
+        capsys.readouterr()
+        assert cli.main(["audit", "--trace", str(tmp_path / "trace.csv")]) == \
+            cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert err.startswith("error: trace.csv.audit.json: q_norm=['1.0', ")
+        assert err.endswith("... is not a list of numbers, NaN or infinities\n")
+
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_audit_of_unreadable_trace_is_parse_error(self, tmp_path, capsys, name):
         assert cli.main(["audit", "--trace", str(tmp_path / name)]) == cli.EXIT_PARSE
@@ -659,6 +696,19 @@ class TestNegativeSeeds:
 
 
 class TestFailureExits:
+    @pytest.mark.parametrize("command, entry", [("run", "run_experiment"),
+                                                ("validate", "validate_config")])
+    def test_out_of_memory_exits_runtime(self, tmp_path, capsys, monkeypatch,
+                                         command, entry):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.harness, entry, exhausted)
+        config = write_config(tmp_path)
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n" and captured.out == ""
+
     def test_diverging_run_exits_runtime(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(cli.SEED_ENV, raising=False)
         config = write_config(

@@ -330,7 +330,7 @@ class TestRawOutputDraws:
 
         monkeypatch.setattr(streams, "bounded", rejecting)
         got = graphs.block_connected_sequence(12, 2, 7, extra_edges).snapshots(1)
-        assert got.block.adj.tobytes() == want.block.adj.tobytes()
+        assert got.adj.tobytes() == want.adj.tobytes()
         # the tree parents, the extra edges' Floyd draws and shuffle, the slots
         rows = graphs._BLOCK // 2
         assert forced == [(10, rows)] + [(5, rows)] * (extra_edges > 0) + [
@@ -350,7 +350,7 @@ class TestRawOutputDraws:
                 want[i, rows[keep], cols[keep]] = True
             if kind == graphs.UNDIRECTED:
                 want |= want.swapaxes(1, 2)
-            assert seq.snapshots(t).block.adj.tobytes() == want.tobytes()
+            assert seq.snapshots(t).adj.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 12, 33])
     def test_shuffle_equals_permutation(self, n):
@@ -396,7 +396,7 @@ class TestRawOutputDraws:
         rng = np.random.default_rng((sub,))
         assert order[:, 0].tolist() == rng.permutation(12).tolist()
         assert j[:, 0].tolist() == rng.integers(0, np.arange(1, 12)).tolist()
-        block = graphs.block_connected_sequence(12, 2, 3).snapshots(110 // 32).block
+        block = graphs.block_connected_sequence(12, 2, 3).snapshots(110 // 32)
         assert block.adj.tobytes() == reference_block(12, 2, 3, 0, 110 // 32).tobytes()
 
     @pytest.mark.parametrize("b_tilde", [1, 2, 3, 70])
@@ -625,7 +625,7 @@ class TestSubsampleBlocks:
                     link for link, u in zip(links, keep) if u < fraction]
                 assert snap.block[1] == k % graphs._BLOCK
             else:
-                assert snap == base and snap.block == (seq.snapshots(0).block, 0)
+                assert snap == base and snap.block == (seq.snapshots(0), k % graphs._BLOCK)
 
     @pytest.mark.parametrize("kind", [graphs.UNDIRECTED, graphs.DIRECTED])
     def test_seeds_do_not_share_a_block(self, kind):
@@ -744,10 +744,11 @@ class TestServing:
             snap = view.snapshot(k)
             assert snap.block == (block.directed, i)
             assert snap == base.snapshot(k).as_directed()
-            # another slice of the block, then k again: the same object
+            # another slice of the block, then k again: the same slice of
+            # the kept twin
             other = k - i + (i + 1) % view.size
             assert view.snapshot(other).block == (block.directed, (i + 1) % view.size)
-            assert view.snapshot(k) is snap
+            assert view.snapshot(k).block == snap.block
         # a copy of the view on another seed views the base on that seed
         copy = dataclasses.replace(view, seed=base.seed + 1)
         fresh = graphs.directed_view(dataclasses.replace(base, seed=base.seed + 1))
@@ -770,20 +771,22 @@ class TestServing:
         assert drawn == [0, 1]
 
     def test_static_and_periodic_serve_the_given_snapshots(self):
+        # a period repeats into one block of at least `_BLOCK` slices
         a, b = graphs.undirected(3, [(1, 2)]), graphs.undirected(3, [(2, 3)])
         static = graphs.static_sequence(a)
         periodic = graphs.periodic_sequence([a, a, b], declared_B=3)
-        assert (static.size, periodic.size) == (1, 3)
-        for k in (0, 1, 5, 7):
+        assert (static.size, periodic.size) == (64, 66)
+        assert [graphs.periodic_sequence([a] * p).size for p in (63, 64, 65)] == [126, 64, 65]
+        view = graphs.directed_view(periodic)
+        for k in range(200):
             assert static.snapshot(k) == a
-            assert static.snapshot(k).block == (static.snapshots(0).block, 0)
+            assert static.snapshot(k).block == (static.snapshots(0), k % 64)
             assert periodic.snapshot(k) == (a, a, b)[k % 3]
-            assert periodic.snapshot(k).block == (periodic.snapshots(0).block, k % 3)
-            assert graphs.directed_view(periodic).snapshot(k).block == \
-                (periodic.snapshots(0).block.directed, k % 3)
+            assert periodic.snapshot(k).block == (periodic.snapshots(0), k % 66)
+            assert view.snapshot(k).block == (periodic.snapshots(0).directed, k % 66)
 
-    def test_kept_block_drawn_again_is_not_checked_again(self):
-        reads = []
+    def test_each_draw_is_checked(self):
+        reads, draws = [], []
 
         class Probe(graphs.GraphBlock):
             def __getattribute__(self, name):
@@ -792,18 +795,20 @@ class TestServing:
                 return super().__getattribute__(name)
 
         block = Probe(graphs.UNDIRECTED, np.zeros((1, 3, 3), dtype=bool))
-        # a periodic draw hands back the block the sequence keeps: checked once
-        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, lambda s, t: block)
-        snap = seq.snapshot(0)
-        checked = len(reads)
-        assert all(seq.snapshot(k) is snap for k in range(10))
-        assert len(reads) == checked and seq.repeats
-        # a draw that makes a new block each time is checked each time
-        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1, lambda s, t: Probe(
-            graphs.UNDIRECTED, block.adj.copy()))
-        snaps = [seq.snapshot(k) for k in range(10)]
-        assert all(s == snap for s in snaps) and not seq.repeats
-        assert len(reads) == 11 * checked
+        # a draw that hands back one block for every block, as a periodic
+        # sequence's does, is called and checked for each block
+        seq = graphs.GraphSequence(3, graphs.UNDIRECTED, 1,
+                                   lambda s, t: draws.append(t) or block)
+        reads.clear()
+        seq.snapshot(0)
+        drawn = len(reads)
+        reads.clear()
+        seq.snapshot(0)   # the kept block: no draw and no check
+        kept = len(reads)
+        reads.clear()
+        assert all(seq.snapshot(k) == graphs.empty_snapshot(3) for k in range(1, 11))
+        assert draws == list(range(11))
+        assert kept < drawn and len(reads) == 10 * drawn
 
     @pytest.mark.parametrize("snaps", [
         (graphs.undirected(3, [(1, 2)]),),
@@ -818,19 +823,17 @@ class TestServing:
                 seq.snapshot(1)
 
     @DRAWN_BASES
-    def test_drawn_block_makes_each_snapshot_on_first_read(self, make):
+    def test_block_makes_a_snapshot_on_each_read(self, make):
         seq = make()
         snap = seq.snapshot(5)
-        drawn = seq.snapshots(0)
-        assert isinstance(drawn, graphs.DrawnBlock) and len(drawn) == seq.size
-        assert [i for i, s in enumerate(drawn._snaps) if s is not None] == [5]
-        assert seq.snapshot(5) is snap and drawn[5] is snap and drawn[-seq.size + 5] is snap
-        assert snap.block == (drawn.block, 5)
-        seq.snapshot(6)
-        assert [i for i, s in enumerate(drawn._snaps) if s is not None] == [5, 6]
-        assert [drawn[i] for i in range(seq.size)] == list(drawn)
+        block = seq.snapshots(0)
+        assert isinstance(block, graphs.GraphBlock) and len(block) == seq.size
+        assert snap.block == (block, 5)
+        assert block[5] == snap and block[5] is not block[5]
+        assert block[-seq.size + 5].block == (block, 5)
+        assert [block[i] for i in range(seq.size)] == list(block)
         with pytest.raises(IndexError):
-            drawn[seq.size]
+            block[seq.size]
 
     @pytest.mark.parametrize("stack, kind", [
         (np.zeros((3, 3, 3), dtype=bool), graphs.UNDIRECTED),

@@ -496,18 +496,17 @@ class TestCertificates:
         with pytest.raises(IndexError):
             certs[64]
 
-    def test_decisive_reads_slices_modulo_the_stack(self):
+    def test_decisive_reads_slices_lo_to_hi(self):
         good = np.full((3, 3), 1 / 3)
         stack = np.stack([good + 1e-6 * np.eye(3), good, good])
         certs = mixing._certify(stack, mixing.DOUBLY)
         assert not certs[0].ok and certs[1].ok
-        # failing slice 0 lies before slice 1, and is met past the stack's end
+        # failing slice 0 lies before slice 1, outside the run it decides
         assert certs.decisive(1, 3) is certs[1]
-        assert certs.decisive(1, 4) is certs[0]
-        assert certs.decisive(2, 70) is certs[0]
+        assert certs.decisive(0, 3) is certs[0]
         assert certs.decisive(0, 1) is certs[0] and certs.decisive(2, 3) is certs[2]
         passing = mixing._certify(np.stack([good] * 3), mixing.DOUBLY)
-        assert passing.decisive(2, 70) is passing[2]
+        assert passing.decisive(1, 3) is passing[1]
 
 
 class TestSliceViews:
